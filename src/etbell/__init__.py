@@ -5,6 +5,18 @@ postselection rules, beam-splitter network algebra, and a pulsed-source
 coincidence model.
 """
 
+import os
+import sys
+
+# The package's dense products are small, where OpenBLAS worker threads
+# cost more than they save: they spin on start-up and must be woken for
+# each call, which makes CLI runs slower and their timing erratic on a
+# shared machine. Use one BLAS thread unless the caller chose a count;
+# this takes effect only if numpy has not been imported yet.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .events import EventRecord, EventTable, all_equal, mermin_estimate
 from .lhv import (
     FixedBinInstruction,

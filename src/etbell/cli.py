@@ -91,7 +91,6 @@ class RunConfig:
     seed: int = 0
     tolerance: float = 1e-10
     output_path: str | None = None
-    format: str = "json"
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -99,8 +98,6 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
 
 
 def thread_cap() -> int:
@@ -140,7 +137,7 @@ def _emit(report: dict, cfg: RunConfig, stdout) -> int:
     checks = report.get("checks", [])
     report["passed"] = all(c["passed"] for c in checks)
     text = json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
-    if cfg.output_path and cfg.format == "json":
+    if cfg.output_path:
         with open(cfg.output_path, "w") as fh:
             fh.write(text)
     else:
@@ -227,10 +224,6 @@ def _write_sweep(path: str, points: int) -> None:
             result = mermin3(state, *flat)
             cells = [repr(float(v)) for v in (delta, *result.terms, result.mu)]
             fh.write(",".join(cells) + "\n")
-
-
-def _fraction_or_float(value):
-    return value if value is None or isinstance(value, (int, float)) else value
 
 
 def _correlations_report(corr) -> dict:
@@ -527,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, trials=False):
         p.add_argument("--tol", type=float, default=None, help="check tolerance")
         p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
         if trials:
             p.add_argument("--trials", type=int, default=10000)
@@ -626,9 +618,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         n_levels=getattr(args, "n", 3),
         trials=getattr(args, "trials", 10000),
         seed=getattr(args, "seed", 0),
-        tolerance=args.tol if getattr(args, "tol", None) else default_tol,
+        tolerance=default_tol if args.tol is None else args.tol,
         output_path=getattr(args, "out", None),
-        format=getattr(args, "format", "json"),
         options=options,
     )
 
@@ -648,7 +639,7 @@ def main(argv=None, stdout=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _HANDLERS[args.subcommand](cfg, stdout)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

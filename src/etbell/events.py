@@ -50,9 +50,10 @@ class EventTable:
     bin_labels: tuple[str, ...] = ("S", "L")
 
     def __post_init__(self):
-        settings = np.array(self.settings, dtype=np.int8)
-        bins = np.array(self.bins, dtype=np.int8)
-        signs = np.array(self.signs, dtype=np.int8)
+        # Check values before narrowing to int8, which would wrap 257 to 1.
+        settings = np.asarray(self.settings)
+        bins = np.asarray(self.bins)
+        signs = np.asarray(self.signs)
         selected = np.array(self.selected, dtype=bool)
         if settings.ndim != 2:
             raise ValueError("settings must be a (trials, parties) array")
@@ -60,8 +61,13 @@ class EventTable:
             raise ValueError("settings, bins, and signs must share one shape")
         if selected.shape != (settings.shape[0],):
             raise ValueError("selected must have one flag per trial")
-        if bins.size and bins.max(initial=0) >= len(self.bin_labels):
+        if not ((settings == 0) | (settings == 1)).all():
+            raise ValueError("settings must be 0 or 1")
+        if not ((signs == 1) | (signs == -1)).all():
+            raise ValueError("signs must be +1 or -1")
+        if bins.size and not (0 <= bins.min() and bins.max() < len(self.bin_labels)):
             raise ValueError("bin code outside bin_labels")
+        settings, bins, signs = (a.astype(np.int8) for a in (settings, bins, signs))
         for arr in (settings, bins, signs, selected):
             arr.setflags(write=False)
         object.__setattr__(self, "settings", settings)
@@ -123,37 +129,54 @@ class EventTable:
 
     @classmethod
     def read_csv(cls, path, bin_labels: tuple[str, ...] | None = None) -> "EventTable":
-        rows = []
+        """Read the CSV wire format. Every ``(trial, party)`` cell of the
+        grid must appear exactly once, and the parties of one trial must
+        agree on ``selected``; a violation names the first offending cell."""
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header in {path}")
-            for row in reader:
-                rows.append(row)
+            rows = list(reader)
         if not rows:
             raise ValueError("event CSV contains no rows")
-        parties = 1 + max(int(r["party"]) for r in rows)
-        trials = 1 + max(int(r["trial"]) for r in rows)
-        if len(rows) != parties * trials:
-            raise ValueError("event CSV is not a dense trial/party grid")
+        trial = np.array([int(r["trial"]) for r in rows])
+        party = np.array([int(r["party"]) for r in rows])
+        negative = np.flatnonzero((trial < 0) | (party < 0))
+        if negative.size:
+            k = negative[0]
+            raise ValueError(f"negative index in trial {trial[k]}, party {party[k]}")
+        shape = (int(trial.max()) + 1, int(party.max()) + 1)
+        cells, counts = np.unique(trial * shape[1] + party, return_counts=True)
+        duplicate = np.flatnonzero(counts > 1)
+        if duplicate.size:
+            t, p = divmod(int(cells[duplicate[0]]), shape[1])
+            raise ValueError(f"duplicate event for trial {t}, party {p}")
+        # cells is sorted and unique, so the first gap is the first missing cell
+        gap = np.flatnonzero(cells != np.arange(cells.size))
+        missing = int(gap[0]) if gap.size else cells.size
+        if missing < shape[0] * shape[1]:
+            t, p = divmod(missing, shape[1])
+            raise ValueError(f"missing event for trial {t}, party {p}")
         if bin_labels is None:
-            seen: list[str] = []
-            for r in rows:
-                if r["bin"] not in seen:
-                    seen.append(r["bin"])
-            bin_labels = tuple(seen)
+            bin_labels = tuple(dict.fromkeys(r["bin"] for r in rows))
         code = {label: k for k, label in enumerate(bin_labels)}
-        settings = np.zeros((trials, parties), dtype=np.int8)
-        bins = np.zeros((trials, parties), dtype=np.int8)
-        signs = np.zeros((trials, parties), dtype=np.int8)
-        selected = np.zeros(trials, dtype=bool)
-        for r in rows:
-            t, p = int(r["trial"]), int(r["party"])
-            settings[t, p] = int(r["setting"])
-            bins[t, p] = code[r["bin"]]
-            signs[t, p] = int(r["sign"])
-            selected[t] = bool(int(r["selected"]))
-        return cls(settings, bins, signs, selected, bin_labels)
+
+        def grid(column, convert=int):
+            out = np.empty(shape, dtype=np.int64)
+            out[trial, party] = [convert(r[column]) for r in rows]
+            return out
+
+        try:
+            bins = grid("bin", code.__getitem__)
+        except KeyError as exc:
+            raise ValueError(f"bin label {exc.args[0]!r} not in {bin_labels}") from None
+        flags = grid("selected")
+        if not ((flags == 0) | (flags == 1)).all():
+            raise ValueError("selected flags must be 0 or 1")
+        mixed = np.flatnonzero((flags != flags[:, :1]).any(axis=1))
+        if mixed.size:
+            raise ValueError(f"inconsistent selected flags in trial {mixed[0]}")
+        return cls(grid("setting"), bins, grid("sign"), flags[:, 0] == 1, bin_labels)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2_contingency
 
 from .events import EventTable, all_equal
 from .lhv import StrategyEnsemble
@@ -130,12 +129,44 @@ class LocalityAuditReport:
         )
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function ``P(X > x)`` for integer ``df >= 1``.
+
+    Closed forms of Abramowitz & Stegun 26.4.4-26.4.5. Even ``df``:
+    ``exp(-x/2) * sum_{j < df/2} (x/2)^j / j!``. Odd ``df``:
+    ``erfc(sqrt(x/2)) + sqrt(2x/pi) exp(-x/2) * sum_{j < (df-1)/2} x^j / (2j+1)!!``.
+    The finite sum is folded into the exponent, so large statistics give
+    small p-values instead of underflowing to zero before they must.
+    """
+    if df != int(df) or df < 1:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
+    if x <= 0:
+        return 1.0
+    half = x / 2
+    if df == 1:
+        return math.erfc(math.sqrt(half))
+    even = df % 2 == 0
+    term = total = 1.0
+    for j in range(1, df // 2):
+        term *= half / j if even else x / (2 * j + 1)
+        total += term
+    log_series = math.log(total) - half
+    if even:
+        return math.exp(log_series)
+    return math.erfc(math.sqrt(half)) + math.exp(0.5 * math.log(2 * x / math.pi) + log_series)
+
+
 def _chi2(table: np.ndarray) -> tuple[float, float]:
+    """Pearson chi-square of a contingency table (no continuity correction)
+    and its p-value; all-zero rows and columns are dropped first."""
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
     if table.shape[0] < 2 or table.shape[1] < 2:
         return 0.0, 1.0
-    stat, p, _, _ = chi2_contingency(table, correction=False)
-    return float(stat), float(p)
+    observed = table.astype(np.float64)
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    df = (table.shape[0] - 1) * (table.shape[1] - 1)
+    return stat, chi2_sf(stat, df)
 
 
 def counterfactual_selection_dependence(ensemble: StrategyEnsemble, rule=all_equal) -> bool:

@@ -398,12 +398,15 @@ def sample_measurement_events(
     )
 
 
+def _compact_labels(level_labels) -> bool:
+    """Whether basis labels are written without a separator: only when every
+    level label is a single character."""
+    return all(len(lab) == 1 for party in level_labels for lab in party)
+
+
 def state_to_json(state: MultiPartyState) -> dict:
     """JSON form: dims, per-party labels, and the nonzero amplitudes."""
-    compact = all(
-        all(len(lab) == 1 for lab in party) for party in state.level_labels
-    )
-    sep = "" if compact else "|"
+    sep = "" if _compact_labels(state.level_labels) else "|"
     return {
         "dims": list(state.dims),
         "level_labels": [list(p) for p in state.level_labels],
@@ -417,9 +420,14 @@ def state_to_json(state: MultiPartyState) -> dict:
 def state_from_json(data: dict) -> MultiPartyState:
     dims = tuple(int(d) for d in data["dims"])
     labels = tuple(tuple(p) for p in data["level_labels"])
+    compact = _compact_labels(labels)
     amps = np.zeros(math.prod(dims), dtype=complex)
     for label_string, re, im in data["amplitudes"]:
-        parts = tuple(label_string.split("|")) if "|" in label_string else tuple(label_string)
+        parts = tuple(label_string) if compact else tuple(label_string.split("|"))
+        if len(parts) != len(dims):
+            raise ValueError(
+                f"basis label {label_string!r} does not name {len(dims)} parties"
+            )
         levels = tuple(labels[p].index(lab) for p, lab in enumerate(parts))
         amps[np.ravel_multi_index(levels, dims)] = complex(re, im)
     return MultiPartyState(dims, amps, labels)

@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,3 +211,66 @@ def test_json_report_written_to_file(tmp_path):
     assert text == ""
     report = json.loads(out.read_text())
     assert report["passed"] is True
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(src) + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import etbell.cli, sys; print('scipy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "chosen, expected",
+    [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ({"OMP_NUM_THREADS": "2"}, None),
+        ({"MKL_NUM_THREADS": "2"}, None),
+    ],
+)
+def test_import_defaults_to_one_blas_thread(chosen, expected):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(chosen, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import etbell, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == str(expected)
+
+
+def test_zero_tolerance_is_rejected(capsys):
+    code, text = run_cli(["network", "dft", "--n", "4", "--tol", "0"])
+    assert code == 1
+    assert text == ""
+    assert "tolerance must be positive" in capsys.readouterr().err
+
+
+def test_arithmetic_error_is_reported(monkeypatch, capsys):
+    from etbell import cli
+
+    def imaginary(*args, **kwargs):
+        raise ArithmeticError("expectation has imaginary part 0.001")
+
+    monkeypatch.setattr(cli, "mermin3", imaginary)
+    code, text = run_cli(["mermin-quantum"])
+    assert code == 1
+    assert text == ""
+    assert "error: expectation has imaginary part" in capsys.readouterr().err
+
+
+def test_format_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit):
+        run_cli(["network", "dft", "--n", "4", "--format", "csv", "--out", str(tmp_path / "f")])

@@ -92,3 +92,63 @@ def test_mermin_estimate_requires_three_parties():
     table = EventTable([[0, 0]], [[0, 0]], [[1, 1]], [True])
     with pytest.raises(ValueError):
         mermin_estimate(table)
+
+
+@pytest.mark.parametrize(
+    "settings, bins, signs",
+    [
+        ([[0, 7]], [[0, 0]], [[1, 1]]),  # setting outside {0, 1}
+        (np.array([[0, 257]]), [[0, 0]], [[1, 1]]),  # would wrap to 1 in int8
+        ([[0, 1]], [[0, 0]], [[1, 0]]),  # sign 0
+        ([[0, 1]], [[0, 0]], [[5, 1]]),  # sign 5
+        ([[0, 1]], [[0, -1]], [[1, 1]]),  # bin code -1 would alias "L"
+    ],
+)
+def test_event_table_rejects_out_of_range_values(settings, bins, signs):
+    with pytest.raises(ValueError):
+        EventTable(settings, bins, signs, [True], ("S", "L"))
+
+
+def _write_events(path, rows):
+    lines = [",".join(CSV_COLUMNS), *(",".join(map(str, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # (1, 0) twice and (1, 1) never: the row count still equals 2 x 2
+        (
+            [(0, 0, 0, "S", 1, 1), (0, 1, 0, "S", 1, 1), (1, 0, 0, "S", 1, 0), (1, 0, 0, "S", 1, 0)],
+            "duplicate event for trial 1, party 0",
+        ),
+        (
+            [(0, 0, 0, "S", 1, 1), (0, 1, 0, "S", 1, 1), (1, 0, 0, "S", 1, 0)],
+            "missing event for trial 1, party 1",
+        ),
+        # trial -1 would wrap onto the last trial
+        (
+            [(0, 0, 0, "S", 1, 1), (0, 1, 0, "S", 1, 1), (1, 0, 0, "S", 1, 0), (-1, 1, 0, "S", 1, 0)],
+            "negative index in trial -1, party 1",
+        ),
+        (
+            [(0, 0, 0, "S", 1, 1), (0, 1, 0, "S", 1, 0)],
+            "inconsistent selected flags in trial 0",
+        ),
+        ([(0, 0, 2, "S", 1, 1)], "settings must be 0 or 1"),
+        ([(0, 0, 0, "S", 0, 1)], "signs must be"),
+        ([(0, 0, 0, "S", 1, 2)], "selected flags must be 0 or 1"),
+    ],
+)
+def test_csv_rejects_malformed_grid(tmp_path, rows, message):
+    path = tmp_path / "events.csv"
+    _write_events(path, rows)
+    with pytest.raises(ValueError, match=message):
+        EventTable.read_csv(path)
+
+
+def test_csv_rejects_unknown_bin_label(tmp_path):
+    path = tmp_path / "events.csv"
+    _write_events(path, [(0, 0, 0, "X", 1, 1)])
+    with pytest.raises(ValueError, match="'X'"):
+        EventTable.read_csv(path, bin_labels=("S", "L"))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, chi2_contingency
 
 from etbell.events import EventTable
 from etbell.lhv import (
@@ -12,6 +13,8 @@ from etbell.lhv import (
 )
 from etbell.source import (
     PumpConfig,
+    _chi2,
+    chi2_sf,
     coincidence_filter,
     counterfactual_selection_dependence,
     four_photon_state,
@@ -160,3 +163,31 @@ def test_audit_detects_crude_setting_dependence():
     report = locality_audit(table)
     assert report.per_party[0].dependent
     assert report.setting_dependent
+
+
+def test_chi2_sf_matches_scipy():
+    xs = np.linspace(0.0, 200.0, 801)
+    for df in range(1, 16):
+        ours = np.array([chi2_sf(float(x), df) for x in xs])
+        np.testing.assert_allclose(ours, chi2.sf(xs, df), rtol=1e-10, atol=0.0)
+
+
+def test_chi2_sf_rejects_bad_degrees_of_freedom():
+    for df in (0, -1, 1.5):
+        with pytest.raises(ValueError):
+            chi2_sf(1.0, df)
+
+
+def test_chi2_statistic_matches_scipy():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        shape = (int(rng.integers(1, 9)), 2)
+        table = rng.integers(0, 60, size=shape) * (rng.random(shape) < 0.85)
+        stat, p_value = _chi2(table)
+        trimmed = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+        if min(trimmed.shape) < 2:
+            assert (stat, p_value) == (0.0, 1.0)
+            continue
+        ref = chi2_contingency(trimmed, correction=False)
+        assert stat == ref.statistic
+        assert p_value == pytest.approx(ref.pvalue, rel=1e-10, abs=0.0)

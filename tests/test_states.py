@@ -330,3 +330,38 @@ def test_mermin3_below_algebraic_bound(seed):
     assert result.mu <= 4.0 + 1e-9
     for term in result.terms:
         assert -1.0 - 1e-9 <= term <= 1.0 + 1e-9
+
+
+def test_state_json_single_party_multichar_labels():
+    state = MultiPartyState((11,), np.eye(11)[9])  # default labels "1".."11"
+    data = state_to_json(state)
+    assert data["amplitudes"] == [["10", 1.0, 0.0]]
+    again = state_from_json(data)
+    assert again.allclose(state, tol=0.0)
+    assert again.level_labels == state.level_labels
+
+
+def test_state_json_rejects_wrong_label_count():
+    data = state_to_json(ghz_state(3))
+    data["amplitudes"][0][0] = "SS"
+    with pytest.raises(ValueError, match="3 parties"):
+        state_from_json(data)
+
+
+@st.composite
+def _labelled_states(draw):
+    dims = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+    label = st.text(alphabet="SLab01", min_size=1, max_size=3)
+    labels = tuple(
+        tuple(draw(st.lists(label, min_size=d, max_size=d, unique=True))) for d in dims
+    )
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    return MultiPartyState(tuple(dims), random_state_vector(math.prod(dims), seed), labels)
+
+
+@given(state=_labelled_states())
+@settings(max_examples=60, deadline=None)
+def test_state_json_round_trip_property(state):
+    again = state_from_json(state_to_json(state))
+    assert again.level_labels == state.level_labels
+    assert again.allclose(state, tol=0.0)
