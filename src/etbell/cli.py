@@ -19,7 +19,7 @@ Subcommands
 Reports are JSON with sorted keys and full-precision floats; streams and
 sweeps are CSV. Identical configurations (including seeds) produce
 byte-identical output. The exit status is 0 only if every requested check
-passed its tolerance. ``ETBELL_THREADS`` caps enumeration parallelism.
+passed its tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -98,14 +97,6 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-
-
-def thread_cap() -> int:
-    """Parallelism cap from ETBELL_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ETBELL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _encode(obj):
@@ -269,12 +260,11 @@ def cmd_lhv(cfg: RunConfig, stdout) -> int:
         return _emit(report, cfg, stdout)
     if action == "search":
         selection = cfg.options["selection"]
-        threads = thread_cap()
         if selection == "dependent":
-            result = max_mu_setting_dependent(threads=threads)
+            result = max_mu_setting_dependent()
             expected = 4
         else:
-            result = max_mu_setting_independent(threads=threads)
+            result = max_mu_setting_independent()
             expected = 2
         report = {
             "selection": selection,
@@ -434,8 +424,8 @@ def cmd_source(cfg: RunConfig, stdout) -> int:
             "checks": [_check("normalized", norm, abs(norm - 1.0) <= cfg.tolerance, cfg.tolerance)],
         }
         return _emit(report, cfg, stdout)
-    pump = PumpConfig(delta_t=cfg.options["delta_t"], window=cfg.options["window"])
     if action == "filter":
+        pump = PumpConfig(delta_t=cfg.options["delta_t"], window=cfg.options["window"])
         filtered, keep = coincidence_filter(four_photon_state(), pump)
         report = {
             "keep_probability": keep,
@@ -446,6 +436,7 @@ def cmd_source(cfg: RunConfig, stdout) -> int:
         }
         return _emit(report, cfg, stdout)
     if action == "stream":
+        pump = PumpConfig(delta_t=cfg.options["delta_t"], window=cfg.options["window"])
         table = source_event_stream(pump, cfg.trials, seed=cfg.seed)
         agree = float(
             ((table.bins[:, 0] == table.bins[:, 1]) & (table.bins[:, 2] == table.bins[:, 3])).mean()
@@ -586,8 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(q, trials=True)
     q = src_sub.add_parser("audit", help="selection/setting locality audit")
     q.add_argument("--model", choices=("quantum", "table1"), default="quantum")
-    q.add_argument("--delta-t", type=float, default=1.0)
-    q.add_argument("--window", type=float, default=0.1)
     add_common(q, trials=True)
 
     return parser

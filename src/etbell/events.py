@@ -24,10 +24,14 @@ MERMIN_TERM_SIGNS = (1, 1, 1, -1)
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
 
 
-def all_equal(values) -> bool:
-    """Coincidence rule: keep a joint outcome iff all bins agree."""
-    vals = tuple(values)
-    return all(v == vals[0] for v in vals[1:])
+def all_equal(bins) -> np.ndarray:
+    """Coincidence rule: keep a joint outcome iff all bins agree.
+
+    ``bins`` holds one bin per party on its last axis; the result is a
+    boolean array over the leading axes (a 0-d one for a single outcome).
+    """
+    bins = np.asarray(bins)
+    return (bins == bins[..., :1]).all(axis=-1)
 
 
 class EventRecord(NamedTuple):
@@ -129,18 +133,28 @@ class EventTable:
 
     @classmethod
     def read_csv(cls, path, bin_labels: tuple[str, ...] | None = None) -> "EventTable":
-        """Read the CSV wire format. Every ``(trial, party)`` cell of the
-        grid must appear exactly once, and the parties of one trial must
-        agree on ``selected``; a violation names the first offending cell."""
+        """Read the CSV wire format. Every row must have one field per
+        column, every ``(trial, party)`` cell of the grid must appear exactly
+        once, and the parties of one trial must agree on ``selected``; a
+        violation names the first offending line or cell."""
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+            reader = csv.reader(fh)
+            if tuple(next(reader, ())) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header in {path}")
-            rows = list(reader)
+            rows = []
+            for row in reader:
+                if len(row) != len(CSV_COLUMNS):
+                    if not row:
+                        continue  # blank line
+                    raise ValueError(
+                        f"line {reader.line_num}: {len(row)} fields, expected {len(CSV_COLUMNS)}"
+                    )
+                rows.append(row)
         if not rows:
             raise ValueError("event CSV contains no rows")
-        trial = np.array([int(r["trial"]) for r in rows])
-        party = np.array([int(r["party"]) for r in rows])
+        column = {name: k for k, name in enumerate(CSV_COLUMNS)}
+        trial = np.array([int(r[column["trial"]]) for r in rows])
+        party = np.array([int(r[column["party"]]) for r in rows])
         negative = np.flatnonzero((trial < 0) | (party < 0))
         if negative.size:
             k = negative[0]
@@ -158,12 +172,13 @@ class EventTable:
             t, p = divmod(missing, shape[1])
             raise ValueError(f"missing event for trial {t}, party {p}")
         if bin_labels is None:
-            bin_labels = tuple(dict.fromkeys(r["bin"] for r in rows))
+            bin_labels = tuple(dict.fromkeys(r[column["bin"]] for r in rows))
         code = {label: k for k, label in enumerate(bin_labels)}
 
-        def grid(column, convert=int):
+        def grid(name, convert=int):
+            k = column[name]
             out = np.empty(shape, dtype=np.int64)
-            out[trial, party] = [convert(r[column]) for r in rows]
+            out[trial, party] = [convert(r[k]) for r in rows]
             return out
 
         try:

@@ -20,7 +20,7 @@ package is built to exhibit.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +31,8 @@ from .states import mermin_coefficients
 
 BINS = ("S", "L")
 SIGNS = (1, -1)
+#: Single-party outcomes, indexed by ``2 * bin code + (sign < 0)``.
+TOKENS = tuple(f"{b}{'+' if s > 0 else '-'}" for b in BINS for s in SIGNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,39 +191,62 @@ class PostselectedCorrelations:
         return tuple(k for k, t in enumerate(self.terms) if t is None)
 
 
-def evaluate_postselected(ensemble: StrategyEnsemble, rule=all_equal) -> PostselectedCorrelations:
+def strategy_table(strategies) -> tuple[np.ndarray, np.ndarray]:
+    """Joint strategies as two int8 arrays of shape (strategies, parties,
+    settings): bin codes (indices into ``BINS``) and signs."""
+    strategies = tuple(strategies)
+    bins = np.array(
+        [[[BINS.index(b) for b in instr.bins] for instr in s] for s in strategies],
+        dtype=np.int8,
+    )
+    signs = np.array([[instr.signs for instr in s] for s in strategies], dtype=np.int8)
+    return bins, signs
+
+
+def combo_outcomes(bins, signs, combos=MERMIN_COMBOS) -> np.ndarray:
+    """Outcome of each tabled strategy under each setting combination, shape
+    (strategies, combos): the sign product where :func:`all_equal` selects
+    the combination's bins, 0 where it rejects them."""
+    combos = np.asarray(combos)
+    parties = np.arange(combos.shape[1])
+    selected = all_equal(bins[:, parties, combos])
+    return np.where(selected, signs[:, parties, combos].prod(axis=-1), 0)
+
+
+def _weighted_sum(ensemble: StrategyEnsemble, values: np.ndarray) -> list:
+    """Sum over strategies of weight times ``values[strategy, ...]``, as
+    nested lists. When every weight is exact the sums are taken on integer
+    numerators over the weights' common denominator and come out as
+    Fractions; otherwise they are float64 sums."""
+    weights = [w for _, w in ensemble.entries]
+    if all(isinstance(w, (Fraction, int)) for w in weights):
+        denom = math.lcm(*(Fraction(w).denominator for w in weights))
+        numerators = np.array([int(w * denom) for w in weights], dtype=object)
+        return (np.tensordot(numerators, values, axes=1) * Fraction(1, denom)).tolist()
+    return np.tensordot(np.array(weights, dtype=np.float64), values, axes=1).tolist()
+
+
+def evaluate_postselected(ensemble: StrategyEnsemble) -> PostselectedCorrelations:
     """Conditional expectations of the sign product given selection.
 
-    For each Mermin setting combination the rule sees the joint bins the
-    strategies would produce under those settings; selected weight and
-    sign-product weight accumulate exactly for rational ensemble weights.
+    For each Mermin setting combination the coincidence rule sees the joint
+    bins the strategies would produce under those settings; selected weight
+    and sign-product weight are exact for rational ensemble weights.
     """
     if ensemble.n_parties != len(MERMIN_COMBOS[0]):
         raise ValueError("postselected Mermin evaluation expects three parties")
-    selected_weight = [0] * len(MERMIN_COMBOS)
-    product_weight = [0] * len(MERMIN_COMBOS)
-    for strategy, weight in ensemble.entries:
-        for k, combo in enumerate(MERMIN_COMBOS):
-            bins = tuple(instr.bin(s) for instr, s in zip(strategy, combo))
-            if rule(bins):
-                prod = 1
-                for instr, s in zip(strategy, combo):
-                    prod *= instr.sign(s)
-                selected_weight[k] = selected_weight[k] + weight
-                product_weight[k] = product_weight[k] + weight * prod
-    terms = tuple(
-        product_weight[k] / selected_weight[k] if selected_weight[k] > 0 else None
-        for k in range(len(MERMIN_COMBOS))
-    )
+    outcomes = combo_outcomes(*strategy_table(s for s, _ in ensemble.entries))
+    selected = _weighted_sum(ensemble, outcomes != 0)
+    product = _weighted_sum(ensemble, outcomes)
+    terms = tuple(p / w if w > 0 else None for p, w in zip(product, selected))
     mu = None
     if all(t is not None for t in terms):
         mu = abs(sum(s * t for s, t in zip(MERMIN_TERM_SIGNS, terms)))
-    rate = sum(selected_weight) / len(MERMIN_COMBOS)
     return PostselectedCorrelations(
         terms=terms,
         mu=mu,
-        selection_rate=rate,
-        selected_fractions=tuple(selected_weight),
+        selection_rate=sum(selected) / len(MERMIN_COMBOS),
+        selected_fractions=tuple(selected),
     )
 
 
@@ -291,34 +316,28 @@ def saturating_model() -> StrategyEnsemble:
 
 
 def marginal_distribution(ensemble: StrategyEnsemble):
-    """Outcome weights per (party, setting) over the tokens S+, S-, L+, L-."""
-    out: dict[tuple[int, int], dict[str, Fraction | float]] = {}
-    for p in range(ensemble.n_parties):
-        for s in (0, 1):
-            out[(p, s)] = {}
-    for strategy, weight in ensemble.entries:
-        for p, instr in enumerate(strategy):
-            for s in (0, 1):
-                token = instr.token(s)
-                bucket = out[(p, s)]
-                bucket[token] = bucket.get(token, 0) + weight
-    return out
+    """Outcome weights per (party, setting) over the tokens S+, S-, L+, L-.
+
+    A token is listed when some strategy of the ensemble produces it, even
+    with zero weight.
+    """
+    bins, signs = strategy_table(s for s, _ in ensemble.entries)
+    produced = (2 * bins + (signs < 0))[..., None] == np.arange(len(TOKENS))
+    totals = _weighted_sum(ensemble, produced)
+    present = produced.any(axis=0)
+    return {
+        (p, s): {
+            token: totals[p][s][t] for t, token in enumerate(TOKENS) if present[p, s, t]
+        }
+        for p in range(ensemble.n_parties)
+        for s in (0, 1)
+    }
 
 
-def strategy_profile(strategy, rule=all_equal) -> tuple[int, ...]:
+def strategy_profile(strategy) -> tuple[int, ...]:
     """Per-combination outcome of one strategy: +1/-1 sign product if the
     combination is selected, 0 if it is rejected."""
-    profile = []
-    for combo in MERMIN_COMBOS:
-        bins = tuple(instr.bin(s) for instr, s in zip(strategy, combo))
-        if rule(bins):
-            prod = 1
-            for instr, s in zip(strategy, combo):
-                prod *= instr.sign(s)
-            profile.append(prod)
-        else:
-            profile.append(0)
-    return tuple(profile)
+    return tuple(int(v) for v in combo_outcomes(*strategy_table([strategy]))[0])
 
 
 @dataclass(frozen=True)
@@ -329,79 +348,65 @@ class SearchResult:
     strategies_examined: int
 
 
-def _profiles(strategies, rule, threads: int | None):
-    if threads and threads > 1:
-        bounds = np.linspace(0, len(strategies), threads + 1, dtype=int)
-        chunks = [strategies[a:b] for a, b in zip(bounds, bounds[1:])]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda chunk: [strategy_profile(s, rule) for s in chunk], chunks
-            )
-            out: list[tuple[int, ...]] = []
-            for part in parts:
-                out.extend(part)
-            return out
-    return [strategy_profile(s, rule) for s in strategies]
+def _joint_strategies(instructions):
+    """Table of ``itertools.product(instructions, repeat=3)``, in that order,
+    with each row's instruction indices."""
+    bins, signs = strategy_table((instr,) for instr in instructions)
+    idx = np.indices((len(instructions),) * 3).reshape(3, -1).T
+    return bins[idx, 0], signs[idx, 0], idx
 
 
-def max_mu_setting_dependent(threads: int | None = None) -> SearchResult:
+def max_mu_setting_dependent() -> SearchResult:
     """Exhaustive maximum of postselected mu over unrestricted instructions.
 
     Enumerates all 16^3 joint deterministic strategies. Because each
     conditional term is bounded by 1 in magnitude, any ensemble realizing
     the term pattern (+1, +1, +1, -1) is maximal; the witness mixes, for
-    each setting combination, one strategy selected exclusively there with
-    the designated sign, which drives mu to exactly 4.
+    each setting combination, the first strategy selected exclusively there
+    with the designated sign, which drives mu to exactly 4.
     """
-    strategies = tuple(itertools.product(all_instructions(), repeat=3))
-    profiles = _profiles(strategies, all_equal, threads)
+    instructions = all_instructions()
+    bins, signs, idx = _joint_strategies(instructions)
+    outcomes = combo_outcomes(bins, signs)
+    exclusive = np.count_nonzero(outcomes, axis=1) == 1
     witnesses = []
     for k, target in enumerate(MERMIN_TERM_SIGNS):
-        for strategy, profile in zip(strategies, profiles):
-            if profile[k] == target and all(
-                profile[m] == 0 for m in range(len(profile)) if m != k
-            ):
-                witnesses.append(strategy)
-                break
-        else:
+        match = exclusive & (outcomes[:, k] == target)
+        if not match.any():
             raise RuntimeError("no exclusive strategy for a Mermin combination")
+        witnesses.append(tuple(instructions[i] for i in idx[match.argmax()]))
     witness = StrategyEnsemble.uniform(witnesses)
     correlations = evaluate_postselected(witness)
     return SearchResult(
         mu_max=Fraction(correlations.mu),
         witness=witness,
         correlations=correlations,
-        strategies_examined=len(strategies),
+        strategies_examined=len(idx),
     )
 
 
-def max_mu_setting_independent(threads: int | None = None) -> SearchResult:
+def max_mu_setting_independent() -> SearchResult:
     """Exhaustive maximum of postselected mu over fixed-bin instructions.
 
     With setting-independent bins a strategy is selected for all four
     combinations or none, so every mixture's mu is a weighted average of
     single-strategy values and the maximum over the 8^3 joint strategies is
-    the maximum over all ensembles.
+    the maximum over all ensembles. The witness is the first maximizer.
     """
-    strategies = tuple(itertools.product(fixed_bin_instructions(), repeat=3))
-    profiles = _profiles(strategies, all_equal, threads)
-    best_mu = None
-    best = None
-    for strategy, profile in zip(strategies, profiles):
-        if all(v == 0 for v in profile):
-            continue
-        mu = abs(sum(s * v for s, v in zip(MERMIN_TERM_SIGNS, profile)))
-        if best_mu is None or mu > best_mu:
-            best_mu, best = mu, strategy
-    if best is None:
+    instructions = fixed_bin_instructions()
+    bins, signs, idx = _joint_strategies(instructions)
+    outcomes = combo_outcomes(bins, signs)
+    selected = outcomes.any(axis=1)
+    if not selected.any():
         raise RuntimeError("no fixed-bin strategy is ever selected")
-    witness = StrategyEnsemble.single(best)
-    correlations = evaluate_postselected(witness)
+    mu = np.where(selected, np.abs(outcomes @ MERMIN_TERM_SIGNS), -1)
+    best = int(mu.argmax())
+    witness = StrategyEnsemble.single(tuple(instructions[i] for i in idx[best]))
     return SearchResult(
-        mu_max=Fraction(best_mu),
+        mu_max=Fraction(int(mu[best])),
         witness=witness,
-        correlations=correlations,
-        strategies_examined=len(strategies),
+        correlations=evaluate_postselected(witness),
+        strategies_examined=len(idx),
     )
 
 
@@ -430,27 +435,19 @@ def scaled_model(target) -> StrategyEnsemble:
 
 def mermin_classical_bound(n: int) -> Fraction:
     """Deterministic (no-postselection) bound of the scaled Mermin
-    polynomial, recomputed by exhaustive enumeration of local sign
+    polynomial, recomputed by exhaustive enumeration of the 4^n local sign
     assignments rather than assumed."""
     coeffs = mermin_coefficients(n)
-    best = Fraction(0)
-    for assignment in itertools.product(((1, 1), (1, -1), (-1, 1), (-1, -1)), repeat=n):
-        value = Fraction(0)
-        for s, c in coeffs.items():
-            prod = 1
-            for j, bit in enumerate(s):
-                prod *= assignment[j][bit]
-            value += c * prod
-        best = max(best, abs(2 * value))
-    return best
+    terms = np.array(list(coeffs))
+    denom = math.lcm(*(c.denominator for c in coeffs.values()))
+    numerators = np.array([int(c * denom) for c in coeffs.values()])
+    pairs = tuple(itertools.product(SIGNS, repeat=2))
+    assignments = np.array(list(itertools.product(pairs, repeat=n)), dtype=np.int8)
+    products = assignments[:, np.arange(n), terms].prod(axis=-1)
+    return Fraction(2 * int(np.abs(products @ numerators).max()), denom)
 
 
-def event_stream(
-    ensemble: StrategyEnsemble,
-    schedule,
-    seed: int = 0,
-    rule=all_equal,
-) -> EventTable:
+def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTable:
     """Seeded Monte-Carlo stream of measurement events from an ensemble.
 
     ``schedule`` is either a trial count (settings drawn uniformly) or an
@@ -475,32 +472,11 @@ def event_stream(
     weights = np.array([float(w) for _, w in ensemble.entries])
     weights = weights / weights.sum()
     picks = rng.choice(len(ensemble.entries), size=trials, p=weights)
-    bin_lut = np.array(
-        [
-            [[BINS.index(instr.bin(s)) for s in (0, 1)] for instr in strategy]
-            for strategy, _ in ensemble.entries
-        ],
-        dtype=np.int8,
-    )
-    sign_lut = np.array(
-        [
-            [[instr.sign(s) for s in (0, 1)] for instr in strategy]
-            for strategy, _ in ensemble.entries
-        ],
-        dtype=np.int8,
-    )
+    bin_lut, sign_lut = strategy_table(s for s, _ in ensemble.entries)
     party_idx = np.arange(n)[None, :]
     bins = bin_lut[picks[:, None], party_idx, settings]
     signs = sign_lut[picks[:, None], party_idx, settings]
-    if rule is all_equal:
-        selected = (bins == bins[:, :1]).all(axis=1)
-    else:
-        selected = np.fromiter(
-            (bool(rule(tuple(BINS[b] for b in row))) for row in bins),
-            dtype=bool,
-            count=trials,
-        )
-    return EventTable(settings, bins, signs, selected, BINS)
+    return EventTable(settings, bins, signs, all_equal(bins), BINS)
 
 
 def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:

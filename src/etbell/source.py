@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventTable, all_equal
-from .lhv import StrategyEnsemble
-from .states import MultiPartyState
+from .events import EventTable
+from .lhv import StrategyEnsemble, combo_outcomes, strategy_table
+from .states import MultiPartyState, postselect_coincident
 
 TIME_BINS = ("t0", "t1")
 
@@ -61,18 +61,7 @@ def coincidence_filter(state: MultiPartyState, cfg: PumpConfig):
     Returns ``(filtered_state, keep_probability)`` where the probability is
     the squared norm of the projected amplitudes. Idempotent.
     """
-    psi = state.tensor_view()
-    kept = np.zeros_like(psi)
-    for idx in np.ndindex(*state.dims):
-        if all_equal(idx):
-            kept[idx] = psi[idx]
-    weight = float(np.sum(np.abs(kept) ** 2))
-    if weight <= 0.0:
-        raise ValueError("postselection empty")
-    filtered = MultiPartyState(
-        state.dims, (kept / math.sqrt(weight)).reshape(-1), state.level_labels
-    )
-    return filtered, weight
+    return postselect_coincident(state.tensor_view(), state.level_labels)
 
 
 def source_event_stream(cfg: PumpConfig, trials: int, seed: int = 0) -> EventTable:
@@ -169,26 +158,19 @@ def _chi2(table: np.ndarray) -> tuple[float, float]:
     return stat, chi2_sf(stat, df)
 
 
-def counterfactual_selection_dependence(ensemble: StrategyEnsemble, rule=all_equal) -> bool:
-    """Exact loophole check: is some strategy's selection setting-dependent?"""
-    n = ensemble.n_parties
-    for strategy, weight in ensemble.entries:
-        if weight <= 0:
-            continue
-        outcomes = set()
-        for combo in itertools.product((0, 1), repeat=n):
-            bins = tuple(instr.bin(s) for instr, s in zip(strategy, combo))
-            outcomes.add(bool(rule(bins)))
-        if len(outcomes) > 1:
-            return True
-    return False
+def counterfactual_selection_dependence(ensemble: StrategyEnsemble) -> bool:
+    """Exact loophole check: is some positive-weight strategy selected under
+    some setting combinations and rejected under others?"""
+    combos = list(itertools.product((0, 1), repeat=ensemble.n_parties))
+    table = strategy_table(s for s, w in ensemble.entries if w > 0)
+    selected = combo_outcomes(*table, combos) != 0
+    return bool((selected.any(axis=1) & ~selected.all(axis=1)).any())
 
 
 def locality_audit(
     events: EventTable,
     *,
     ensemble: StrategyEnsemble | None = None,
-    rule=all_equal,
     significance: float = 1e-3,
 ) -> LocalityAuditReport:
     """Test whether selection frequencies depend on the measurement settings.
@@ -226,7 +208,7 @@ def locality_audit(
         joint[code, 1] = int((mask & events.selected).sum())
     joint_chi2, joint_p = _chi2(joint)
     counterfactual = (
-        None if ensemble is None else counterfactual_selection_dependence(ensemble, rule)
+        None if ensemble is None else counterfactual_selection_dependence(ensemble)
     )
     return LocalityAuditReport(
         per_party=tuple(per_party),

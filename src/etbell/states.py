@@ -73,6 +73,8 @@ class MultiPartyState:
             len(lv) != d for lv, d in zip(labels, dims)
         ):
             raise ValueError("level labels must match dims party by party")
+        if any(len(set(lv)) != len(lv) for lv in labels):
+            raise ValueError("level labels must be distinct within each party")
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -281,27 +283,37 @@ def joint_outcome_distribution(state: MultiPartyState, analyzers) -> np.ndarray:
     return np.abs(psi) ** 2
 
 
-def prepare_postselected(
-    networks,
-    emission_amplitudes=None,
-    rule=None,
-    input_mode: int = 0,
-):
+def postselect_coincident(joint: np.ndarray, level_labels):
+    """Keep the outcomes of a joint amplitude tensor whose per-party levels
+    pass :func:`all_equal`, and renormalize.
+
+    Returns ``(state, kept_weight)``, the weight being the squared norm of
+    the kept amplitudes. Raises if nothing survives.
+    """
+    keep = all_equal(np.moveaxis(np.indices(joint.shape), 0, -1))
+    kept = np.where(keep, joint, 0.0)
+    weight = float(np.sum(np.abs(kept) ** 2))
+    if weight <= 0.0:
+        raise ValueError("postselection empty")
+    state = MultiPartyState(joint.shape, (kept / math.sqrt(weight)).reshape(-1), level_labels)
+    return state, weight
+
+
+def prepare_postselected(networks, emission_amplitudes=None, input_mode: int = 0):
     """Joint state of one photon per party after coincidence postselection.
 
     Each photon enters its party's network on ``input_mode``; the network
     column gives the amplitude over that photon's arrival bins. With a
     multi-bin emission superposition the arrival bin is emission bin plus
     path delay, and amplitudes reaching the same joint outcome add
-    coherently. Outcomes failing ``rule`` (default: all bins equal) are
-    discarded and the rest renormalized.
+    coherently. Outcomes whose bins are not all equal are discarded and the
+    rest renormalized.
 
     Returns ``(state, selection_probability)``. Raises if nothing survives.
     """
     nets = list(networks)
     if not nets:
         raise ValueError("need at least one party network")
-    rule = all_equal if rule is None else rule
     if emission_amplitudes is None:
         src = np.ones(1, dtype=complex)
     else:
@@ -330,19 +342,11 @@ def prepare_postselected(
             branch = np.multiply.outer(branch, vec)
         joint = joint + src[t] * branch
     total = float(np.sum(np.abs(joint) ** 2))
-    keep = np.zeros(dims, dtype=bool)
-    for idx in np.ndindex(*dims):
-        keep[idx] = bool(rule(idx))
-    kept = np.where(keep, joint, 0.0)
-    weight = float(np.sum(np.abs(kept) ** 2))
-    if weight <= 0.0:
-        raise ValueError("postselection empty")
-    probability = weight / total
     labels = tuple(
         QUBIT_LABELS if d == 2 else _default_labels(d) for d in dims
     )
-    state = MultiPartyState(dims, (kept / math.sqrt(weight)).reshape(-1), labels)
-    return state, probability
+    state, weight = postselect_coincident(joint, labels)
+    return state, weight / total
 
 
 def sample_measurement_events(

@@ -186,6 +186,14 @@ def test_source_audit(model):
     assert report["setting_dependent"] == (model == "table1")
 
 
+def test_audit_has_no_pump_flags(capsys):
+    # the audit never used the pump geometry, so it no longer accepts it
+    with pytest.raises(SystemExit) as exc:
+        main(["source", "audit", "--delta-t", "1"])
+    assert exc.value.code == 2
+    assert "--delta-t" in capsys.readouterr().err
+
+
 def test_identical_seeds_identical_bytes(tmp_path):
     out = tmp_path / "events.csv"
     argv = ["lhv", "stream", "--trials", "5000", "--seed", "123", "--out", str(out)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from etbell.events import (
     CSV_COLUMNS,
@@ -152,3 +154,45 @@ def test_csv_rejects_unknown_bin_label(tmp_path):
     _write_events(path, [(0, 0, 0, "X", 1, 1)])
     with pytest.raises(ValueError, match="'X'"):
         EventTable.read_csv(path, bin_labels=("S", "L"))
+
+
+@pytest.mark.parametrize(
+    "row, line",
+    [
+        ("0,0,0,S", 3),  # too few fields
+        ("0,0,0,S,1,1,extra", 3),  # too many fields
+    ],
+)
+def test_csv_rejects_wrong_field_count(tmp_path, row, line):
+    path = tmp_path / "events.csv"
+    path.write_text(f"{','.join(CSV_COLUMNS)}\n0,0,0,S,1,1\n{row}\n")
+    with pytest.raises(ValueError, match=f"line {line}"):
+        EventTable.read_csv(path)
+
+
+@st.composite
+def event_tables(draw):
+    trials = draw(st.integers(min_value=1, max_value=6))
+    parties = draw(st.integers(min_value=1, max_value=4))
+    # labels may need CSV quoting: delimiters, quotes, line breaks, empty
+    labels = draw(
+        st.lists(st.text(alphabet="SLt01 ,\"\n\r", max_size=3), min_size=1, max_size=4, unique=True)
+    )
+    grid = st.lists(st.integers(0, 2**30), min_size=trials * parties, max_size=trials * parties)
+    cells = [np.array(draw(grid)).reshape(trials, parties) for _ in range(3)]
+    flags = draw(st.lists(st.booleans(), min_size=trials, max_size=trials))
+    return EventTable(cells[0] % 2, cells[1] % len(labels), 1 - 2 * (cells[2] % 2), flags, labels)
+
+
+@given(table=event_tables())
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_csv_round_trip_property(tmp_path, table):
+    path = tmp_path / "events.csv"
+    table.write_csv(path)
+    again = EventTable.read_csv(path, bin_labels=table.bin_labels)
+    for column in ("settings", "bins", "signs", "selected"):
+        assert (getattr(again, column) == getattr(table, column)).all()
+    assert again.bin_labels == table.bin_labels
+    assert list(EventTable.read_csv(path)) == list(table)

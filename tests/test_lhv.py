@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etbell.events import all_equal, mermin_estimate
+from etbell.events import MERMIN_COMBOS, mermin_estimate
 from etbell.lhv import (
     FixedBinInstruction,
     LocalInstruction,
@@ -26,6 +27,7 @@ from etbell.lhv import (
     scaled_model,
     strategy_profile,
 )
+from etbell.source import counterfactual_selection_dependence
 
 ALL_S_PLUS = FixedBinInstruction.of("S", (1, 1))
 
@@ -157,17 +159,6 @@ def test_max_mu_setting_independent():
     assert result.correlations.selection_rate == 1
 
 
-def test_searches_independent_of_partitioning():
-    serial_dep = max_mu_setting_dependent(threads=1)
-    parallel_dep = max_mu_setting_dependent(threads=3)
-    assert serial_dep.mu_max == parallel_dep.mu_max
-    assert serial_dep.witness.entries == parallel_dep.witness.entries
-    serial_ind = max_mu_setting_independent(threads=1)
-    parallel_ind = max_mu_setting_independent(threads=4)
-    assert serial_ind.mu_max == parallel_ind.mu_max
-    assert serial_ind.witness.entries == parallel_ind.witness.entries
-
-
 def test_deterministic_strategy_census():
     # Over all 4096 joint strategies: every defined term is +/-1, and any
     # strategy selected under all four combinations scores exactly mu = 2.
@@ -287,7 +278,7 @@ def test_ensemble_json_round_trip():
     assert float(corr.mu) == 1.0
 
 
-@pytest.mark.parametrize("n,expected", [(2, 2), (3, 2), (4, 2), (5, 2)])
+@pytest.mark.parametrize("n,expected", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2)])
 def test_mermin_classical_bound_enumeration(n, expected):
     assert mermin_classical_bound(n) == expected
 
@@ -320,3 +311,107 @@ def test_random_ensembles_respect_bounds(ensemble):
     if corr.mu is not None:
         assert 0 <= corr.mu <= 4
     assert 0 <= corr.selection_rate <= 1
+
+
+# Per-strategy loops written out one scalar at a time: the reference the
+# array form of evaluate_postselected, marginal_distribution and
+# counterfactual_selection_dependence is checked against.
+def _coincide(bins):
+    return all(b == bins[0] for b in bins[1:])
+
+
+def _oracle_evaluate(ensemble):
+    selected = [0] * len(MERMIN_COMBOS)
+    product = [0] * len(MERMIN_COMBOS)
+    for strategy, weight in ensemble.entries:
+        for k, combo in enumerate(MERMIN_COMBOS):
+            if _coincide([instr.bin(s) for instr, s in zip(strategy, combo)]):
+                sign = math.prod(instr.sign(s) for instr, s in zip(strategy, combo))
+                selected[k] += weight
+                product[k] += weight * sign
+    terms = [p / w if w > 0 else None for p, w in zip(product, selected)]
+    return terms, selected
+
+
+def _oracle_marginals(ensemble):
+    out = {(p, s): {} for p in range(ensemble.n_parties) for s in (0, 1)}
+    for strategy, weight in ensemble.entries:
+        for p, instr in enumerate(strategy):
+            for s in (0, 1):
+                bucket = out[(p, s)]
+                bucket[instr.token(s)] = bucket.get(instr.token(s), 0) + weight
+    return out
+
+
+def _oracle_counterfactual(ensemble):
+    for strategy, weight in ensemble.entries:
+        if weight > 0:
+            outcomes = {
+                _coincide([instr.bin(s) for instr, s in zip(strategy, combo)])
+                for combo in itertools.product((0, 1), repeat=ensemble.n_parties)
+            }
+            if len(outcomes) > 1:
+                return True
+    return False
+
+
+@st.composite
+def weighted_ensembles(draw, parties=st.just(3)):
+    """1-5 strategies, some with zero weight; exact or float weights."""
+    instructions = all_instructions()
+    n = draw(parties)
+    k = draw(st.integers(min_value=1, max_value=5))
+    strategies = [
+        tuple(instructions[i] for i in draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)))
+        for _ in range(k)
+    ]
+    weights = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+    total = sum(weights)
+    if draw(st.booleans()):
+        return StrategyEnsemble(tuple((s, Fraction(w, total)) for s, w in zip(strategies, weights)))
+    return StrategyEnsemble(tuple((s, w / total) for s, w in zip(strategies, weights)))
+
+
+def _same(got, want, exact):
+    if want is None or got is None:
+        return got is want
+    if exact:
+        return isinstance(got, Fraction) and got == want
+    return isinstance(got, float) and got == pytest.approx(want, abs=1e-12)
+
+
+@given(ensemble=weighted_ensembles())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_postselected_matches_per_strategy_loop(ensemble):
+    exact = all(isinstance(w, Fraction) for _, w in ensemble.entries)
+    corr = evaluate_postselected(ensemble)
+    terms, selected = _oracle_evaluate(ensemble)
+    assert all(_same(g, w, exact) for g, w in zip(corr.terms, terms))
+    assert all(_same(g, w, exact) for g, w in zip(corr.selected_fractions, selected))
+    assert _same(corr.selection_rate, sum(selected) / len(MERMIN_COMBOS), exact)
+    if None in terms:
+        assert corr.mu is None
+    else:
+        mu = abs(terms[0] + terms[1] + terms[2] - terms[3])
+        assert _same(corr.mu, mu, exact)
+
+
+@given(ensemble=weighted_ensembles(parties=st.integers(1, 4)))
+@settings(max_examples=150, deadline=None)
+def test_marginals_and_counterfactual_match_per_strategy_loop(ensemble):
+    exact = all(isinstance(w, Fraction) for _, w in ensemble.entries)
+    got = marginal_distribution(ensemble)
+    want = _oracle_marginals(ensemble)
+    assert got.keys() == want.keys()
+    for cell, dist in want.items():
+        assert got[cell].keys() == dist.keys()
+        assert all(_same(got[cell][token], weight, exact) for token, weight in dist.items())
+    assert counterfactual_selection_dependence(ensemble) is _oracle_counterfactual(ensemble)
+
+
+@given(ensemble=weighted_ensembles())
+@settings(max_examples=60, deadline=None)
+def test_ensemble_json_round_trip_property(ensemble):
+    again = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(ensemble))))
+    assert again.entries == ensemble.entries
+    assert [type(w) for _, w in again.entries] == [type(w) for _, w in ensemble.entries]
