@@ -55,6 +55,7 @@ from .source import (
 from .states import (
     MerminResult,
     MultiPartyState,
+    correlators,
     expectation,
     ghz_state,
     mermin3,

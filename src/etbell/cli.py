@@ -50,6 +50,8 @@ from .lhv import (
 from .numerics import matrix_from_json, matrix_to_json, unitarity_defect
 from .optics import (
     compose,
+    decomposition_from_json,
+    decomposition_to_json,
     dft_unitary,
     generation_cascade,
     network_from_json,
@@ -183,18 +185,17 @@ def cmd_mermin_quantum(cfg: RunConfig, stdout) -> int:
     else:
         mu = mermin_n(state, settings)
         report["mu"] = mu
-    if n <= 6:
-        bound = mermin_classical_bound(n)
-        report["classical_bound"] = bound
-        quantum_bound = 2.0 ** ((n + 1) / 2)
-        checks.append(
-            _check(
-                "mu_within_quantum_bound",
-                mu,
-                mu <= quantum_bound + cfg.tolerance,
-                cfg.tolerance,
-            )
+    if n <= 6:  # the classical bound enumerates 4^n assignments
+        report["classical_bound"] = mermin_classical_bound(n)
+    quantum_bound = 2.0 ** ((n + 1) / 2)
+    checks.append(
+        _check(
+            "mu_within_quantum_bound",
+            mu,
+            mu <= quantum_bound + cfg.tolerance,
+            cfg.tolerance,
         )
+    )
     report["checks"] = checks
     sweep = cfg.options.get("sweep")
     if sweep:
@@ -376,8 +377,7 @@ def cmd_network(cfg: RunConfig, stdout) -> int:
             u = matrix_from_json(json.load(fh))
         dec = reck_decompose(u, tol=cfg.tolerance)
         err = float(np.abs(dec.reconstruct() - u).max())
-        net_json = network_to_json(dec.network)
-        net_json["residual_phases"] = [float(p) for p in dec.residual_phases]
+        net_json = decomposition_to_json(dec)
         if cfg.output_path:
             with open(cfg.output_path, "w") as fh:
                 json.dump(net_json, fh, indent=2, sort_keys=True)
@@ -396,8 +396,12 @@ def cmd_network(cfg: RunConfig, stdout) -> int:
     if action == "verify":
         with open(cfg.options["infile"]) as fh:
             data = json.load(fh)
-        if "elements" in data:
-            m = compose(network_from_json(data))
+        if isinstance(data, dict) and "elements" in data:
+            if "residual_phases" in data:  # written by `network decompose`
+                net = decomposition_from_json(data).network
+            else:
+                net = network_from_json(data)
+            m = compose(net)
             kind = "network"
         else:
             m = matrix_from_json(data)

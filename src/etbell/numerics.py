@@ -11,6 +11,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,10 +144,43 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def json_fields(data, what: str, required, optional=()) -> None:
+    """Check that ``data`` is a JSON object with every ``required`` key and
+    no key outside ``required`` and ``optional``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} JSON is missing {key!r}")
+    for key in data:
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} JSON has unknown key {key!r}")
+
+
+def _json_dim(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{field} must be a positive integer, got {value!r}")
+    return value
+
+
+def json_real(value, field: str) -> float:
+    """A finite JSON number (not a bool or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def matrix_from_json(data: dict) -> np.ndarray:
-    rows, cols = int(data["rows"]), int(data["cols"])
+    """Strict inverse of :func:`matrix_to_json`."""
+    json_fields(data, "matrix", ("rows", "cols", "entries"))
+    rows = _json_dim(data["rows"], "rows")
+    cols = _json_dim(data["cols"], "cols")
     entries = data["entries"]
-    if len(entries) != rows * cols:
-        raise ValueError("entry count does not match rows*cols")
-    flat = np.array([complex(re, im) for re, im in entries])
+    if not isinstance(entries, list) or len(entries) != rows * cols:
+        raise ValueError(f"entries must be a list of rows*cols = {rows * cols} pairs")
+    flat = np.empty(rows * cols, dtype=complex)
+    for k, pair in enumerate(entries):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"entries[{k}] must be a [re, im] pair, got {pair!r}")
+        flat[k] = complex(json_real(pair[0], f"entries[{k}]"), json_real(pair[1], f"entries[{k}]"))
     return as_matrix(flat.reshape(rows, cols))

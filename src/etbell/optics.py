@@ -22,11 +22,19 @@ the 3-mode discrete Fourier transform.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, StateVector, as_matrix, is_unitary
+from .numerics import (
+    DEFAULT_TOL,
+    StateVector,
+    as_matrix,
+    is_unitary,
+    json_fields,
+    json_real,
+)
 
 BEAM_SPLITTER = "beam_splitter"
 PHASE_SHIFTER = "phase_shifter"
@@ -37,6 +45,10 @@ DFT3_BETA = math.pi / 3
 DFT3_GAMMA = -math.pi / 6
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OpticalElement:
     kind: str
@@ -45,9 +57,15 @@ class OpticalElement:
     phase: float = 0.0
 
     def __post_init__(self):
+        if not all(_is_integer(m) for m in self.modes):
+            raise ValueError(f"modes must be integers, got {self.modes!r}")
         object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
         if any(m < 0 for m in self.modes):
             raise ValueError("mode indices must be nonnegative")
+        for name in ("reflectivity", "phase"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.kind == BEAM_SPLITTER:
             if len(self.modes) != 2 or self.modes[0] == self.modes[1]:
                 raise ValueError("beam splitter needs two distinct modes")
@@ -56,6 +74,8 @@ class OpticalElement:
         elif self.kind == PHASE_SHIFTER:
             if len(self.modes) != 1:
                 raise ValueError("phase shifter acts on exactly one mode")
+            if self.reflectivity != 0.0:
+                raise ValueError("a phase shifter has no reflectivity")
         else:
             raise ValueError(f"unknown element kind {self.kind!r}")
 
@@ -74,14 +94,22 @@ class InterferometerNetwork:
     elements: tuple[OpticalElement, ...] = ()
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("network needs at least one mode")
+        if not _is_integer(self.n_modes) or self.n_modes < 1:
+            raise ValueError(f"n_modes must be a positive integer, got {self.n_modes!r}")
         object.__setattr__(self, "elements", tuple(self.elements))
         for el in self.elements:
             if max(el.modes) >= self.n_modes:
                 raise ValueError(
                     f"element on modes {el.modes} exceeds n_modes={self.n_modes}"
                 )
+
+
+def _bs_block(reflectivity: float, phase: float) -> np.ndarray:
+    """The 2x2 splitter block on rows/columns ``(i, j)`` of the modes."""
+    t = math.sqrt(1.0 - reflectivity)
+    r = math.sqrt(reflectivity)
+    ph = np.exp(1j * phase)
+    return np.array([[t, ph * r], [r, -ph * t]])
 
 
 def bs_unitary(reflectivity: float, phase: float, modes: tuple[int, int], n: int) -> np.ndarray:
@@ -93,14 +121,8 @@ def bs_unitary(reflectivity: float, phase: float, modes: tuple[int, int], n: int
         raise ValueError("reflectivity must lie in [0, 1]")
     if max(i, j) >= n or min(i, j) < 0:
         raise ValueError("mode index out of range")
-    t = math.sqrt(1.0 - reflectivity)
-    r = math.sqrt(reflectivity)
-    ph = np.exp(1j * phase)
     m = np.eye(n, dtype=complex)
-    m[i, i] = t
-    m[i, j] = ph * r
-    m[j, i] = r
-    m[j, j] = -ph * t
+    m[np.ix_((i, j), (i, j))] = _bs_block(reflectivity, phase)
     m.setflags(write=False)
     return m
 
@@ -121,10 +143,17 @@ def element_unitary(element: OpticalElement, n: int) -> np.ndarray:
 
 
 def compose(network: InterferometerNetwork) -> np.ndarray:
-    """Total unitary of the network (elements applied in propagation order)."""
+    """Total unitary of the network (elements applied in propagation order).
+
+    Each element changes only the rows of the modes it acts on.
+    """
     u = np.eye(network.n_modes, dtype=complex)
     for el in network.elements:
-        u = element_unitary(el, network.n_modes) @ u
+        rows = list(el.modes)
+        if el.kind == BEAM_SPLITTER:
+            u[rows] = _bs_block(el.reflectivity, el.phase) @ u[rows]
+        else:
+            u[rows] *= np.exp(1j * el.phase)
     u.setflags(write=False)
     return u
 
@@ -288,11 +317,20 @@ def element_to_json(element: OpticalElement) -> dict:
 
 
 def element_from_json(data: dict) -> OpticalElement:
+    """Strict inverse of :func:`element_to_json`."""
+    json_fields(data, "element", ("kind", "modes", "phase"), ("R",))
+    kind = data["kind"]
+    if kind not in (BEAM_SPLITTER, PHASE_SHIFTER):
+        raise ValueError(f"unknown element kind {kind!r}")
+    if (kind == BEAM_SPLITTER) != ("R" in data):
+        raise ValueError(f"{kind} JSON must {'have' if kind == BEAM_SPLITTER else 'not have'} 'R'")
+    if not isinstance(data["modes"], list):
+        raise ValueError(f"modes must be a list, got {data['modes']!r}")
     return OpticalElement(
-        data["kind"],
+        kind,
         tuple(data["modes"]),
-        float(data.get("R", 0.0)),
-        float(data.get("phase", 0.0)),
+        json_real(data["R"], "R") if "R" in data else 0.0,
+        json_real(data["phase"], "phase"),
     )
 
 
@@ -304,7 +342,30 @@ def network_to_json(network: InterferometerNetwork) -> dict:
 
 
 def network_from_json(data: dict) -> InterferometerNetwork:
+    """Strict inverse of :func:`network_to_json`."""
+    json_fields(data, "network", ("n_modes", "elements"))
+    if not isinstance(data["elements"], list):
+        raise ValueError(f"elements must be a list, got {data['elements']!r}")
     return InterferometerNetwork(
-        int(data["n_modes"]),
+        data["n_modes"],
         tuple(element_from_json(el) for el in data["elements"]),
+    )
+
+
+def decomposition_to_json(dec: ReckDecomposition) -> dict:
+    """Network JSON with the residual output phases added."""
+    data = network_to_json(dec.network)
+    data["residual_phases"] = [float(p) for p in dec.residual_phases]
+    return data
+
+
+def decomposition_from_json(data: dict) -> ReckDecomposition:
+    """Strict inverse of :func:`decomposition_to_json`."""
+    json_fields(data, "decomposition", ("n_modes", "elements", "residual_phases"))
+    network = network_from_json({"n_modes": data["n_modes"], "elements": data["elements"]})
+    phases = data["residual_phases"]
+    if not isinstance(phases, list) or len(phases) != network.n_modes:
+        raise ValueError(f"residual_phases must be a list of {network.n_modes} numbers")
+    return ReckDecomposition(
+        network, [json_real(p, f"residual_phases[{k}]") for k, p in enumerate(phases)]
     )

@@ -39,8 +39,6 @@ GHZ_STABILIZERS = (
     (-1, "xxx"),
 )
 
-_PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
-
 
 def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(str(k + 1) for k in range(dim))
@@ -133,23 +131,62 @@ def qunit_state(n: int) -> MultiPartyState:
     return MultiPartyState(dims, amps, (_default_labels(n),) * n)
 
 
+#: Largest setting-by-level tensor the correlator kernel builds: 2**24
+#: complex entries (256 MB), the size of the dense 12-qubit operator.
+MAX_CORRELATOR_ENTRIES = 2**24
+
+
+def _apply_stacks(state: MultiPartyState, stacks) -> np.ndarray:
+    """Apply per-party operator stacks to the state, one axis at a time.
+
+    ``stacks[p]`` has shape ``(k_p, d_p, d_p)``. The result has shape
+    ``(k_1..k_n, d_1..d_n)``; entry ``[s, :]`` is the state tensor of
+    ``(O_{1,s_1} x ... x O_{n,s_n}) |psi>``. Raises before allocating when
+    the result would exceed :data:`MAX_CORRELATOR_ENTRIES`.
+    """
+    n = state.n_parties
+    if len(stacks) != n:
+        raise ValueError("need exactly one operator stack per party")
+    for stack, d in zip(stacks, state.dims):
+        if stack.shape[1:] != (d, d):
+            raise ValueError(f"operator shape {stack.shape[1:]} does not match dim {d}")
+    entries = math.prod(len(stack) for stack in stacks) * math.prod(state.dims)
+    if entries > MAX_CORRELATOR_ENTRIES:
+        raise ValueError(
+            f"correlator tensor of {entries} entries exceeds the limit of "
+            f"{MAX_CORRELATOR_ENTRIES} ({n} parties)"
+        )
+    psi = state.tensor_view()
+    for p, stack in enumerate(stacks):
+        # setting axes 0..p-1 lead, so party p's level axis sits at p + p
+        psi = np.moveaxis(np.tensordot(stack, psi, axes=([2], [2 * p])), (0, 1), (p, 2 * p + 1))
+    return psi
+
+
+def correlators(state: MultiPartyState, stacks, tol: float = 1e-12) -> np.ndarray:
+    """All correlators ``E[s_1..s_n] = <psi| O_{1,s_1} x ... x O_{n,s_n} |psi>``.
+
+    ``stacks[p]`` lists party ``p``'s Hermitian observables; the result is a
+    real array of shape ``(len(stacks[0]), ..., len(stacks[n-1]))``.
+    """
+    stacks = [np.stack([as_matrix(o) for o in stack]) for stack in stacks]
+    for stack in stacks:
+        if stack.shape[1] != stack.shape[2] or (
+            float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max()) > tol
+        ):
+            raise ValueError("observables must be square Hermitian matrices")
+    n = state.n_parties
+    applied = _apply_stacks(state, stacks)
+    values = np.tensordot(applied, state.tensor_view().conj(), axes=(range(n, 2 * n), range(n)))
+    worst = float(np.abs(values.imag).max())
+    if worst > tol:
+        raise ArithmeticError(f"expectation has imaginary part {worst}")
+    return values.real
+
+
 def expectation(state: MultiPartyState, observables, tol: float = 1e-12) -> float:
     """<psi| O_1 x ... x O_n |psi> for Hermitian per-party observables."""
-    ops = [as_matrix(o) for o in observables]
-    if len(ops) != state.n_parties:
-        raise ValueError("need exactly one observable per party")
-    for o, d in zip(ops, state.dims):
-        if o.shape != (d, d):
-            raise ValueError(f"observable shape {o.shape} does not match dim {d}")
-        if float(np.abs(o - o.conj().T).max()) > tol:
-            raise ValueError("observables must be Hermitian")
-    full = ops[0]
-    for o in ops[1:]:
-        full = np.kron(full, o)
-    value = complex(np.vdot(state.amplitudes, full @ state.amplitudes))
-    if abs(value.imag) > tol:
-        raise ArithmeticError(f"expectation has imaginary part {value.imag}")
-    return value.real
+    return float(correlators(state, [[o] for o in observables], tol).reshape(-1)[0])
 
 
 def is_dichotomic(observable, tol: float = 1e-12) -> bool:
@@ -168,10 +205,11 @@ def is_dichotomic(observable, tol: float = 1e-12) -> bool:
 
 def stabilizer_expectations(state: MultiPartyState) -> tuple[float, ...]:
     """Expectations of the four signed GHZ correlation operators."""
-    out = []
-    for sign, word in GHZ_STABILIZERS:
-        out.append(sign * expectation(state, [_PAULI[c] for c in word]))
-    return tuple(out)
+    values = correlators(state, [(PAULI_X, PAULI_Y)] * state.n_parties)
+    return tuple(
+        sign * float(values[tuple("xy".index(c) for c in word)])
+        for sign, word in GHZ_STABILIZERS
+    )
 
 
 @dataclass(frozen=True)
@@ -192,10 +230,8 @@ def mermin3(state, a0, a1, b0, b1, c0, c1, tol: float = 1e-12) -> MerminResult:
         for obs in pair:
             if not is_dichotomic(obs, tol):
                 raise ValueError("Mermin settings must be dichotomic (+1/-1)")
-    terms = tuple(
-        expectation(state, [pairs[p][s] for p, s in enumerate(combo)], tol)
-        for combo in MERMIN_COMBOS
-    )
+    values = correlators(state, pairs, tol)
+    terms = tuple(float(values[combo]) for combo in MERMIN_COMBOS)
     mu = abs(sum(s * t for s, t in zip(MERMIN_TERM_SIGNS, terms)))
     return MerminResult(terms, mu)
 
@@ -245,11 +281,10 @@ def mermin_n(state: MultiPartyState, settings=None, tol: float = 1e-12) -> float
         for obs in pair:
             if not is_dichotomic(obs, tol):
                 raise ValueError("Mermin settings must be dichotomic (+1/-1)")
+    values = correlators(state, settings, tol)
     total = 0.0
     for s, c in mermin_coefficients(n).items():
-        total += float(c) * expectation(
-            state, [settings[j][s[j]] for j in range(n)], tol
-        )
+        total += float(c) * float(values[s])
     return abs(2.0 * total)
 
 
@@ -272,15 +307,8 @@ def joint_outcome_distribution(state: MultiPartyState, analyzers) -> np.ndarray:
     Row ``k`` of an analyzer is the bra of outcome ``k``, so the result has
     shape ``dims`` and sums to 1 for unitary analyzers.
     """
-    analyzers = [as_matrix(m) for m in analyzers]
-    if len(analyzers) != state.n_parties:
-        raise ValueError("need one analyzer per party")
-    psi = state.tensor_view()
-    for p, m in enumerate(analyzers):
-        if m.shape != (state.dims[p], state.dims[p]):
-            raise ValueError("analyzer dimension mismatch")
-        psi = np.moveaxis(np.tensordot(m, psi, axes=([1], [p])), 0, p)
-    return np.abs(psi) ** 2
+    psi = _apply_stacks(state, [as_matrix(m)[None] for m in analyzers])
+    return np.abs(psi.reshape(state.dims)) ** 2
 
 
 def postselect_coincident(joint: np.ndarray, level_labels):
@@ -369,24 +397,28 @@ def sample_measurement_events(
     if any(d != 2 for d in state.dims):
         raise ValueError("event sampling is defined for qubit states")
     settings = standard_settings(n) if settings is None else tuple(settings)
-    cdfs = {}
-    for combo in itertools.product((0, 1), repeat=n):
+    stacks = []
+    for pair in settings:
+        if len(pair) != 2:
+            raise ValueError("need two settings per party")
         analyzers = []
-        for p, s in enumerate(combo):
-            obs = as_matrix(settings[p][s])
+        for obs in pair:
+            obs = as_matrix(obs)
             if not is_dichotomic(obs):
                 raise ValueError("settings must be dichotomic")
             _, vecs = np.linalg.eigh(obs)  # ascending: index 0 -> sign -1
             analyzers.append(vecs.conj().T)
-        probs = joint_outcome_distribution(state, analyzers).reshape(-1)
-        cdfs[combo] = np.cumsum(probs)
+        stacks.append(np.stack(analyzers))
+    # row c: outcome CDF under the setting combination with flat index c
+    cdfs = np.cumsum(np.abs(_apply_stacks(state, stacks).reshape(2**n, 2**n)) ** 2, axis=1)
     rng = np.random.default_rng(seed)
     setting_arr = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
     uniforms = rng.random(trials)
     common_bins = rng.integers(0, 2, size=trials, dtype=np.int8)
     outcome_flat = np.zeros(trials, dtype=np.int64)
-    for combo, cdf in cdfs.items():
-        mask = (setting_arr == np.array(combo, dtype=np.int8)).all(axis=1)
+    combo_flat = np.ravel_multi_index(setting_arr.T, (2,) * n)
+    for combo, cdf in enumerate(cdfs):
+        mask = combo_flat == combo
         if mask.any():
             outcome_flat[mask] = np.searchsorted(cdf, uniforms[mask], side="right")
     outcome_flat = np.minimum(outcome_flat, 2**n - 1)

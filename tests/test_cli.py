@@ -282,3 +282,39 @@ def test_arithmetic_error_is_reported(monkeypatch, capsys):
 def test_format_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(["network", "dft", "--n", "4", "--format", "csv", "--out", str(tmp_path / "f")])
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"rows": 1, "cols": 1, "entries": [["1", "0"]]}, "entries"),
+        ([[1.0, 0.0]], "matrix"),
+        ({"n_modes": 2, "elements": [{"kind": "beam_splitter", "modes": [0, 1], "phase": 0.0}]}, "R"),
+        ({"n_modes": 2, "elements": [], "residual_phases": [0.0]}, "residual_phases"),
+        ({"n_modes": 2, "elements": [], "residual_phases": ["0", 0.0]}, "residual_phases"),
+    ],
+)
+def test_network_verify_rejects_malformed_files(tmp_path, capsys, data, field):
+    infile = tmp_path / "bad.json"
+    infile.write_text(json.dumps(data))
+    code, text = run_cli(["network", "verify", "--in", str(infile)])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_mermin_quantum_seven_parties_meets_quantum_bound():
+    code, report = run_json(["mermin-quantum", "--n", "7"])
+    assert code == 0
+    assert "classical_bound" not in report
+    (check,) = report["checks"]
+    assert check["name"] == "mu_within_quantum_bound" and check["passed"]
+    assert abs(report["mu"] - 2.0**4) <= 1e-12
+
+
+def test_mermin_quantum_rejects_parties_past_the_kernel_limit(capsys):
+    code, text = run_cli(["mermin-quantum", "--n", "13"])
+    assert code == 1
+    assert text == ""
+    assert "error: correlator tensor" in capsys.readouterr().err

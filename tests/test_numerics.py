@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -173,3 +174,51 @@ def test_normalize_is_idempotent(dim, seed):
     twice = once.normalize()
     assert abs(once.norm() - 1.0) <= 1e-12
     assert np.abs(once.amplitudes - twice.amplitudes).max() <= 1e-15
+
+
+_GOOD_MATRIX = {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [0.0, -1.0]]}
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ([[1.0, 0.0]], "matrix"),
+        ({"cols": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}, "rows"),
+        ({"rows": 1, "entries": [[1.0, 0.0], [0.0, 1.0]]}, "cols"),
+        ({"rows": 1, "cols": 2}, "entries"),
+        ({**_GOOD_MATRIX, "extra": 1}, "extra"),
+        ({**_GOOD_MATRIX, "rows": 1.9}, "rows"),
+        ({**_GOOD_MATRIX, "cols": 2.0}, "cols"),
+        ({**_GOOD_MATRIX, "rows": True}, "rows"),
+        ({**_GOOD_MATRIX, "rows": 0, "entries": []}, "rows"),
+        ({**_GOOD_MATRIX, "entries": "ab"}, "entries"),
+        ({**_GOOD_MATRIX, "entries": [["1", "0"], [0.0, 1.0]]}, "entries"),
+        ({**_GOOD_MATRIX, "entries": [[True, 0.0], [0.0, 1.0]]}, "entries"),
+        ({**_GOOD_MATRIX, "entries": [[1.0], [0.0, 1.0]]}, "entries"),
+        ({**_GOOD_MATRIX, "entries": [1.0, [0.0, 1.0]]}, "entries"),
+        ({**_GOOD_MATRIX, "entries": [[1.0, 0.0]]}, "entries"),
+    ],
+)
+def test_matrix_from_json_rejects_malformed_input(data, field):
+    with pytest.raises(ValueError, match=field):
+        matrix_from_json(data)
+
+
+_parts = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_matrix_json_round_trip_property(shape, data):
+    rows, cols = shape
+    parts = data.draw(st.lists(_parts, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    m = np.empty((rows, cols), dtype=complex)
+    m.real = np.reshape(parts[0::2], shape)
+    m.imag = np.reshape(parts[1::2], shape)
+    text = json.dumps(matrix_to_json(m))
+    again = matrix_from_json(json.loads(text))
+    assert again.shape == m.shape
+    assert again.tobytes() == m.tobytes()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from etbell.optics import (
     bs_unitary,
     compose,
     dft_unitary,
+    element_from_json,
+    element_unitary,
     generation_cascade,
     measurement_basis,
     network_from_json,
@@ -261,3 +264,118 @@ def test_network_json_round_trip():
     net = qutrit_analyzer_network(0.1, 0.2, 0.3, 0.4, 0.5)
     again = network_from_json(network_to_json(net))
     assert again == net
+
+
+def _dense_compose(network):
+    """Reference: the full n x n product of every element's unitary."""
+    u = np.eye(network.n_modes, dtype=complex)
+    for el in network.elements:
+        u = element_unitary(el, network.n_modes) @ u
+    return u
+
+
+@st.composite
+def _networks(draw):
+    n_modes = draw(st.integers(min_value=1, max_value=6))
+    modes = st.integers(min_value=0, max_value=n_modes - 1)
+    phases = st.floats(min_value=-10.0, max_value=10.0)
+    elements = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        if n_modes > 1 and draw(st.booleans()):
+            i = draw(modes)
+            j = draw(modes.filter(lambda m: m != i))
+            r = draw(st.floats(min_value=0.0, max_value=1.0))
+            elements.append(beam_splitter(i, j, r, draw(phases)))
+        else:
+            elements.append(phase_shifter(draw(modes), draw(phases)))
+    return InterferometerNetwork(n_modes, tuple(elements))
+
+
+@given(net=_networks())
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_dense_product(net):
+    assert np.abs(compose(net) - _dense_compose(net)).max() <= 1e-12
+
+
+def test_compose_splitter_with_descending_modes():
+    net = InterferometerNetwork(3, (beam_splitter(2, 0, 0.3, 0.7), phase_shifter(2, 1.1)))
+    assert np.abs(compose(net) - _dense_compose(net)).max() <= 1e-15
+
+
+@given(net=_networks())
+@settings(max_examples=80, deadline=None)
+def test_network_json_round_trip_property(net):
+    again = network_from_json(json.loads(json.dumps(network_to_json(net))))
+    assert again == net
+    assert compose(again).tobytes() == compose(net).tobytes()
+
+
+_SPLITTER = {"kind": "beam_splitter", "modes": [0, 1], "R": 0.5, "phase": 0.0}
+_SHIFTER = {"kind": "phase_shifter", "modes": [1], "phase": 0.25}
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ([0, 1], "element"),
+        ({k: v for k, v in _SPLITTER.items() if k != "R"}, "R"),
+        ({k: v for k, v in _SPLITTER.items() if k != "phase"}, "phase"),
+        ({k: v for k, v in _SPLITTER.items() if k != "kind"}, "kind"),
+        ({k: v for k, v in _SPLITTER.items() if k != "modes"}, "modes"),
+        ({**_SPLITTER, "kind": "mirror"}, "kind"),
+        ({**_SPLITTER, "kind": ["beam_splitter"]}, "kind"),
+        ({**_SPLITTER, "modes": [0.9, 1.2]}, "modes"),
+        ({**_SPLITTER, "modes": [True, False]}, "modes"),
+        ({**_SPLITTER, "modes": "01"}, "modes"),
+        ({**_SPLITTER, "R": True}, "R"),
+        ({**_SPLITTER, "R": "0.5"}, "R"),
+        ({**_SPLITTER, "R": float("nan")}, "R"),
+        ({**_SPLITTER, "R": 1.5}, "reflectivity"),
+        ({**_SPLITTER, "phase": False}, "phase"),
+        ({**_SPLITTER, "phase": float("inf")}, "phase"),
+        ({**_SPLITTER, "transmission": 0.5}, "transmission"),
+        ({**_SHIFTER, "R": 0.0}, "R"),
+        ({**_SHIFTER, "phase": float("nan")}, "phase"),
+    ],
+)
+def test_element_from_json_rejects_malformed_input(data, field):
+    with pytest.raises(ValueError, match=field):
+        element_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ([_SPLITTER], "network"),
+        ({"elements": [_SPLITTER]}, "n_modes"),
+        ({"n_modes": 2}, "elements"),
+        ({"n_modes": 2.9, "elements": [_SPLITTER]}, "n_modes"),
+        ({"n_modes": True, "elements": []}, "n_modes"),
+        ({"n_modes": 2, "elements": _SPLITTER}, "elements"),
+        ({"n_modes": 2, "elements": [_SPLITTER], "extra": []}, "extra"),
+    ],
+)
+def test_network_from_json_rejects_malformed_input(data, field):
+    with pytest.raises(ValueError, match=field):
+        network_from_json(data)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_element_rejects_non_finite_phase(bad):
+    with pytest.raises(ValueError, match="phase"):
+        phase_shifter(0, bad)
+    with pytest.raises(ValueError, match="phase"):
+        beam_splitter(0, 1, 0.5, bad)
+
+
+def test_phase_shifter_rejects_reflectivity():
+    # element_to_json drops it, so it would not survive a round trip
+    with pytest.raises(ValueError, match="reflectivity"):
+        OpticalElement("phase_shifter", (0,), 0.7, 1.0)
+
+
+def test_element_rejects_non_integer_modes():
+    with pytest.raises(ValueError, match="modes"):
+        OpticalElement("beam_splitter", (0.9, 1.2), 0.5)
+    with pytest.raises(ValueError, match="n_modes"):
+        InterferometerNetwork(2.9, ())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etbell.states as states_module
 from etbell.optics import (
     InterferometerNetwork,
     beam_splitter,
@@ -19,6 +20,7 @@ from etbell.states import (
     PAULI_Y,
     PAULI_Z,
     MultiPartyState,
+    correlators,
     equatorial_observable,
     expectation,
     ghz_state,
@@ -365,3 +367,82 @@ def test_state_json_round_trip_property(state):
     again = state_from_json(state_to_json(state))
     assert again.level_labels == state.level_labels
     assert again.allclose(state, tol=0.0)
+
+
+def _dense_expectation(state, observables):
+    """Reference: <psi| kron(O_1, ..., O_n) |psi> with the dense operator."""
+    full = np.asarray(observables[0], dtype=complex)
+    for o in observables[1:]:
+        full = np.kron(full, o)
+    return complex(np.vdot(state.amplitudes, full @ state.amplitudes)).real
+
+
+def _random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+@st.composite
+def _states_with_stacks(draw):
+    """Random 2-4 party states over qubit and qutrit parties, with 1-3
+    random Hermitian observables per party."""
+    dims = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=2, max_size=4))
+    ks = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=len(dims), max_size=len(dims)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    state = MultiPartyState(dims, random_state_vector(math.prod(dims), int(rng.integers(2**31))))
+    stacks = [[_random_hermitian(rng, d) for _ in range(k)] for d, k in zip(dims, ks)]
+    return state, stacks
+
+
+@given(case=_states_with_stacks())
+@settings(max_examples=60, deadline=None)
+def test_correlators_match_dense_kron(case):
+    state, stacks = case
+    values = correlators(state, stacks)
+    assert values.shape == tuple(len(stack) for stack in stacks)
+    for s in itertools.product(*(range(len(stack)) for stack in stacks)):
+        want = _dense_expectation(state, [stack[k] for stack, k in zip(stacks, s)])
+        assert abs(values[s] - want) <= 1e-12
+    first = [stack[0] for stack in stacks]
+    assert abs(expectation(state, first) - _dense_expectation(state, first)) <= 1e-12
+
+
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_mermin_n_matches_dense_coefficient_sum(n, seed):
+    rng = np.random.default_rng(seed)
+    state = MultiPartyState((2,) * n, random_state_vector(2**n, seed))
+    settings_pairs = rotated_settings(rng.uniform(-math.pi, math.pi, size=n))
+    total = 0.0
+    for s, c in mermin_coefficients(n).items():
+        total += float(c) * _dense_expectation(state, [settings_pairs[j][s[j]] for j in range(n)])
+    assert abs(mermin_n(state, settings_pairs) - abs(2.0 * total)) <= 1e-12
+
+
+def test_correlator_paths_build_no_dense_operator(monkeypatch):
+    def no_kron(*args, **kwargs):
+        raise AssertionError("dense kron product built")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    assert abs(mermin_n(ghz_state(5)) - 0.0) < 1e-10
+    assert all(abs(v + 1.0) < 1e-12 for v in stabilizer_expectations(ghz_state(3)))
+
+
+def test_correlator_guard_raises_before_allocating(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started past the size guard")
+
+    monkeypatch.setattr(np, "tensordot", forbidden)
+    monkeypatch.setattr(states_module, "mermin_coefficients", forbidden)
+    with pytest.raises(ValueError, match="correlator tensor of 67108864 entries"):
+        mermin_n(ghz_state(13))
+
+
+def test_correlator_guard_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(states_module, "MAX_CORRELATOR_ENTRIES", 2**10)
+    assert abs(mermin_n(ghz_state(5))) < 1e-10  # 2^5 settings x 2^5 levels
+    with pytest.raises(ValueError, match="exceeds"):
+        mermin_n(ghz_state(6))
