@@ -46,7 +46,6 @@ from .optics import (
     reck_decompose,
 )
 from .source import (
-    PumpConfig,
     coincidence_filter,
     four_photon_state,
     locality_audit,

@@ -16,10 +16,19 @@ Subcommands
     The pulsed-source four-photon state, coincidence filtering, event
     streams, and the selection/setting locality audit.
 
+The parser is the only configuration: each leaf command declares the flags
+it reads, with their defaults, and registers its handler, which receives the
+parsed arguments. ``--out`` names the report file, except for ``lhv stream``
+and ``source stream`` (the events CSV) and ``network decompose`` (the mesh
+JSON), which then print the report. ``--tol`` is a positive check tolerance
+on the commands that compare a float against one; ``--trials`` and
+``--seed`` exist only on the sampling commands (``lhv stream``,
+``source stream``, ``source audit``).
+
 Reports are JSON with sorted keys and full-precision floats; streams and
-sweeps are CSV. Identical configurations (including seeds) produce
-byte-identical output. The exit status is 0 only if every requested check
-passed its tolerance.
+sweeps are CSV. Identical arguments (including seeds) produce byte-identical
+output. The exit status is 0 only if every requested check passed its
+tolerance.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +44,6 @@ import numpy as np
 from . import __version__
 from .events import mermin_estimate
 from .lhv import (
-    StrategyEnsemble,
     ensemble_to_json,
     evaluate_postselected,
     event_stream,
@@ -60,7 +67,6 @@ from .optics import (
     reck_decompose,
 )
 from .source import (
-    PumpConfig,
     coincidence_filter,
     four_photon_state,
     locality_audit,
@@ -73,32 +79,12 @@ from .states import (
     mermin3,
     mermin_n,
     rotated_settings,
+    sample_measurement_events,
     stabilizer_expectations,
-    standard_settings,
     state_to_json,
 )
 
 _PAULI_BY_CHAR = {"x": PAULI_X, "y": PAULI_Y}
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
-
-    subcommand: str
-    n_parties: int = 3
-    n_levels: int = 3
-    trials: int = 10000
-    seed: int = 0
-    tolerance: float = 1e-10
-    output_path: str | None = None
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 def _encode(obj):
@@ -124,18 +110,30 @@ def _check(name: str, value, passed: bool, tolerance=None) -> dict:
     return item
 
 
-def _emit(report: dict, cfg: RunConfig, stdout) -> int:
+def _emit(report: dict, args, stdout, path: str | None) -> int:
+    """Write the report to ``path`` (stdout when None); exit status 0 only
+    if every check passed."""
     report = dict(report)
-    report["command"] = cfg.subcommand
+    report["command"] = args.subcommand
     checks = report.get("checks", [])
     report["passed"] = all(c["passed"] for c in checks)
     text = json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         stdout.write(text)
     return 0 if report["passed"] else 1
+
+
+def _unitary_report(args, m, stdout, **fields) -> int:
+    defect = unitarity_defect(m)
+    report = {
+        **fields,
+        "unitarity_defect": defect,
+        "checks": [_check("unitary", defect, defect <= args.tol, args.tol)],
+    }
+    return _emit(report, args, stdout, args.out)
 
 
 def _parse_settings(spec: str, n: int):
@@ -152,14 +150,17 @@ def _parse_settings(spec: str, n: int):
     raise ValueError(f"settings must have 2 or {n} characters")
 
 
-def cmd_mermin_quantum(cfg: RunConfig, stdout) -> int:
-    n = cfg.n_parties
+def cmd_mermin_quantum(args, stdout) -> int:
+    n, tol = args.n, args.tol
     if n < 2:
         raise ValueError("need at least two parties")
+    if args.sweep is not None and args.sweep < 1:
+        raise ValueError(f"--sweep needs at least one point, got {args.sweep}")
+    if args.sweep_out is not None and args.sweep is None:
+        raise ValueError("--sweep-out needs --sweep")
     state = ghz_state(n)
-    settings = _parse_settings(cfg.options.get("settings") or "yx", n)
-    default_settings = cfg.options.get("settings") in (None, "yx")
-    report: dict = {"n_parties": n, "settings": cfg.options.get("settings") or "yx"}
+    settings = _parse_settings(args.settings, n)
+    report: dict = {"n_parties": n, "settings": args.settings}
     checks = []
     if n == 3:
         flat = [obs for pair in settings for obs in pair]
@@ -170,17 +171,10 @@ def cmd_mermin_quantum(cfg: RunConfig, stdout) -> int:
         report["stabilizer_expectations"] = list(stabilizers)
         for k, value in enumerate(stabilizers):
             checks.append(
-                _check(
-                    f"stabilizer_{k}_eigenvalue_-1",
-                    value,
-                    abs(value + 1.0) <= cfg.tolerance,
-                    cfg.tolerance,
-                )
+                _check(f"stabilizer_{k}_eigenvalue_-1", value, abs(value + 1.0) <= tol, tol)
             )
-        if default_settings:
-            checks.append(
-                _check("mu_equals_4", result.mu, abs(result.mu - 4.0) <= cfg.tolerance, cfg.tolerance)
-            )
+        if args.settings == "yx":
+            checks.append(_check("mu_equals_4", result.mu, abs(result.mu - 4.0) <= tol, tol))
         mu = result.mu
     else:
         mu = mermin_n(state, settings)
@@ -188,21 +182,13 @@ def cmd_mermin_quantum(cfg: RunConfig, stdout) -> int:
     if n <= 6:  # the classical bound enumerates 4^n assignments
         report["classical_bound"] = mermin_classical_bound(n)
     quantum_bound = 2.0 ** ((n + 1) / 2)
-    checks.append(
-        _check(
-            "mu_within_quantum_bound",
-            mu,
-            mu <= quantum_bound + cfg.tolerance,
-            cfg.tolerance,
-        )
-    )
+    checks.append(_check("mu_within_quantum_bound", mu, mu <= quantum_bound + tol, tol))
     report["checks"] = checks
-    sweep = cfg.options.get("sweep")
-    if sweep:
-        path = cfg.options.get("sweep_out") or "mermin_sweep.csv"
-        _write_sweep(path, int(sweep))
+    if args.sweep is not None:
+        path = args.sweep_out or "mermin_sweep.csv"
+        _write_sweep(path, args.sweep)
         report["sweep_csv"] = path
-    return _emit(report, cfg, stdout)
+    return _emit(report, args, stdout, args.out)
 
 
 def _write_sweep(path: str, points: int) -> None:
@@ -228,280 +214,243 @@ def _correlations_report(corr) -> dict:
     }
 
 
-def cmd_lhv(cfg: RunConfig, stdout) -> int:
-    action = cfg.options["action"]
-    if action == "table1":
+def cmd_lhv_table1(args, stdout) -> int:
+    model = saturating_model()
+    corr = evaluate_postselected(model)
+    marginals = marginal_distribution(model)
+    uniform = all(
+        len(dist) == 4 and all(w == Fraction(1, 4) for w in dist.values())
+        for dist in marginals.values()
+    )
+    report = {
+        "model_size": model.size,
+        "correlations": _correlations_report(corr),
+        "rejection_fraction": 1 - corr.selection_rate,
+        "marginals": {
+            f"party{p}_setting{s}": {k: v for k, v in sorted(dist.items())}
+            for (p, s), dist in marginals.items()
+        },
+        "checks": [
+            _check("mu_equals_4_exact", corr.mu, corr.mu == 4),
+            _check(
+                "terms_plus_plus_plus_minus",
+                [str(t) for t in corr.terms],
+                corr.terms == (1, 1, 1, -1),
+            ),
+            _check("selection_rate_1_4", corr.selection_rate, corr.selection_rate == Fraction(1, 4)),
+            _check("rejection_3_4", 1 - corr.selection_rate, 1 - corr.selection_rate == Fraction(3, 4)),
+            _check("uniform_marginals_1_4", uniform, uniform),
+        ],
+    }
+    return _emit(report, args, stdout, args.out)
+
+
+def cmd_lhv_search(args, stdout) -> int:
+    if args.selection == "dependent":
+        result = max_mu_setting_dependent()
+        expected = 4
+    else:
+        result = max_mu_setting_independent()
+        expected = 2
+    report = {
+        "selection": args.selection,
+        "mu_max": result.mu_max,
+        "strategies_examined": result.strategies_examined,
+        "witness": ensemble_to_json(result.witness),
+        "witness_correlations": _correlations_report(result.correlations),
+        "checks": [_check(f"mu_max_equals_{expected}", result.mu_max, result.mu_max == expected)],
+    }
+    return _emit(report, args, stdout, args.out)
+
+
+def cmd_lhv_scale(args, stdout) -> int:
+    corr = evaluate_postselected(scaled_model(args.target))
+    achieved = float(corr.mu)
+    report = {
+        "target": args.target,
+        "correlations": _correlations_report(corr),
+        "achieved_mu": achieved,
+        "checks": [_check("mu_matches_target", achieved, abs(achieved - args.target) <= 1e-9, 1e-9)],
+    }
+    return _emit(report, args, stdout, args.out)
+
+
+def cmd_lhv_stream(args, stdout) -> int:
+    model = saturating_model() if args.target is None else scaled_model(args.target)
+    table = event_stream(model, args.trials, seed=args.seed)
+    estimate = mermin_estimate(table)
+    exact = evaluate_postselected(model)
+    checks = []
+    for k, (est, ex, n_sel) in enumerate(zip(estimate.terms, exact.terms, estimate.selected_counts)):
+        if est is None or n_sel == 0:
+            checks.append(_check(f"term{k}_estimated", est, False))
+            continue
+        sigma = math.sqrt(max(1.0 - float(ex) ** 2, 0.0) / n_sel)
+        ok = abs(est - float(ex)) <= 5.0 * sigma + 1e-12
+        checks.append(_check(f"term{k}_within_5_sigma", est, ok))
+    if args.out:
+        table.write_csv(args.out)
+    report = {
+        "trials": args.trials,
+        "seed": args.seed,
+        "estimate": {
+            "terms": [t if t is not None else "undefined" for t in estimate.terms],
+            "mu": estimate.mu if estimate.mu is not None else "undefined",
+            "selection_rate": estimate.selection_rate,
+            "selected_counts": list(estimate.selected_counts),
+        },
+        "exact": _correlations_report(exact),
+        "events_csv": args.out,
+        "checks": checks,
+    }
+    return _emit(report, args, stdout, None)
+
+
+def cmd_network_dft(args, stdout) -> int:
+    m = dft_unitary(args.n)
+    return _unitary_report(args, m, stdout, n=args.n, matrix=matrix_to_json(m))
+
+
+def cmd_network_analyzer(args, stdout) -> int:
+    phases = {k: getattr(args, k) for k in ("alpha", "beta", "gamma", "phi2", "phi3")}
+    m = qutrit_analyzer(**phases)
+    return _unitary_report(args, m, stdout, phases=phases, matrix=matrix_to_json(m))
+
+
+def cmd_network_cascade(args, stdout) -> int:
+    n = args.n
+    net = generation_cascade(n)
+    amplitudes = compose(net)[:, 0]
+    worst = float(np.abs(np.abs(amplitudes) - 1.0 / math.sqrt(n)).max())
+    report = {
+        "n": n,
+        "network": network_to_json(net),
+        "reflectivities": [el.reflectivity for el in net.elements],
+        "output_amplitudes": [[a.real, a.imag] for a in amplitudes],
+        "max_amplitude_error": worst,
+        "checks": [_check("equal_splitting", worst, worst <= args.tol, args.tol)],
+    }
+    return _emit(report, args, stdout, args.out)
+
+
+def cmd_network_decompose(args, stdout) -> int:
+    with open(args.infile) as fh:
+        u = matrix_from_json(json.load(fh))
+    dec = reck_decompose(u, tol=args.tol)
+    err = float(np.abs(dec.reconstruct() - u).max())
+    net_json = decomposition_to_json(dec)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(net_json, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    report = {
+        "infile": args.infile,
+        "n_elements": len(dec.network.elements),
+        "residual_phases": [float(p) for p in dec.residual_phases],
+        "roundtrip_error": err,
+        "network_json": None if args.out else net_json,
+        "network_out": args.out,
+        "checks": [_check("roundtrip_error", err, err <= 1e-9, 1e-9)],
+    }
+    return _emit(report, args, stdout, None)
+
+
+def cmd_network_verify(args, stdout) -> int:
+    with open(args.infile) as fh:
+        data = json.load(fh)
+    if isinstance(data, dict) and "elements" in data:
+        if "residual_phases" in data:  # written by `network decompose`
+            net = decomposition_from_json(data).network
+        else:
+            net = network_from_json(data)
+        m = compose(net)
+        kind = "network"
+    else:
+        m = matrix_from_json(data)
+        kind = "matrix"
+    return _unitary_report(args, m, stdout, infile=args.infile, kind=kind)
+
+
+def cmd_source_state(args, stdout) -> int:
+    state = four_photon_state()
+    norm = float(np.linalg.norm(state.amplitudes))
+    report = {
+        "state": state_to_json(state),
+        "norm": norm,
+        "checks": [_check("normalized", norm, abs(norm - 1.0) <= args.tol, args.tol)],
+    }
+    return _emit(report, args, stdout, args.out)
+
+
+def cmd_source_filter(args, stdout) -> int:
+    filtered, keep = coincidence_filter(four_photon_state())
+    report = {
+        "keep_probability": keep,
+        "filtered_state": state_to_json(filtered),
+        "checks": [_check("keep_probability_1_2", keep, abs(keep - 0.5) <= args.tol, args.tol)],
+    }
+    return _emit(report, args, stdout, args.out)
+
+
+def cmd_source_stream(args, stdout) -> int:
+    table = source_event_stream(args.trials, seed=args.seed)
+    agree = float(
+        ((table.bins[:, 0] == table.bins[:, 1]) & (table.bins[:, 2] == table.bins[:, 3])).mean()
+    )
+    rate = table.selection_rate()
+    sigma = math.sqrt(0.25 / args.trials)
+    if args.out:
+        table.write_csv(args.out)
+    report = {
+        "trials": args.trials,
+        "seed": args.seed,
+        "within_pair_agreement": agree,
+        "fourfold_rate": rate,
+        "events_csv": args.out,
+        "checks": [
+            _check("pairs_share_bins", agree, agree == 1.0),
+            _check("fourfold_rate_1_2", rate, abs(rate - 0.5) <= 5.0 * sigma),
+        ],
+    }
+    return _emit(report, args, stdout, None)
+
+
+def cmd_source_audit(args, stdout) -> int:
+    if args.model == "quantum":
+        table = sample_measurement_events(ghz_state(3), trials=args.trials, seed=args.seed)
+        audit = locality_audit(table)
+        expect_dependent = False
+    else:
         model = saturating_model()
-        corr = evaluate_postselected(model)
-        marginals = marginal_distribution(model)
-        uniform = all(
-            len(dist) == 4 and all(w == Fraction(1, 4) for w in dist.values())
-            for dist in marginals.values()
-        )
-        report = {
-            "model_size": model.size,
-            "correlations": _correlations_report(corr),
-            "rejection_fraction": 1 - corr.selection_rate,
-            "marginals": {
-                f"party{p}_setting{s}": {k: v for k, v in sorted(dist.items())}
-                for (p, s), dist in marginals.items()
-            },
-            "checks": [
-                _check("mu_equals_4_exact", corr.mu, corr.mu == 4),
-                _check(
-                    "terms_plus_plus_plus_minus",
-                    [str(t) for t in corr.terms],
-                    corr.terms == (1, 1, 1, -1),
-                ),
-                _check("selection_rate_1_4", corr.selection_rate, corr.selection_rate == Fraction(1, 4)),
-                _check("rejection_3_4", 1 - corr.selection_rate, 1 - corr.selection_rate == Fraction(3, 4)),
-                _check("uniform_marginals_1_4", uniform, uniform),
-            ],
-        }
-        return _emit(report, cfg, stdout)
-    if action == "search":
-        selection = cfg.options["selection"]
-        if selection == "dependent":
-            result = max_mu_setting_dependent()
-            expected = 4
-        else:
-            result = max_mu_setting_independent()
-            expected = 2
-        report = {
-            "selection": selection,
-            "mu_max": result.mu_max,
-            "strategies_examined": result.strategies_examined,
-            "witness": ensemble_to_json(result.witness),
-            "witness_correlations": _correlations_report(result.correlations),
-            "checks": [
-                _check(f"mu_max_equals_{expected}", result.mu_max, result.mu_max == expected)
-            ],
-        }
-        return _emit(report, cfg, stdout)
-    if action == "scale":
-        target = cfg.options["target"]
-        model = scaled_model(target)
-        corr = evaluate_postselected(model)
-        achieved = float(corr.mu)
-        report = {
-            "target": target,
-            "correlations": _correlations_report(corr),
-            "achieved_mu": achieved,
-            "checks": [
-                _check("mu_matches_target", achieved, abs(achieved - target) <= 1e-9, 1e-9)
-            ],
-        }
-        return _emit(report, cfg, stdout)
-    if action == "stream":
-        target = cfg.options.get("target")
-        model = saturating_model() if target is None else scaled_model(target)
-        table = event_stream(model, cfg.trials, seed=cfg.seed)
-        estimate = mermin_estimate(table)
-        exact = evaluate_postselected(model)
-        checks = []
-        for k, (est, ex, n_sel) in enumerate(
-            zip(estimate.terms, exact.terms, estimate.selected_counts)
-        ):
-            if est is None or n_sel == 0:
-                checks.append(_check(f"term{k}_estimated", est, False))
-                continue
-            sigma = math.sqrt(max(1.0 - float(ex) ** 2, 0.0) / n_sel)
-            ok = abs(est - float(ex)) <= 5.0 * sigma + 1e-12
-            checks.append(_check(f"term{k}_within_5_sigma", est, ok))
-        if cfg.output_path:
-            table.write_csv(cfg.output_path)
-        report = {
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "estimate": {
-                "terms": [t if t is not None else "undefined" for t in estimate.terms],
-                "mu": estimate.mu if estimate.mu is not None else "undefined",
-                "selection_rate": estimate.selection_rate,
-                "selected_counts": list(estimate.selected_counts),
-            },
-            "exact": _correlations_report(exact),
-            "events_csv": cfg.output_path,
-            "checks": checks,
-        }
-        out_cfg = RunConfig(**{**cfg.__dict__, "output_path": None})
-        return _emit(report, out_cfg, stdout)
-    raise ValueError(f"unknown lhv action {action!r}")
-
-
-def cmd_network(cfg: RunConfig, stdout) -> int:
-    action = cfg.options["action"]
-    if action == "dft":
-        n = cfg.n_levels
-        m = dft_unitary(n)
-        defect = unitarity_defect(m)
-        report = {
-            "n": n,
-            "matrix": matrix_to_json(m),
-            "unitarity_defect": defect,
-            "checks": [_check("unitary", defect, defect <= cfg.tolerance, cfg.tolerance)],
-        }
-        return _emit(report, cfg, stdout)
-    if action == "analyzer":
-        opts = cfg.options
-        m = qutrit_analyzer(
-            alpha=opts["alpha"], beta=opts["beta"], gamma=opts["gamma"],
-            phi2=opts["phi2"], phi3=opts["phi3"],
-        )
-        defect = unitarity_defect(m)
-        report = {
-            "phases": {k: opts[k] for k in ("alpha", "beta", "gamma", "phi2", "phi3")},
-            "matrix": matrix_to_json(m),
-            "unitarity_defect": defect,
-            "checks": [_check("unitary", defect, defect <= cfg.tolerance, cfg.tolerance)],
-        }
-        return _emit(report, cfg, stdout)
-    if action == "cascade":
-        n = cfg.n_levels
-        net = generation_cascade(n)
-        amplitudes = compose(net)[:, 0]
-        target = 1.0 / math.sqrt(n)
-        worst = float(np.abs(np.abs(amplitudes) - target).max())
-        report = {
-            "n": n,
-            "network": network_to_json(net),
-            "reflectivities": [el.reflectivity for el in net.elements],
-            "output_amplitudes": [[a.real, a.imag] for a in amplitudes],
-            "max_amplitude_error": worst,
-            "checks": [
-                _check("equal_splitting", worst, worst <= cfg.tolerance, cfg.tolerance)
-            ],
-        }
-        return _emit(report, cfg, stdout)
-    if action == "decompose":
-        with open(cfg.options["infile"]) as fh:
-            u = matrix_from_json(json.load(fh))
-        dec = reck_decompose(u, tol=cfg.tolerance)
-        err = float(np.abs(dec.reconstruct() - u).max())
-        net_json = decomposition_to_json(dec)
-        if cfg.output_path:
-            with open(cfg.output_path, "w") as fh:
-                json.dump(net_json, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        report = {
-            "infile": cfg.options["infile"],
-            "n_elements": len(dec.network.elements),
-            "residual_phases": [float(p) for p in dec.residual_phases],
-            "roundtrip_error": err,
-            "network_json": None if cfg.output_path else net_json,
-            "network_out": cfg.output_path,
-            "checks": [_check("roundtrip_error", err, err <= 1e-9, 1e-9)],
-        }
-        out_cfg = RunConfig(**{**cfg.__dict__, "output_path": None})
-        return _emit(report, out_cfg, stdout)
-    if action == "verify":
-        with open(cfg.options["infile"]) as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "elements" in data:
-            if "residual_phases" in data:  # written by `network decompose`
-                net = decomposition_from_json(data).network
-            else:
-                net = network_from_json(data)
-            m = compose(net)
-            kind = "network"
-        else:
-            m = matrix_from_json(data)
-            kind = "matrix"
-        defect = unitarity_defect(m)
-        report = {
-            "infile": cfg.options["infile"],
-            "kind": kind,
-            "unitarity_defect": defect,
-            "checks": [_check("unitary", defect, defect <= cfg.tolerance, cfg.tolerance)],
-        }
-        return _emit(report, cfg, stdout)
-    raise ValueError(f"unknown network action {action!r}")
-
-
-def cmd_source(cfg: RunConfig, stdout) -> int:
-    action = cfg.options["action"]
-    if action == "state":
-        state = four_photon_state()
-        norm = float(np.linalg.norm(state.amplitudes))
-        report = {
-            "state": state_to_json(state),
-            "norm": norm,
-            "checks": [_check("normalized", norm, abs(norm - 1.0) <= cfg.tolerance, cfg.tolerance)],
-        }
-        return _emit(report, cfg, stdout)
-    if action == "filter":
-        pump = PumpConfig(delta_t=cfg.options["delta_t"], window=cfg.options["window"])
-        filtered, keep = coincidence_filter(four_photon_state(), pump)
-        report = {
-            "keep_probability": keep,
-            "filtered_state": state_to_json(filtered),
-            "checks": [
-                _check("keep_probability_1_2", keep, abs(keep - 0.5) <= cfg.tolerance, cfg.tolerance)
-            ],
-        }
-        return _emit(report, cfg, stdout)
-    if action == "stream":
-        pump = PumpConfig(delta_t=cfg.options["delta_t"], window=cfg.options["window"])
-        table = source_event_stream(pump, cfg.trials, seed=cfg.seed)
-        agree = float(
-            ((table.bins[:, 0] == table.bins[:, 1]) & (table.bins[:, 2] == table.bins[:, 3])).mean()
-        )
-        rate = table.selection_rate()
-        sigma = math.sqrt(0.25 / cfg.trials)
-        if cfg.output_path:
-            table.write_csv(cfg.output_path)
-        report = {
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "within_pair_agreement": agree,
-            "fourfold_rate": rate,
-            "events_csv": cfg.output_path,
-            "checks": [
-                _check("pairs_share_bins", agree, agree == 1.0),
-                _check("fourfold_rate_1_2", rate, abs(rate - 0.5) <= 5.0 * sigma),
-            ],
-        }
-        out_cfg = RunConfig(**{**cfg.__dict__, "output_path": None})
-        return _emit(report, out_cfg, stdout)
-    if action == "audit":
-        model_name = cfg.options["model"]
-        if model_name == "quantum":
-            from .states import sample_measurement_events
-
-            table = sample_measurement_events(ghz_state(3), trials=cfg.trials, seed=cfg.seed)
-            report_audit = locality_audit(table)
-            expect_dependent = False
-        else:
-            model = saturating_model()
-            table = event_stream(model, cfg.trials, seed=cfg.seed)
-            report_audit = locality_audit(table, ensemble=model)
-            expect_dependent = True
-        report = {
-            "model": model_name,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "per_party": [
-                {
-                    "party": p.party,
-                    "counts": [list(row) for row in p.counts],
-                    "chi2": p.chi2,
-                    "p_value": p.p_value,
-                    "dependent": p.dependent,
-                }
-                for p in report_audit.per_party
-            ],
-            "joint_p_value": report_audit.joint_p_value,
-            "counterfactual_dependent": report_audit.counterfactual_dependent,
-            "setting_dependent": report_audit.setting_dependent,
-            "checks": [
-                _check(
-                    "loophole_detected" if expect_dependent else "no_setting_dependence",
-                    report_audit.setting_dependent,
-                    report_audit.setting_dependent == expect_dependent,
-                )
-            ],
-        }
-        return _emit(report, cfg, stdout)
-    raise ValueError(f"unknown source action {action!r}")
+        table = event_stream(model, args.trials, seed=args.seed)
+        audit = locality_audit(table, ensemble=model)
+        expect_dependent = True
+    report = {
+        "model": args.model,
+        "trials": args.trials,
+        "seed": args.seed,
+        "per_party": [
+            {
+                "party": p.party,
+                "counts": [list(row) for row in p.counts],
+                "chi2": p.chi2,
+                "p_value": p.p_value,
+                "dependent": p.dependent,
+            }
+            for p in audit.per_party
+        ],
+        "joint_p_value": audit.joint_p_value,
+        "counterfactual_dependent": audit.counterfactual_dependent,
+        "setting_dependent": audit.setting_dependent,
+        "checks": [
+            _check(
+                "loophole_detected" if expect_dependent else "no_setting_dependence",
+                audit.setting_dependent,
+                audit.setting_dependent == expect_dependent,
+            )
+        ],
+    }
+    return _emit(report, args, stdout, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,126 +461,81 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"etbell {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, trials=False):
-        p.add_argument("--tol", type=float, default=None, help="check tolerance")
-        p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--seed", type=int, default=0)
-        if trials:
-            p.add_argument("--trials", type=int, default=10000)
+    def leaf(subparsers, name, handler, summary, *, out="report file (default: stdout)",
+             tol=None, sampled=False):
+        """A leaf command: its handler, ``--out`` and, where the handler
+        reads them, ``--tol`` (with this command's default) or
+        ``--trials``/``--seed``."""
+        p = subparsers.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", type=str, default=None, help=out)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol, help=f"check tolerance (default {tol:g})")
+        if sampled:
+            p.add_argument("--trials", type=int, default=10000, help="number of trials")
+            p.add_argument("--seed", type=int, default=0, help="random seed")
+        return p
 
-    p = sub.add_parser("mermin-quantum", help="quantum Mermin value on GHZ")
+    p = leaf(sub, "mermin-quantum", cmd_mermin_quantum, "quantum Mermin value on GHZ", tol=1e-12)
     p.add_argument("--n", type=int, default=3, help="number of parties")
     p.add_argument(
         "--settings",
         type=str,
-        default=None,
+        default="yx",
         help="'yx' (default, per-party sigma_y/sigma_x) or one Pauli char per party",
     )
     p.add_argument("--sweep", type=int, default=None, help="phase sweep points to CSV")
-    p.add_argument("--sweep-out", type=str, default=None)
-    add_common(p)
+    p.add_argument("--sweep-out", type=str, default=None, help="sweep CSV (default mermin_sweep.csv)")
 
-    p = sub.add_parser("lhv", help="local hidden-variable models")
-    lhv_sub = p.add_subparsers(dest="action", required=True)
-    q = lhv_sub.add_parser("table1", help="verify the saturating instruction model")
-    add_common(q)
-    q = lhv_sub.add_parser("search", help="exhaustive postselected-mu maximization")
+    lhv = sub.add_parser("lhv", help="local hidden-variable models").add_subparsers(
+        dest="action", required=True
+    )
+    leaf(lhv, "table1", cmd_lhv_table1, "verify the saturating instruction model")
+    q = leaf(lhv, "search", cmd_lhv_search, "exhaustive postselected-mu maximization")
     q.add_argument("--selection", choices=("dependent", "independent"), required=True)
-    add_common(q)
-    q = lhv_sub.add_parser("scale", help="model with a chosen postselected mu")
+    q = leaf(lhv, "scale", cmd_lhv_scale, "model with a chosen postselected mu")
     q.add_argument("--target", type=float, required=True)
-    add_common(q)
-    q = lhv_sub.add_parser("stream", help="Monte-Carlo event stream")
+    q = leaf(lhv, "stream", cmd_lhv_stream, "Monte-Carlo event stream", out="events CSV", sampled=True)
     q.add_argument("--target", type=float, default=None, help="scaled-model target mu")
-    add_common(q, trials=True)
 
-    p = sub.add_parser("network", help="interferometer network tools")
-    net_sub = p.add_subparsers(dest="action", required=True)
-    q = net_sub.add_parser("dft", help="N-mode DFT unitary")
+    net = sub.add_parser("network", help="interferometer network tools").add_subparsers(
+        dest="action", required=True
+    )
+    q = leaf(net, "dft", cmd_network_dft, "N-mode DFT unitary", tol=1e-10)
     q.add_argument("--n", "--levels", dest="n", type=int, required=True)
-    add_common(q)
-    q = net_sub.add_parser("analyzer", help="three-mode analyzer matrix")
+    q = leaf(net, "analyzer", cmd_network_analyzer, "three-mode analyzer matrix", tol=1e-10)
     q.add_argument("--alpha", type=float, default=math.pi / 3)
     q.add_argument("--beta", type=float, default=math.pi / 3)
     q.add_argument("--gamma", type=float, default=-math.pi / 6)
     q.add_argument("--phi2", type=float, default=0.0)
     q.add_argument("--phi3", type=float, default=0.0)
-    add_common(q)
-    q = net_sub.add_parser("cascade", help="equal-splitting generation cascade")
+    q = leaf(net, "cascade", cmd_network_cascade, "equal-splitting generation cascade", tol=1e-10)
     q.add_argument("--n", "--levels", dest="n", type=int, required=True)
-    add_common(q)
-    q = net_sub.add_parser("decompose", help="triangular mesh decomposition")
+    q = leaf(net, "decompose", cmd_network_decompose, "triangular mesh decomposition",
+             out="mesh JSON (default: inline in the report)", tol=1e-10)
     q.add_argument("--in", dest="infile", type=str, required=True, help="matrix JSON")
-    add_common(q)
-    q = net_sub.add_parser("verify", help="unitarity check of a matrix/network file")
+    q = leaf(net, "verify", cmd_network_verify, "unitarity check of a matrix/network file", tol=1e-10)
     q.add_argument("--in", dest="infile", type=str, required=True)
-    add_common(q)
 
-    p = sub.add_parser("source", help="pulsed-source model")
-    src_sub = p.add_subparsers(dest="action", required=True)
-    q = src_sub.add_parser("state", help="four-photon emission state")
-    add_common(q)
-    q = src_sub.add_parser("filter", help="coincidence-window filter")
-    q.add_argument("--delta-t", type=float, default=1.0)
-    q.add_argument("--window", type=float, default=0.1)
-    add_common(q)
-    q = src_sub.add_parser("stream", help="pair-emission event stream")
-    q.add_argument("--delta-t", type=float, default=1.0)
-    q.add_argument("--window", type=float, default=0.1)
-    add_common(q, trials=True)
-    q = src_sub.add_parser("audit", help="selection/setting locality audit")
+    src = sub.add_parser("source", help="pulsed-source model").add_subparsers(
+        dest="action", required=True
+    )
+    leaf(src, "state", cmd_source_state, "four-photon emission state", tol=1e-12)
+    leaf(src, "filter", cmd_source_filter, "coincidence filter", tol=1e-12)
+    leaf(src, "stream", cmd_source_stream, "pair-emission event stream", out="events CSV", sampled=True)
+    q = leaf(src, "audit", cmd_source_audit, "selection/setting locality audit", sampled=True)
     q.add_argument("--model", choices=("quantum", "table1"), default="quantum")
-    add_common(q, trials=True)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = {}
-    for key in (
-        "action", "settings", "sweep", "selection", "target", "infile",
-        "alpha", "beta", "gamma", "phi2", "phi3", "model",
-    ):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    if hasattr(args, "sweep_out"):
-        options["sweep_out"] = args.sweep_out
-    if hasattr(args, "delta_t"):
-        options["delta_t"] = args.delta_t
-        options["window"] = args.window
-    default_tol = {
-        "mermin-quantum": 1e-12,
-        "network": 1e-10,
-        "source": 1e-12,
-        "lhv": 1e-10,
-    }.get(args.subcommand, 1e-10)
-    return RunConfig(
-        subcommand=args.subcommand,
-        n_parties=getattr(args, "n", 3) if args.subcommand == "mermin-quantum" else 3,
-        n_levels=getattr(args, "n", 3),
-        trials=getattr(args, "trials", 10000),
-        seed=getattr(args, "seed", 0),
-        tolerance=default_tol if args.tol is None else args.tol,
-        output_path=getattr(args, "out", None),
-        options=options,
-    )
-
-
-_HANDLERS = {
-    "mermin-quantum": cmd_mermin_quantum,
-    "lhv": cmd_lhv,
-    "network": cmd_network,
-    "source": cmd_source,
-}
-
-
 def main(argv=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.subcommand](cfg, stdout)
+        if "tol" in args and not args.tol > 0:
+            raise ValueError("tolerance must be positive")
+        return args.handler(args, stdout)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .events import MERMIN_COMBOS, MERMIN_TERM_SIGNS, EventTable, all_equal
+from .numerics import is_integer, json_fields, json_real
 from .states import mermin_coefficients
 
 BINS = ("S", "L")
@@ -55,12 +56,14 @@ class LocalInstruction:
         return hash((self.bins, self.signs))
 
     def __post_init__(self):
-        object.__setattr__(self, "bins", tuple(self.bins))
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        if len(self.bins) != 2 or any(b not in BINS for b in self.bins):
-            raise ValueError("bins must assign S or L to both settings")
-        if len(self.signs) != 2 or any(s not in SIGNS for s in self.signs):
-            raise ValueError("signs must assign +1 or -1 to both settings")
+        bins = () if isinstance(self.bins, str) else tuple(self.bins)
+        signs = tuple(self.signs)
+        if len(bins) != 2 or any(b not in BINS for b in bins):
+            raise ValueError(f"bins must assign S or L to both settings, got {self.bins!r}")
+        if len(signs) != 2 or not all(is_integer(s) and s in SIGNS for s in signs):
+            raise ValueError(f"signs must assign the integer +1 or -1 to both settings, got {self.signs!r}")
+        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "signs", tuple(int(s) for s in signs))
 
     def bin(self, setting: int) -> str:
         return self.bins[setting]
@@ -495,13 +498,35 @@ def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:
 
 
 def ensemble_from_json(data: dict) -> StrategyEnsemble:
+    """Strict inverse of :func:`ensemble_to_json`: a string weight is an exact
+    :class:`~fractions.Fraction`, a number a float."""
+    json_fields(data, "ensemble", ("entries",))
+    if not isinstance(data["entries"], list):
+        raise ValueError(f"entries must be a list, got {data['entries']!r}")
     entries = []
-    for item in data["entries"]:
-        strategy = tuple(
-            LocalInstruction(tuple(p["bins"]), tuple(p["signs"]))
-            for p in item["parties"]
-        )
+    for k, item in enumerate(data["entries"]):
+        json_fields(item, f"entries[{k}]", ("parties", "weight"))
+        parties = item["parties"]
+        if not isinstance(parties, list) or not parties:
+            raise ValueError(f"entries[{k}].parties must be a non-empty list, got {parties!r}")
+        strategy = []
+        for p, party in enumerate(parties):
+            where = f"entries[{k}].parties[{p}]"
+            json_fields(party, where, ("bins", "signs"))
+            for key in ("bins", "signs"):
+                if not isinstance(party[key], list):
+                    raise ValueError(f"{where}.{key} must be a list, got {party[key]!r}")
+            try:
+                strategy.append(LocalInstruction(tuple(party["bins"]), tuple(party["signs"])))
+            except ValueError as exc:
+                raise ValueError(f"{where}.{exc}") from None
         raw = item["weight"]
-        weight = Fraction(raw) if isinstance(raw, str) else float(raw)
-        entries.append((strategy, weight))
+        if isinstance(raw, str):
+            try:
+                weight = Fraction(raw)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"entries[{k}].weight {raw!r} is not a fraction") from None
+        else:
+            weight = json_real(raw, f"entries[{k}].weight")
+        entries.append((tuple(strategy), weight))
     return StrategyEnsemble(tuple(entries))

@@ -12,6 +12,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,13 @@ def json_fields(data, what: str, required, optional=()) -> None:
             raise ValueError(f"{what} JSON has unknown key {key!r}")
 
 
-def _json_dim(value, field: str) -> int:
+def is_integer(value) -> bool:
+    """An integer (Python or numpy), not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def json_dim(value, field: str) -> int:
+    """A positive JSON integer (not a bool or a float)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{field} must be a positive integer, got {value!r}")
     return value
@@ -173,8 +180,8 @@ def json_real(value, field: str) -> float:
 def matrix_from_json(data: dict) -> np.ndarray:
     """Strict inverse of :func:`matrix_to_json`."""
     json_fields(data, "matrix", ("rows", "cols", "entries"))
-    rows = _json_dim(data["rows"], "rows")
-    cols = _json_dim(data["cols"], "cols")
+    rows = json_dim(data["rows"], "rows")
+    cols = json_dim(data["cols"], "cols")
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(f"entries must be a list of rows*cols = {rows * cols} pairs")

@@ -31,6 +31,7 @@ from .numerics import (
     DEFAULT_TOL,
     StateVector,
     as_matrix,
+    is_integer,
     is_unitary,
     json_fields,
     json_real,
@@ -45,10 +46,6 @@ DFT3_BETA = math.pi / 3
 DFT3_GAMMA = -math.pi / 6
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class OpticalElement:
     kind: str
@@ -57,7 +54,7 @@ class OpticalElement:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not all(_is_integer(m) for m in self.modes):
+        if not all(is_integer(m) for m in self.modes):
             raise ValueError(f"modes must be integers, got {self.modes!r}")
         object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
         if any(m < 0 for m in self.modes):
@@ -94,7 +91,7 @@ class InterferometerNetwork:
     elements: tuple[OpticalElement, ...] = ()
 
     def __post_init__(self):
-        if not _is_integer(self.n_modes) or self.n_modes < 1:
+        if not is_integer(self.n_modes) or self.n_modes < 1:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes!r}")
         object.__setattr__(self, "elements", tuple(self.elements))
         for el in self.elements:

@@ -23,28 +23,6 @@ from .states import MultiPartyState, postselect_coincident
 TIME_BINS = ("t0", "t1")
 
 
-@dataclass(frozen=True)
-class PumpConfig:
-    """Pump path difference and coincidence window, in the same time units.
-
-    The window must be shorter than the path difference, otherwise the
-    coincidence filter cannot tell the emission bins apart.
-    """
-
-    delta_t: float
-    window: float
-
-    def __post_init__(self):
-        if not self.delta_t > 0:
-            raise ValueError("path difference must be positive")
-        if not self.window > 0:
-            raise ValueError("coincidence window must be positive")
-        if not self.window < self.delta_t:
-            raise ValueError(
-                "coincidence window must be shorter than the pump path difference"
-            )
-
-
 def four_photon_state() -> MultiPartyState:
     """State of two independently emitted pairs over the two pump bins:
     equal amplitudes 1/2 on t0t0t0t0, t1t1t1t1, t0t0t1t1, and t1t1t0t0."""
@@ -55,7 +33,7 @@ def four_photon_state() -> MultiPartyState:
     return MultiPartyState(dims, amps, ((TIME_BINS),) * 4)
 
 
-def coincidence_filter(state: MultiPartyState, cfg: PumpConfig):
+def coincidence_filter(state: MultiPartyState):
     """Project onto all-equal time bins and renormalize.
 
     Returns ``(filtered_state, keep_probability)`` where the probability is
@@ -64,7 +42,7 @@ def coincidence_filter(state: MultiPartyState, cfg: PumpConfig):
     return postselect_coincident(state.tensor_view(), state.level_labels)
 
 
-def source_event_stream(cfg: PumpConfig, trials: int, seed: int = 0) -> EventTable:
+def source_event_stream(trials: int, seed: int = 0) -> EventTable:
     """Simulate detection times of the two pairs, trial by trial.
 
     Each pair draws one bin uniformly and independently of the other pair;

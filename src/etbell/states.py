@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .events import MERMIN_COMBOS, MERMIN_TERM_SIGNS, EventTable, all_equal
-from .numerics import as_matrix
+from .numerics import as_matrix, is_integer, json_dim, json_fields, json_real
 from .optics import InterferometerNetwork, compose
 
 PAULI_X = as_matrix(((0, 1), (1, 0)))
@@ -53,6 +53,8 @@ class MultiPartyState:
     level_labels: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
+        if not all(is_integer(d) for d in self.dims):
+            raise ValueError(f"dims must be integers, got {tuple(self.dims)!r}")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("each party needs at least one level")
@@ -454,16 +456,40 @@ def state_to_json(state: MultiPartyState) -> dict:
 
 
 def state_from_json(data: dict) -> MultiPartyState:
-    dims = tuple(int(d) for d in data["dims"])
-    labels = tuple(tuple(p) for p in data["level_labels"])
+    """Strict inverse of :func:`state_to_json`."""
+    json_fields(data, "state", ("dims", "level_labels", "amplitudes"))
+    if not isinstance(data["dims"], list) or not data["dims"]:
+        raise ValueError(f"dims must be a non-empty list, got {data['dims']!r}")
+    dims = tuple(json_dim(d, f"dims[{p}]") for p, d in enumerate(data["dims"]))
+    labels = data["level_labels"]
+    if not isinstance(labels, list) or len(labels) != len(dims):
+        raise ValueError(f"level_labels must be a list of {len(dims)} label lists, got {labels!r}")
+    for p, (party, d) in enumerate(zip(labels, dims)):
+        if not isinstance(party, list) or len(party) != d or not all(isinstance(lab, str) for lab in party):
+            raise ValueError(f"level_labels[{p}] must be a list of {d} strings, got {party!r}")
+    labels = tuple(tuple(party) for party in labels)
+    if not isinstance(data["amplitudes"], list):
+        raise ValueError(f"amplitudes must be a list, got {data['amplitudes']!r}")
     compact = _compact_labels(labels)
     amps = np.zeros(math.prod(dims), dtype=complex)
-    for label_string, re, im in data["amplitudes"]:
+    seen = set()
+    for k, entry in enumerate(data["amplitudes"]):
+        field = f"amplitudes[{k}]"
+        if not isinstance(entry, list) or len(entry) != 3 or not isinstance(entry[0], str):
+            raise ValueError(f"{field} must be a [basis label, re, im] triple, got {entry!r}")
+        label_string = entry[0]
         parts = tuple(label_string) if compact else tuple(label_string.split("|"))
         if len(parts) != len(dims):
             raise ValueError(
-                f"basis label {label_string!r} does not name {len(dims)} parties"
+                f"{field}: basis label {label_string!r} does not name {len(dims)} parties"
             )
+        if any(lab not in labels[p] for p, lab in enumerate(parts)):
+            raise ValueError(f"{field}: basis label {label_string!r} has an unknown level label")
+        if parts in seen:
+            raise ValueError(f"{field}: basis label {label_string!r} is repeated")
+        seen.add(parts)
         levels = tuple(labels[p].index(lab) for p, lab in enumerate(parts))
-        amps[np.ravel_multi_index(levels, dims)] = complex(re, im)
+        amps[np.ravel_multi_index(levels, dims)] = complex(
+            json_real(entry[1], field), json_real(entry[2], field)
+        )
     return MultiPartyState(dims, amps, labels)

@@ -35,7 +35,7 @@ from etbell.optics import (
     qutrit_analyzer_network,
     reck_decompose,
 )
-from etbell.source import PumpConfig, coincidence_filter, four_photon_state, source_event_stream
+from etbell.source import coincidence_filter, four_photon_state, source_event_stream
 from etbell.states import (
     ghz_state,
     mermin3,
@@ -227,8 +227,8 @@ def test_criterion_11_source_model():
         "t0t0t1t1",
         "t1t1t0t0",
     } and all(a == 0.5 for a in entries.values())
-    _, keep = coincidence_filter(state, PumpConfig(1.0, 0.2))
-    table = source_event_stream(PumpConfig(1.0, 0.2), trials=1_000_000, seed=11)
+    _, keep = coincidence_filter(state)
+    table = source_event_stream(trials=1_000_000, seed=11)
     agreement = float(
         (
             (table.bins[:, 0] == table.bins[:, 1])
@@ -267,12 +267,17 @@ def test_criterion_12_cli_reproducibility(tmp_path):
         outputs.append((buf.getvalue(), out.read_bytes()))
     json_ok = outputs[0][0] == outputs[1][0]
     csv_ok = outputs[0][1] == outputs[1][1]
-    report_outputs = []
-    for _ in range(2):
-        buf = io.StringIO()
-        cli_main(["mermin-quantum", "--seed", "3"], stdout=buf)
-        report_outputs.append(buf.getvalue())
-    report_ok = report_outputs[0] == report_outputs[1]
+    report_ok = True
+    for argv in (
+        ["mermin-quantum"],
+        ["source", "audit", "--model", "quantum", "--trials", "4000", "--seed", "3"],
+    ):
+        report_outputs = []
+        for _ in range(2):
+            buf = io.StringIO()
+            cli_main(argv, stdout=buf)
+            report_outputs.append(buf.getvalue())
+        report_ok = report_ok and report_outputs[0] == report_outputs[1]
     ok = json_ok and csv_ok and report_ok
     _verdict(
         12,

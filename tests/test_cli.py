@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etbell.cli import main
+from etbell.cli import build_parser, main
 from etbell.numerics import matrix_from_json, matrix_to_json
 from etbell.optics import dft_unitary
 
@@ -159,11 +160,9 @@ def test_source_state_and_filter():
     code, report = run_json(["source", "state"])
     assert code == 0
     assert len(report["state"]["amplitudes"]) == 4
-    code, report = run_json(["source", "filter", "--delta-t", "1.0", "--window", "0.3"])
+    code, report = run_json(["source", "filter"])
     assert code == 0
     assert report["keep_probability"] == 0.5
-    code, _ = run_cli(["source", "filter", "--delta-t", "1.0", "--window", "2.0"])
-    assert code == 1
 
 
 def test_source_stream(tmp_path):
@@ -186,12 +185,100 @@ def test_source_audit(model):
     assert report["setting_dependent"] == (model == "table1")
 
 
-def test_audit_has_no_pump_flags(capsys):
-    # the audit never used the pump geometry, so it no longer accepts it
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["source", "audit", "--delta-t", "1"], "--delta-t"),
+        (["source", "filter", "--delta-t", "1"], "--delta-t"),
+        (["source", "filter", "--delta-t", "1.0", "--window", "2.0"], "--window"),
+        (["source", "stream", "--window", "1"], "--window"),
+        (["lhv", "table1", "--tol", "1"], "--tol"),
+        (["mermin-quantum", "--seed", "1"], "--seed"),
+        (["network", "dft", "--n", "3", "--seed", "1"], "--seed"),
+    ],
+    ids=["audit-delta-t", "filter-delta-t", "filter-window", "stream-window",
+         "table1-tol", "mermin-seed", "dft-seed"],
+)
+def test_audit_has_no_pump_flags(capsys, argv, flag):
+    # flags that no command reads are not accepted: the pump geometry never
+    # entered the source model, the lhv and sampling commands compare no
+    # float against a tolerance, and the deterministic commands draw nothing
     with pytest.raises(SystemExit) as exc:
-        main(["source", "audit", "--delta-t", "1"])
+        main(argv)
     assert exc.value.code == 2
-    assert "--delta-t" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
+
+
+#: Every leaf command's flags; an alias pair such as ``--n/--levels`` is one
+#: flag. A flag belongs here only if its command reads it.
+FLAG_TABLE = {
+    "mermin-quantum": {"--n", "--settings", "--sweep", "--sweep-out", "--tol", "--out"},
+    "lhv table1": {"--out"},
+    "lhv search": {"--selection", "--out"},
+    "lhv scale": {"--target", "--out"},
+    "lhv stream": {"--target", "--trials", "--seed", "--out"},
+    "network dft": {"--n/--levels", "--tol", "--out"},
+    "network analyzer": {"--alpha", "--beta", "--gamma", "--phi2", "--phi3", "--tol", "--out"},
+    "network cascade": {"--n/--levels", "--tol", "--out"},
+    "network decompose": {"--in", "--tol", "--out"},
+    "network verify": {"--in", "--tol", "--out"},
+    "source state": {"--tol", "--out"},
+    "source filter": {"--tol", "--out"},
+    "source stream": {"--trials", "--seed", "--out"},
+    "source audit": {"--model", "--trials", "--seed", "--out"},
+}
+
+
+def _leaf_flags(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_flags(sub, (*path, name))
+            return
+    flags = {"/".join(a.option_strings) for a in parser._actions if a.dest != "help"}
+    yield " ".join(path), flags
+
+
+def test_flag_surface_is_pinned():
+    leaves = dict(_leaf_flags(build_parser()))
+    assert leaves == FLAG_TABLE
+    assert sum(len(flags) for flags in leaves.values()) == 45
+
+
+@pytest.mark.parametrize("leaf", [k for k, flags in FLAG_TABLE.items() if "--tol" in flags])
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan"])
+def test_every_tolerance_must_be_positive(capsys, leaf, tol):
+    required = {"--n/--levels": ["--n", "3"], "--in": ["--in", "missing.json"]}
+    argv = [*leaf.split(), f"--tol={tol}"]
+    for flag in FLAG_TABLE[leaf] & required.keys():
+        argv += required[flag]
+    code, text = run_cli(argv)
+    assert code == 1
+    assert text == ""
+    assert "error: tolerance must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("leaf", [k for k, flags in FLAG_TABLE.items() if "--trials" in flags])
+def test_sampling_commands_need_a_trial(capsys, leaf):
+    code, text = run_cli([*leaf.split(), "--trials", "0"])
+    assert code == 1
+    assert text == ""
+    assert "error: need at least one trial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--sweep", "-3"], "--sweep"), (["--sweep", "0"], "--sweep"), (["--sweep-out", "x.csv"], "--sweep-out")],
+    ids=["negative", "zero", "out-without-sweep"],
+)
+def test_mermin_quantum_rejects_empty_sweeps(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(["mermin-quantum", *argv])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_identical_seeds_identical_bytes(tmp_path):

@@ -278,6 +278,78 @@ def test_ensemble_json_round_trip():
     assert float(corr.mu) == 1.0
 
 
+@pytest.mark.parametrize(
+    "bins, signs",
+    [
+        (("S", "L"), (1.7, -1)),
+        (("S", "L"), (1.0, -1)),
+        (("S", "L"), (True, -1)),
+        (("S", "L"), ("1", -1)),
+        ("SL", (1, -1)),
+    ],
+)
+def test_instruction_rejects_coerced_fields(bins, signs):
+    with pytest.raises(ValueError, match="bins" if isinstance(bins, str) else "signs"):
+        LocalInstruction(bins, signs)
+
+
+def test_instruction_accepts_numpy_integer_signs():
+    instr = LocalInstruction(("S", "L"), tuple(np.array([1, -1], dtype=np.int8)))
+    assert instr == LocalInstruction(("S", "L"), (1, -1))
+    assert all(type(s) is int for s in instr.signs)
+
+
+_DROP = object()
+
+
+def _edited(path, value=_DROP):
+    """An edit of an ensemble's JSON that sets (or drops) the field at ``path``."""
+
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return data
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda data: [data], "ensemble"),
+        (_edited(("extra",), 1), "extra"),
+        (_edited(("entries",), {"parties": []}), "entries"),
+        (_edited(("entries",), "abc"), "entries"),
+        (_edited(("entries", 0), [1, 2]), "entries[0]"),
+        (_edited(("entries", 0, "note"), "x"), "note"),
+        (_edited(("entries", 0, "weight")), "weight"),
+        (_edited(("entries", 0, "parties"), "SS"), "entries[0].parties"),
+        (_edited(("entries", 0, "parties"), []), "entries[0].parties"),
+        (_edited(("entries", 0, "parties", 1), ["S", "S"]), "entries[0].parties[1]"),
+        (_edited(("entries", 0, "parties", 1, "tag"), 0), "tag"),
+        (_edited(("entries", 0, "parties", 1, "bins"), "SS"), "entries[0].parties[1].bins"),
+        (_edited(("entries", 0, "parties", 1, "signs"), [1.7, -1]), "entries[0].parties[1].signs"),
+        (_edited(("entries", 0, "parties", 1, "signs"), [True, -1]), "entries[0].parties[1].signs"),
+        (_edited(("entries", 0, "parties", 1, "signs"), 1), "entries[0].parties[1].signs"),
+        (_edited(("entries", 0, "weight"), True), "entries[0].weight"),
+        (_edited(("entries", 0, "weight"), float("nan")), "entries[0].weight"),
+        (_edited(("entries", 0, "weight"), "one"), "entries[0].weight"),
+        (_edited(("entries", 0, "weight"), "1/0"), "entries[0].weight"),
+        (_edited(("entries", 0, "weight"), None), "entries[0].weight"),
+    ],
+)
+def test_ensemble_from_json_rejects_malformed_input(edit, field):
+    data = edit(ensemble_to_json(StrategyEnsemble.single((ALL_S_PLUS,) * 3)))
+    with pytest.raises(ValueError) as exc:
+        ensemble_from_json(data)
+    assert field in str(exc.value)
+
+
 @pytest.mark.parametrize("n,expected", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2)])
 def test_mermin_classical_bound_enumeration(n, expected):
     assert mermin_classical_bound(n) == expected

@@ -12,7 +12,6 @@ from etbell.lhv import (
     saturating_model,
 )
 from etbell.source import (
-    PumpConfig,
     _chi2,
     chi2_sf,
     coincidence_filter,
@@ -22,22 +21,6 @@ from etbell.source import (
     source_event_stream,
 )
 from etbell.states import ghz_state, sample_measurement_events
-
-
-def _pump():
-    return PumpConfig(delta_t=1.0, window=0.2)
-
-
-def test_pump_config_validation():
-    PumpConfig(delta_t=2.0, window=1.0)
-    with pytest.raises(ValueError):
-        PumpConfig(delta_t=1.0, window=1.0)
-    with pytest.raises(ValueError):
-        PumpConfig(delta_t=1.0, window=1.5)
-    with pytest.raises(ValueError):
-        PumpConfig(delta_t=-1.0, window=0.5)
-    with pytest.raises(ValueError):
-        PumpConfig(delta_t=1.0, window=0.0)
 
 
 def test_four_photon_state_amplitudes():
@@ -61,7 +44,7 @@ def test_four_photon_pairs_perfectly_time_correlated():
 
 
 def test_coincidence_filter_keeps_half():
-    filtered, keep = coincidence_filter(four_photon_state(), _pump())
+    filtered, keep = coincidence_filter(four_photon_state())
     assert keep == 0.5
     entries = dict(
         ("".join(labels), amp) for labels, amp in filtered.iter_amplitudes()
@@ -72,8 +55,8 @@ def test_coincidence_filter_keeps_half():
 
 
 def test_coincidence_filter_idempotent():
-    once, keep1 = coincidence_filter(four_photon_state(), _pump())
-    twice, keep2 = coincidence_filter(once, _pump())
+    once, keep1 = coincidence_filter(four_photon_state())
+    twice, keep2 = coincidence_filter(once)
     assert abs(keep2 - 1.0) < 1e-12
     assert twice.allclose(once, tol=1e-15)
 
@@ -85,11 +68,11 @@ def test_coincidence_filter_empty():
 
     lopsided = MultiPartyState((2, 2), amps, (("t0", "t1"),) * 2)
     with pytest.raises(ValueError, match="postselection empty"):
-        coincidence_filter(lopsided, _pump())
+        coincidence_filter(lopsided)
 
 
 def test_source_stream_pairs_always_agree():
-    table = source_event_stream(_pump(), trials=50_000, seed=2)
+    table = source_event_stream(trials=50_000, seed=2)
     assert table.n_parties == 4
     assert (table.bins[:, 0] == table.bins[:, 1]).all()
     assert (table.bins[:, 2] == table.bins[:, 3]).all()
@@ -100,11 +83,11 @@ def test_source_stream_pairs_always_agree():
 
 
 def test_source_stream_deterministic():
-    a = source_event_stream(_pump(), trials=1000, seed=5)
-    b = source_event_stream(_pump(), trials=1000, seed=5)
+    a = source_event_stream(trials=1000, seed=5)
+    b = source_event_stream(trials=1000, seed=5)
     assert (a.bins == b.bins).all()
     with pytest.raises(ValueError):
-        source_event_stream(_pump(), trials=0, seed=5)
+        source_event_stream(trials=0, seed=5)
 
 
 def test_audit_quantum_stream_passes():

@@ -350,6 +350,47 @@ def test_state_json_rejects_wrong_label_count():
         state_from_json(data)
 
 
+def test_state_rejects_non_integer_dims():
+    for dims in ((2.9, 2), (2.0, 2), (True, 2)):
+        with pytest.raises(ValueError, match="dims"):
+            MultiPartyState(dims, np.eye(4)[0])
+
+
+def _ghz_json_with(key, value):
+    data = state_to_json(ghz_state(3))
+    data[key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ([1, 2], "state"),
+        (_ghz_json_with("extra", 1), "extra"),
+        ({"dims": [2, 2, 2], "amplitudes": []}, "level_labels"),
+        (_ghz_json_with("dims", [2.9, 2, 2]), "dims[0]"),
+        (_ghz_json_with("dims", [2, True, 2]), "dims[1]"),
+        (_ghz_json_with("dims", "222"), "dims"),
+        (_ghz_json_with("dims", []), "dims"),
+        (_ghz_json_with("level_labels", ["SL", "SL", "SL"]), "level_labels[0]"),
+        (_ghz_json_with("level_labels", [["S", "L"], ["S", "L"]]), "level_labels"),
+        (_ghz_json_with("level_labels", [["S", "L"], ["S", 1], ["S", "L"]]), "level_labels[1]"),
+        (_ghz_json_with("level_labels", [["S", "L"], ["S"], ["S", "L"]]), "level_labels[1]"),
+        (_ghz_json_with("amplitudes", {"SSS": 1}), "amplitudes"),
+        (_ghz_json_with("amplitudes", [["SSS", "0.7", 0]]), "amplitudes[0]"),
+        (_ghz_json_with("amplitudes", [["SSS", 1.0]]), "amplitudes[0]"),
+        (_ghz_json_with("amplitudes", [[7, 1.0, 0.0]]), "amplitudes[0]"),
+        (_ghz_json_with("amplitudes", [["SSX", 1.0, 0.0]]), "amplitudes[0]"),
+        (_ghz_json_with("amplitudes", [["SSS", 1.0, True]]), "amplitudes[0]"),
+        (_ghz_json_with("amplitudes", [["SSS", 1.0, 0.0], ["SSS", 0.0, 0.0]]), "amplitudes[1]"),
+    ],
+)
+def test_state_from_json_rejects_malformed_input(data, field):
+    with pytest.raises(ValueError) as exc:
+        state_from_json(data)
+    assert field in str(exc.value)
+
+
 @st.composite
 def _labelled_states(draw):
     dims = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
