@@ -76,7 +76,6 @@ from .states import (
     PAULI_X,
     PAULI_Y,
     ghz_state,
-    mermin3,
     mermin_n,
     rotated_settings,
     sample_measurement_events,
@@ -160,13 +159,12 @@ def cmd_mermin_quantum(args, stdout) -> int:
         raise ValueError("--sweep-out needs --sweep")
     state = ghz_state(n)
     settings = _parse_settings(args.settings, n)
-    report: dict = {"n_parties": n, "settings": args.settings}
+    result = mermin_n(state, settings)
+    mu = result.mu
+    report: dict = {"n_parties": n, "settings": args.settings, "mu": mu}
     checks = []
     if n == 3:
-        flat = [obs for pair in settings for obs in pair]
-        result = mermin3(state, *flat)
         report["terms"] = list(result.terms)
-        report["mu"] = result.mu
         stabilizers = stabilizer_expectations(state)
         report["stabilizer_expectations"] = list(stabilizers)
         for k, value in enumerate(stabilizers):
@@ -174,11 +172,7 @@ def cmd_mermin_quantum(args, stdout) -> int:
                 _check(f"stabilizer_{k}_eigenvalue_-1", value, abs(value + 1.0) <= tol, tol)
             )
         if args.settings == "yx":
-            checks.append(_check("mu_equals_4", result.mu, abs(result.mu - 4.0) <= tol, tol))
-        mu = result.mu
-    else:
-        mu = mermin_n(state, settings)
-        report["mu"] = mu
+            checks.append(_check("mu_equals_4", mu, abs(mu - 4.0) <= tol, tol))
     if n <= 6:  # the classical bound enumerates 4^n assignments
         report["classical_bound"] = mermin_classical_bound(n)
     quantum_bound = 2.0 ** ((n + 1) / 2)
@@ -197,9 +191,7 @@ def _write_sweep(path: str, points: int) -> None:
         fh.write("phase,term1,term2,term3,term4,mu\n")
         for k in range(points):
             delta = 2 * math.pi * k / points
-            settings = rotated_settings((delta, 0.0, 0.0))
-            flat = [obs for pair in settings for obs in pair]
-            result = mermin3(state, *flat)
+            result = mermin_n(state, rotated_settings((delta, 0.0, 0.0)))
             cells = [repr(float(v)) for v in (delta, *result.terms, result.mu)]
             fh.write(",".join(cells) + "\n")
 

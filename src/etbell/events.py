@@ -1,5 +1,13 @@
-"""Shared event plumbing: columnar event tables, the CSV wire format, and
-empirical postselected-correlation estimates.
+"""Shared event plumbing: the n-party Mermin polynomial, columnar event
+tables, the CSV wire format, and empirical postselected-correlation
+estimates.
+
+:func:`mermin_coefficients` is the one statement of the Mermin polynomial:
+every term list in the package (quantum correlators, local-model ensembles,
+event streams) iterates its setting strings in the order it returns them,
+and :func:`mermin_mu` turns the terms into ``mu``. For three parties the
+terms are ``<A0 B0 C1>, <A0 B1 C0>, <A1 B0 C0>, <A1 B1 C1>`` and
+``mu = |t1 + t2 + t3 - t4|``; for two it is the CHSH combination.
 
 Both the hidden-variable simulators and the quantum samplers emit
 :class:`EventTable`; downstream coincidence analysis is therefore identical
@@ -12,16 +20,51 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-#: Setting combinations entering the three-party Mermin functional,
-#: combined with term signs as ``|t1 + t2 + t3 - t4|``.
-MERMIN_COMBOS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
-MERMIN_TERM_SIGNS = (1, 1, 1, -1)
-
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
+
+
+def mermin_coefficients(n: int) -> dict[tuple[int, ...], Fraction]:
+    """Exact coefficients of the n-party Mermin polynomial.
+
+    Built by the recursion ``M_k = (M_{k-1} (B0 + B1) + M'_{k-1} (B0 - B1))/2``
+    where the primed polynomial swaps every setting index; the base case is
+    the single setting-0 observable. The returned map sends a setting string
+    ``s in {0,1}^n`` to the coefficient of the product observable
+    ``O_{1,s_1} x ... x O_{n,s_n}``. The whole functional is scaled by 2 at
+    evaluation time (:func:`mermin_mu`), so n=3 has coefficients ``+-1/2``
+    and n=2 is the CHSH combination.
+    """
+    if n < 1:
+        raise ValueError("need at least one party")
+    coeffs: dict[tuple[int, ...], Fraction] = {(0,): Fraction(1)}
+    for _ in range(n - 1):
+        support = set(coeffs) | {tuple(1 - x for x in s) for s in coeffs}
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for s in sorted(support):
+            c = coeffs.get(s, Fraction(0))
+            cp = coeffs.get(tuple(1 - x for x in s), Fraction(0))
+            plus = (c + cp) / 2
+            minus = (c - cp) / 2
+            if plus:
+                nxt[s + (0,)] = plus
+            if minus:
+                nxt[s + (1,)] = minus
+        coeffs = nxt
+    return coeffs
+
+
+def mermin_mu(coeffs, terms):
+    """``mu = |2 sum_s c_s t_s|`` over ``terms`` in the order of ``coeffs``
+    (a :func:`mermin_coefficients` map), or ``None`` when any term is
+    undefined. Fraction terms give an exact Fraction."""
+    if any(t is None for t in terms):
+        return None
+    return abs(2 * sum(c * t for c, t in zip(coeffs.values(), terms)))
 
 
 def all_equal(bins) -> np.ndarray:
@@ -207,34 +250,31 @@ class EmpiricalCorrelations:
 
 
 def mermin_estimate(table: EventTable) -> EmpiricalCorrelations:
-    """Conditional sign-product means over the four Mermin setting combos.
+    """Conditional sign-product means over the Mermin setting combinations
+    of the table's party count.
 
     A combination with no selected trials yields ``None`` for its term
     (undefined, deliberately distinct from zero).
     """
-    if table.n_parties != 3:
-        raise ValueError("Mermin estimation expects three parties")
+    coeffs = mermin_coefficients(table.n_parties)
     prod = table.signs.prod(axis=1)
     terms: list[float | None] = []
     combo_counts: list[int] = []
     selected_counts: list[int] = []
     rates: list[float | None] = []
-    for combo in MERMIN_COMBOS:
+    for combo in coeffs:
         mask = (table.settings == np.array(combo, dtype=np.int8)).all(axis=1)
         sel = mask & table.selected
         combo_counts.append(int(mask.sum()))
         selected_counts.append(int(sel.sum()))
         terms.append(float(prod[sel].mean()) if sel.any() else None)
         rates.append(float(sel.sum() / mask.sum()) if mask.any() else None)
-    mu = None
-    if all(t is not None for t in terms):
-        mu = abs(sum(s * t for s, t in zip(MERMIN_TERM_SIGNS, terms)))
     rate = None
     if all(r is not None for r in rates):
         rate = float(sum(rates) / len(rates))
     return EmpiricalCorrelations(
         terms=tuple(terms),
-        mu=mu,
+        mu=mermin_mu(coeffs, terms),
         combo_counts=tuple(combo_counts),
         selected_counts=tuple(selected_counts),
         selection_rates=tuple(rates),

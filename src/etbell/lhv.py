@@ -1,11 +1,14 @@
-"""Deterministic local-hidden-variable strategies for the three-party
-postselected Mermin test.
+"""Deterministic local-hidden-variable strategies for the postselected
+Mermin test.
 
 A strategy gives each party, for each of its two settings, an arrival bin
 (``S`` or ``L``) and a detector sign. Ensembles mix strategies with
 nonnegative weights; weights and conditional correlations stay exact
 :class:`fractions.Fraction` values whenever the input weights are rational,
-so the headline numbers come out exact rather than merely within tolerance:
+so the headline numbers come out exact rather than merely within tolerance.
+:func:`evaluate_postselected` and :func:`event_stream` take any party count,
+with the terms of :func:`~etbell.events.mermin_coefficients`; the searches
+and the saturating model below are three-party:
 
 * with the bare all-bins-equal coincidence rule, instructions whose bin may
   depend on the setting reach the algebraic maximum ``mu = 4``;
@@ -26,9 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .events import MERMIN_COMBOS, MERMIN_TERM_SIGNS, EventTable, all_equal
-from .numerics import is_integer, json_fields, json_real
-from .states import mermin_coefficients
+from .events import EventTable, all_equal, mermin_coefficients, mermin_mu
+from .numerics import is_integer, json_fields, json_real, seeded_rng
 
 BINS = ("S", "L")
 SIGNS = (1, -1)
@@ -115,6 +117,11 @@ def fixed_bin_instructions() -> tuple[FixedBinInstruction, ...]:
     )
 
 
+def _exact(weight) -> bool:
+    """An exact weight: a Fraction or an integer (not a bool)."""
+    return isinstance(weight, Fraction) or is_integer(weight)
+
+
 @dataclass(frozen=True)
 class StrategyEnsemble:
     """Weighted mixture of joint deterministic strategies.
@@ -134,11 +141,12 @@ class StrategyEnsemble:
         n = len(entries[0][0])
         if any(len(strategy) != n for strategy, _ in entries):
             raise ValueError("all strategies must cover the same parties")
+        if any(isinstance(weight, bool) for _, weight in entries):
+            raise ValueError("weights must be numbers, not bools")
         if any(weight < 0 for _, weight in entries):
             raise ValueError("weights must be nonnegative")
         total = sum(weight for _, weight in entries)
-        exact = all(isinstance(w, (Fraction, int)) for _, w in entries)
-        if exact:
+        if all(_exact(w) for _, w in entries):
             if total != 1:
                 raise ValueError(f"weights must sum to 1, got {total}")
         elif abs(total - 1.0) > 1e-12:
@@ -206,7 +214,7 @@ def strategy_table(strategies) -> tuple[np.ndarray, np.ndarray]:
     return bins, signs
 
 
-def combo_outcomes(bins, signs, combos=MERMIN_COMBOS) -> np.ndarray:
+def combo_outcomes(bins, signs, combos) -> np.ndarray:
     """Outcome of each tabled strategy under each setting combination, shape
     (strategies, combos): the sign product where :func:`all_equal` selects
     the combination's bins, 0 where it rejects them."""
@@ -222,7 +230,7 @@ def _weighted_sum(ensemble: StrategyEnsemble, values: np.ndarray) -> list:
     numerators over the weights' common denominator and come out as
     Fractions; otherwise they are float64 sums."""
     weights = [w for _, w in ensemble.entries]
-    if all(isinstance(w, (Fraction, int)) for w in weights):
+    if all(_exact(w) for w in weights):
         denom = math.lcm(*(Fraction(w).denominator for w in weights))
         numerators = np.array([int(w * denom) for w in weights], dtype=object)
         return (np.tensordot(numerators, values, axes=1) * Fraction(1, denom)).tolist()
@@ -232,23 +240,20 @@ def _weighted_sum(ensemble: StrategyEnsemble, values: np.ndarray) -> list:
 def evaluate_postselected(ensemble: StrategyEnsemble) -> PostselectedCorrelations:
     """Conditional expectations of the sign product given selection.
 
-    For each Mermin setting combination the coincidence rule sees the joint
-    bins the strategies would produce under those settings; selected weight
-    and sign-product weight are exact for rational ensemble weights.
+    For each Mermin setting combination of the ensemble's party count the
+    coincidence rule sees the joint bins the strategies would produce under
+    those settings; selected weight and sign-product weight are exact for
+    rational ensemble weights.
     """
-    if ensemble.n_parties != len(MERMIN_COMBOS[0]):
-        raise ValueError("postselected Mermin evaluation expects three parties")
-    outcomes = combo_outcomes(*strategy_table(s for s, _ in ensemble.entries))
+    coeffs = mermin_coefficients(ensemble.n_parties)
+    outcomes = combo_outcomes(*strategy_table(s for s, _ in ensemble.entries), tuple(coeffs))
     selected = _weighted_sum(ensemble, outcomes != 0)
     product = _weighted_sum(ensemble, outcomes)
     terms = tuple(p / w if w > 0 else None for p, w in zip(product, selected))
-    mu = None
-    if all(t is not None for t in terms):
-        mu = abs(sum(s * t for s, t in zip(MERMIN_TERM_SIGNS, terms)))
     return PostselectedCorrelations(
         terms=terms,
-        mu=mu,
-        selection_rate=sum(selected) / len(MERMIN_COMBOS),
+        mu=mermin_mu(coeffs, terms),
+        selection_rate=sum(selected) / len(coeffs),
         selected_fractions=tuple(selected),
     )
 
@@ -337,12 +342,6 @@ def marginal_distribution(ensemble: StrategyEnsemble):
     }
 
 
-def strategy_profile(strategy) -> tuple[int, ...]:
-    """Per-combination outcome of one strategy: +1/-1 sign product if the
-    combination is selected, 0 if it is rejected."""
-    return tuple(int(v) for v in combo_outcomes(*strategy_table([strategy]))[0])
-
-
 @dataclass(frozen=True)
 class SearchResult:
     mu_max: Fraction
@@ -353,10 +352,13 @@ class SearchResult:
 
 def _joint_strategies(instructions):
     """Table of ``itertools.product(instructions, repeat=3)``, in that order,
-    with each row's instruction indices."""
+    with each row's instruction indices, and its outcomes under the
+    three-party Mermin combinations with their term signs ``2 c_s = +-1``."""
     bins, signs = strategy_table((instr,) for instr in instructions)
     idx = np.indices((len(instructions),) * 3).reshape(3, -1).T
-    return bins[idx, 0], signs[idx, 0], idx
+    coeffs = mermin_coefficients(3)
+    outcomes = combo_outcomes(bins[idx, 0], signs[idx, 0], tuple(coeffs))
+    return outcomes, np.array([int(2 * c) for c in coeffs.values()]), idx
 
 
 def max_mu_setting_dependent() -> SearchResult:
@@ -369,11 +371,10 @@ def max_mu_setting_dependent() -> SearchResult:
     with the designated sign, which drives mu to exactly 4.
     """
     instructions = all_instructions()
-    bins, signs, idx = _joint_strategies(instructions)
-    outcomes = combo_outcomes(bins, signs)
+    outcomes, term_signs, idx = _joint_strategies(instructions)
     exclusive = np.count_nonzero(outcomes, axis=1) == 1
     witnesses = []
-    for k, target in enumerate(MERMIN_TERM_SIGNS):
+    for k, target in enumerate(term_signs):
         match = exclusive & (outcomes[:, k] == target)
         if not match.any():
             raise RuntimeError("no exclusive strategy for a Mermin combination")
@@ -397,12 +398,11 @@ def max_mu_setting_independent() -> SearchResult:
     the maximum over all ensembles. The witness is the first maximizer.
     """
     instructions = fixed_bin_instructions()
-    bins, signs, idx = _joint_strategies(instructions)
-    outcomes = combo_outcomes(bins, signs)
+    outcomes, term_signs, idx = _joint_strategies(instructions)
     selected = outcomes.any(axis=1)
     if not selected.any():
         raise RuntimeError("no fixed-bin strategy is ever selected")
-    mu = np.where(selected, np.abs(outcomes @ MERMIN_TERM_SIGNS), -1)
+    mu = np.where(selected, np.abs(outcomes @ term_signs), -1)
     best = int(mu.argmax())
     witness = StrategyEnsemble.single(tuple(instructions[i] for i in idx[best]))
     return SearchResult(
@@ -458,7 +458,7 @@ def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTa
     identical streams; empirical postselected correlations converge to
     :func:`evaluate_postselected` at the usual 1/sqrt(trials) rate.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n = ensemble.n_parties
     if np.isscalar(schedule):
         trials = int(schedule)
@@ -483,6 +483,8 @@ def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTa
 
 
 def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:
+    """JSON form: an exact weight (Fraction or int) as a fraction string, a
+    float as a number."""
     entries = []
     for strategy, weight in ensemble.entries:
         entries.append(
@@ -491,7 +493,7 @@ def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:
                     {"bins": list(instr.bins), "signs": list(instr.signs)}
                     for instr in strategy
                 ],
-                "weight": str(weight) if isinstance(weight, Fraction) else weight,
+                "weight": str(weight) if _exact(weight) else weight,
             }
         )
     return {"entries": entries}

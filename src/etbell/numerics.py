@@ -122,19 +122,6 @@ class StateVector:
         )
 
 
-def apply(m, state):
-    """Apply a matrix to a vector, preserving labels on a StateVector."""
-    m = as_matrix(m)
-    if isinstance(state, StateVector):
-        if m.shape[1] != state.dim:
-            raise ValueError("matrix/vector dimension mismatch")
-        return StateVector(m @ state.amplitudes, state.labels)
-    vec = np.asarray(state, dtype=complex).reshape(-1)
-    if m.shape[1] != vec.size:
-        raise ValueError("matrix/vector dimension mismatch")
-    return m @ vec
-
-
 def matrix_to_json(m) -> dict:
     """Row-major JSON form: ``{rows, cols, entries: [[re, im], ...]}``."""
     m = as_matrix(m)
@@ -161,6 +148,13 @@ def json_fields(data, what: str, required, optional=()) -> None:
 def is_integer(value) -> bool:
     """An integer (Python or numpy), not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy Generator for a non-negative integer seed."""
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(int(seed))
 
 
 def json_dim(value, field: str) -> int:

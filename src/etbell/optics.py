@@ -124,21 +124,6 @@ def bs_unitary(reflectivity: float, phase: float, modes: tuple[int, int], n: int
     return m
 
 
-def phase_unitary(phase: float, mode: int, n: int) -> np.ndarray:
-    if not 0 <= mode < n:
-        raise ValueError("mode index out of range")
-    m = np.eye(n, dtype=complex)
-    m[mode, mode] = np.exp(1j * phase)
-    m.setflags(write=False)
-    return m
-
-
-def element_unitary(element: OpticalElement, n: int) -> np.ndarray:
-    if element.kind == BEAM_SPLITTER:
-        return bs_unitary(element.reflectivity, element.phase, element.modes, n)
-    return phase_unitary(element.phase, element.modes[0], n)
-
-
 def compose(network: InterferometerNetwork) -> np.ndarray:
     """Total unitary of the network (elements applied in propagation order).
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .events import EventTable
 from .lhv import StrategyEnsemble, combo_outcomes, strategy_table
+from .numerics import seeded_rng
 from .states import MultiPartyState, postselect_coincident
 
 TIME_BINS = ("t0", "t1")
@@ -51,7 +52,7 @@ def source_event_stream(trials: int, seed: int = 0) -> EventTable:
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     pair_bins = rng.integers(0, 2, size=(trials, 2), dtype=np.int8)
     bins = pair_bins[:, (0, 0, 1, 1)]
     selected = pair_bins[:, 0] == pair_bins[:, 1]

@@ -1,10 +1,12 @@
 """Multiparty entangled states, expectation values, and Mermin functionals.
 
 Time-bin qubits use the basis labels ``S`` (short, level 1) and ``L`` (long,
-level 2); n-level systems use ``1..n``. The three-party Mermin functional is
-``mu = |<A0 B0 C1> + <A0 B1 C0> + <A1 B0 C0> - <A1 B1 C1>|`` with dichotomic
-settings; on the GHZ state with ``(A0, A1) = (sigma_y, sigma_x)`` per party
-it reaches the algebraic maximum 4.
+level 2); n-level systems use ``1..n``. :func:`mermin_n` evaluates the
+n-party Mermin polynomial of :func:`~etbell.events.mermin_coefficients` with
+dichotomic settings; for three parties it is
+``mu = |<A0 B0 C1> + <A0 B1 C0> + <A1 B0 C0> - <A1 B1 C1>|``, and on the GHZ
+state with ``(A0, A1) = (sigma_y, sigma_x)`` per party it reaches the
+algebraic maximum 4.
 
 ``prepare_postselected`` models the ideal simultaneous-emission source: one
 photon per party propagates through that party's network, and only joint
@@ -16,12 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .events import MERMIN_COMBOS, MERMIN_TERM_SIGNS, EventTable, all_equal
-from .numerics import as_matrix, is_integer, json_dim, json_fields, json_real
+from .events import EventTable, all_equal, mermin_coefficients, mermin_mu
+from .numerics import as_matrix, is_integer, json_dim, json_fields, json_real, seeded_rng
 from .optics import InterferometerNetwork, compose
 
 PAULI_X = as_matrix(((0, 1), (1, 0)))
@@ -29,15 +30,6 @@ PAULI_Y = as_matrix(((0, -1j), (1j, 0)))
 PAULI_Z = as_matrix(((1, 0), (0, -1)))
 
 QUBIT_LABELS = ("S", "L")
-
-#: The GHZ correlation operators with eigenvalue -1: x y y, y x y, y y x,
-#: and -(x x x), encoded as (sign, pauli string).
-GHZ_STABILIZERS = (
-    (1, "xyy"),
-    (1, "yxy"),
-    (1, "yyx"),
-    (-1, "xxx"),
-)
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -205,18 +197,12 @@ def is_dichotomic(observable, tol: float = 1e-12) -> bool:
     )
 
 
-def stabilizer_expectations(state: MultiPartyState) -> tuple[float, ...]:
-    """Expectations of the four signed GHZ correlation operators."""
-    values = correlators(state, [(PAULI_X, PAULI_Y)] * state.n_parties)
-    return tuple(
-        sign * float(values[tuple("xy".index(c) for c in word)])
-        for sign, word in GHZ_STABILIZERS
-    )
-
-
 @dataclass(frozen=True)
 class MerminResult:
-    terms: tuple[float, float, float, float]
+    """Mermin terms, in :func:`~etbell.events.mermin_coefficients` order,
+    and ``mu``."""
+
+    terms: tuple[float, ...]
     mu: float
 
 
@@ -225,55 +211,12 @@ def standard_settings(n: int = 3):
     return ((PAULI_Y, PAULI_X),) * n
 
 
-def mermin3(state, a0, a1, b0, b1, c0, c1, tol: float = 1e-12) -> MerminResult:
-    """Three-party Mermin functional on dichotomic qubit settings."""
-    pairs = ((a0, a1), (b0, b1), (c0, c1))
-    for pair in pairs:
-        for obs in pair:
-            if not is_dichotomic(obs, tol):
-                raise ValueError("Mermin settings must be dichotomic (+1/-1)")
-    values = correlators(state, pairs, tol)
-    terms = tuple(float(values[combo]) for combo in MERMIN_COMBOS)
-    mu = abs(sum(s * t for s, t in zip(MERMIN_TERM_SIGNS, terms)))
-    return MerminResult(terms, mu)
-
-
-def mermin_coefficients(n: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact coefficients of the n-party Mermin polynomial.
-
-    Built by the recursion ``M_k = (M_{k-1} (B0 + B1) + M'_{k-1} (B0 - B1))/2``
-    where the primed polynomial swaps every setting index; the base case is
-    the single setting-0 observable. The returned map sends a setting string
-    ``s in {0,1}^n`` to the coefficient of the product observable
-    ``O_{1,s_1} x ... x O_{n,s_n}``. The whole functional is scaled by 2 at
-    evaluation time so that n=3 reproduces the three-party layout above and
-    n=2 is the CHSH combination.
-    """
-    if n < 1:
-        raise ValueError("need at least one party")
-    coeffs: dict[tuple[int, ...], Fraction] = {(0,): Fraction(1)}
-    for _ in range(n - 1):
-        support = set(coeffs) | {tuple(1 - x for x in s) for s in coeffs}
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for s in sorted(support):
-            c = coeffs.get(s, Fraction(0))
-            cp = coeffs.get(tuple(1 - x for x in s), Fraction(0))
-            plus = (c + cp) / 2
-            minus = (c - cp) / 2
-            if plus:
-                nxt[s + (0,)] = plus
-            if minus:
-                nxt[s + (1,)] = minus
-        coeffs = nxt
-    return coeffs
-
-
-def mermin_n(state: MultiPartyState, settings=None, tol: float = 1e-12) -> float:
-    """|value| of the scaled n-party Mermin polynomial on ``state``.
+def mermin_n(state: MultiPartyState, settings=None, tol: float = 1e-12) -> MerminResult:
+    """The scaled n-party Mermin polynomial on ``state``: one correlator per
+    coefficient and ``mu`` by :func:`~etbell.events.mermin_mu`.
 
     ``settings`` gives each party its pair of dichotomic observables;
-    defaults to (sigma_y, sigma_x) everywhere. For n=3 this equals
-    :func:`mermin3`'s ``mu`` exactly.
+    defaults to (sigma_y, sigma_x) everywhere.
     """
     n = state.n_parties
     settings = standard_settings(n) if settings is None else tuple(settings)
@@ -284,10 +227,25 @@ def mermin_n(state: MultiPartyState, settings=None, tol: float = 1e-12) -> float
             if not is_dichotomic(obs, tol):
                 raise ValueError("Mermin settings must be dichotomic (+1/-1)")
     values = correlators(state, settings, tol)
-    total = 0.0
-    for s, c in mermin_coefficients(n).items():
-        total += float(c) * float(values[s])
-    return abs(2.0 * total)
+    coeffs = mermin_coefficients(n)
+    terms = tuple(float(values[s]) for s in coeffs)
+    return MerminResult(terms, mermin_mu(coeffs, terms))
+
+
+def mermin3(state, a0, a1, b0, b1, c0, c1, tol: float = 1e-12) -> MerminResult:
+    """:func:`mermin_n` on a three-party state, settings given one by one."""
+    if state.n_parties != 3:
+        raise ValueError(f"mermin3 takes a three-party state, got {state.n_parties} parties")
+    return mermin_n(state, ((a0, a1), (b0, b1), (c0, c1)), tol)
+
+
+def stabilizer_expectations(state: MultiPartyState) -> tuple[float, ...]:
+    """The Mermin terms at the sigma_y/sigma_x settings, each signed by its
+    coefficient: the expectations of the signed GHZ correlation operators
+    (for three parties y y x, y x y, x y y and -(x x x), all -1 on GHZ)."""
+    coeffs = mermin_coefficients(state.n_parties)
+    terms = mermin_n(state).terms
+    return tuple(t if c > 0 else -t for c, t in zip(coeffs.values(), terms))
 
 
 def equatorial_observable(theta: float) -> np.ndarray:
@@ -413,7 +371,7 @@ def sample_measurement_events(
         stacks.append(np.stack(analyzers))
     # row c: outcome CDF under the setting combination with flat index c
     cdfs = np.cumsum(np.abs(_apply_stacks(state, stacks).reshape(2**n, 2**n)) ** 2, axis=1)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     setting_arr = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
     uniforms = rng.random(trials)
     common_bins = rng.integers(0, 2, size=trials, dtype=np.int8)

@@ -266,6 +266,14 @@ def test_sampling_commands_need_a_trial(capsys, leaf):
     assert "error: need at least one trial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("leaf", [k for k, flags in FLAG_TABLE.items() if "--seed" in flags])
+def test_sampling_commands_reject_a_negative_seed(capsys, leaf):
+    code, text = run_cli([*leaf.split(), "--trials", "10", "--seed", "-1"])
+    assert code == 1
+    assert text == ""
+    assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [(["--sweep", "-3"], "--sweep"), (["--sweep", "0"], "--sweep"), (["--sweep-out", "x.csv"], "--sweep-out")],
@@ -359,7 +367,7 @@ def test_arithmetic_error_is_reported(monkeypatch, capsys):
     def imaginary(*args, **kwargs):
         raise ArithmeticError("expectation has imaginary part 0.001")
 
-    monkeypatch.setattr(cli, "mermin3", imaginary)
+    monkeypatch.setattr(cli, "mermin_n", imaginary)
     code, text = run_cli(["mermin-quantum"])
     assert code == 1
     assert text == ""

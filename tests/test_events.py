@@ -90,10 +90,29 @@ def test_mermin_estimate_exact_small_case():
     assert est.selected_counts == (1, 0, 0, 1)
 
 
-def test_mermin_estimate_requires_three_parties():
-    table = EventTable([[0, 0]], [[0, 0]], [[1, 1]], [True])
-    with pytest.raises(ValueError):
-        mermin_estimate(table)
+def test_mermin_estimate_two_parties_is_chsh():
+    # rows: settings, signs, selected; all bins equal, selection given
+    rows = [
+        ((0, 0), (1, 1), True),
+        ((0, 0), (-1, -1), True),
+        ((0, 0), (1, -1), True),
+        ((0, 0), (-1, -1), True),
+        ((0, 1), (-1, -1), True),
+        ((1, 0), (1, -1), True),
+        ((1, 0), (1, 1), False),
+        ((1, 1), (-1, 1), True),
+        ((1, 1), (1, -1), True),
+    ]
+    settings, signs, selected = zip(*rows)
+    est = mermin_estimate(EventTable(settings, [[0, 0]] * len(rows), signs, selected))
+    # CHSH terms in the order (0,0), (0,1), (1,0), (1,1), by hand:
+    # (1 + 1 - 1 + 1)/4, 1, -1 (one trial rejected), (-1 - 1)/2
+    assert est.terms == (0.5, 1.0, -1.0, -1.0)
+    assert est.mu == abs(0.5 + 1.0 - 1.0 - (-1.0)) == 1.5
+    assert est.combo_counts == (4, 1, 2, 2)
+    assert est.selected_counts == (4, 1, 1, 2)
+    assert est.selection_rates == (1.0, 1.0, 0.5, 1.0)
+    assert est.selection_rate == 0.875
 
 
 @pytest.mark.parametrize(

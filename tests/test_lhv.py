@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etbell.events import MERMIN_COMBOS, mermin_estimate
+from etbell.events import mermin_coefficients, mermin_estimate
 from etbell.lhv import (
     FixedBinInstruction,
     LocalInstruction,
     StrategyEnsemble,
     all_instructions,
+    combo_outcomes,
     ensemble_from_json,
     ensemble_to_json,
     evaluate_postselected,
@@ -25,11 +26,23 @@ from etbell.lhv import (
     mermin_classical_bound,
     saturating_model,
     scaled_model,
-    strategy_profile,
+    strategy_table,
 )
 from etbell.source import counterfactual_selection_dependence
 
 ALL_S_PLUS = FixedBinInstruction.of("S", (1, 1))
+MERMIN3 = tuple(mermin_coefficients(3))
+
+
+def _profiles(strategies):
+    """Per-combination outcome of each joint strategy under the three-party
+    Mermin combinations: its sign product where selected, 0 where rejected."""
+    return combo_outcomes(*strategy_table(strategies), MERMIN3)
+
+
+def _mu(profiles):
+    """|t1 + t2 + t3 - t4| of each profile row."""
+    return np.abs(profiles[:, 0] + profiles[:, 1] + profiles[:, 2] - profiles[:, 3])
 
 
 def test_instruction_enumerations():
@@ -135,10 +148,9 @@ def test_undefined_terms_are_flagged_not_zeroed():
 
 
 def test_strategy_profile_matches_evaluation():
-    strategy = (ALL_S_PLUS, ALL_S_PLUS, ALL_S_PLUS)
-    assert strategy_profile(strategy) == (1, 1, 1, 1)
     c = LocalInstruction(("S", "L"), (1, 1))
-    assert strategy_profile((ALL_S_PLUS, ALL_S_PLUS, c)) == (0, 1, 1, 0)
+    profiles = _profiles([(ALL_S_PLUS, ALL_S_PLUS, ALL_S_PLUS), (ALL_S_PLUS, ALL_S_PLUS, c)])
+    assert profiles.tolist() == [[1, 1, 1, 1], [0, 1, 1, 0]]
 
 
 def test_max_mu_setting_dependent():
@@ -162,34 +174,31 @@ def test_max_mu_setting_independent():
 def test_deterministic_strategy_census():
     # Over all 4096 joint strategies: every defined term is +/-1, and any
     # strategy selected under all four combinations scores exactly mu = 2.
-    all_selected_mu = set()
-    for strategy in itertools.product(all_instructions(), repeat=3):
-        profile = strategy_profile(strategy)
-        assert set(profile) <= {-1, 0, 1}
-        if all(v != 0 for v in profile):
-            all_selected_mu.add(abs(profile[0] + profile[1] + profile[2] - profile[3]))
-    assert all_selected_mu == {2}
+    profiles = _profiles(itertools.product(all_instructions(), repeat=3))
+    assert profiles.shape == (16**3, 4)
+    assert set(np.unique(profiles)) <= {-1, 0, 1}
+    all_selected = (profiles != 0).all(axis=1)
+    assert all_selected.any()
+    assert set(_mu(profiles[all_selected]).tolist()) == {2}
 
 
 def test_fixed_bin_enumeration_never_exceeds_two():
-    for strategy in itertools.product(fixed_bin_instructions(), repeat=3):
-        profile = strategy_profile(strategy)
-        # selection is the same for every combination
-        assert len({v == 0 for v in profile}) == 1
-        if profile[0] != 0:
-            mu = abs(profile[0] + profile[1] + profile[2] - profile[3])
-            assert mu <= 2
+    profiles = _profiles(itertools.product(fixed_bin_instructions(), repeat=3))
+    assert profiles.shape == (8**3, 4)
+    # selection is the same for every combination
+    selected = profiles != 0
+    assert (selected == selected[:, :1]).all()
+    assert (_mu(profiles[selected[:, 0]]) <= 2).all()
 
 
 def test_random_fixed_bin_mixtures_bounded_by_two():
-    strategies = list(itertools.product(fixed_bin_instructions(), repeat=3))
-    profiles = np.array([strategy_profile(s) for s in strategies])
+    profiles = _profiles(itertools.product(fixed_bin_instructions(), repeat=3))
     selected = profiles[:, 0] != 0
     mvals = profiles[:, 0] + profiles[:, 1] + profiles[:, 2] - profiles[:, 3]
     rng = np.random.default_rng(99)
     total = 0
     for _ in range(10):
-        weights = rng.exponential(size=(10**4, len(strategies)))
+        weights = rng.exponential(size=(10**4, len(profiles)))
         weights /= weights.sum(axis=1, keepdims=True)
         w_sel = weights[:, selected]
         mu = np.abs(w_sel @ mvals[selected]) / w_sel.sum(axis=1)
@@ -299,6 +308,11 @@ def test_instruction_accepts_numpy_integer_signs():
     assert all(type(s) is int for s in instr.signs)
 
 
+def test_ensemble_rejects_bool_weights():
+    with pytest.raises(ValueError, match="not bools"):
+        StrategyEnsemble((((ALL_S_PLUS,) * 3, True),))
+
+
 _DROP = object()
 
 
@@ -392,11 +406,11 @@ def _coincide(bins):
     return all(b == bins[0] for b in bins[1:])
 
 
-def _oracle_evaluate(ensemble):
-    selected = [0] * len(MERMIN_COMBOS)
-    product = [0] * len(MERMIN_COMBOS)
+def _oracle_evaluate(ensemble, combos):
+    selected = [0] * len(combos)
+    product = [0] * len(combos)
     for strategy, weight in ensemble.entries:
-        for k, combo in enumerate(MERMIN_COMBOS):
+        for k, combo in enumerate(combos):
             if _coincide([instr.bin(s) for instr, s in zip(strategy, combo)]):
                 sign = math.prod(instr.sign(s) for instr, s in zip(strategy, combo))
                 selected[k] += weight
@@ -428,8 +442,9 @@ def _oracle_counterfactual(ensemble):
 
 
 @st.composite
-def weighted_ensembles(draw, parties=st.just(3)):
-    """1-5 strategies, some with zero weight; exact or float weights."""
+def weighted_ensembles(draw, parties=st.just(3), int_weights=False):
+    """1-5 strategies, some with zero weight; Fraction or float weights, or
+    with ``int_weights`` also one strategy of int weight 1 among int 0s."""
     instructions = all_instructions()
     n = draw(parties)
     k = draw(st.integers(min_value=1, max_value=5))
@@ -437,6 +452,9 @@ def weighted_ensembles(draw, parties=st.just(3)):
         tuple(instructions[i] for i in draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)))
         for _ in range(k)
     ]
+    if int_weights and draw(st.booleans()):
+        hot = draw(st.integers(0, k - 1))
+        return StrategyEnsemble(tuple((s, int(i == hot)) for i, s in enumerate(strategies)))
     weights = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
     total = sum(weights)
     if draw(st.booleans()):
@@ -452,19 +470,21 @@ def _same(got, want, exact):
     return isinstance(got, float) and got == pytest.approx(want, abs=1e-12)
 
 
-@given(ensemble=weighted_ensembles())
+@given(ensemble=weighted_ensembles(parties=st.integers(2, 4)))
 @settings(max_examples=150, deadline=None)
 def test_evaluate_postselected_matches_per_strategy_loop(ensemble):
     exact = all(isinstance(w, Fraction) for _, w in ensemble.entries)
+    coeffs = mermin_coefficients(ensemble.n_parties)
     corr = evaluate_postselected(ensemble)
-    terms, selected = _oracle_evaluate(ensemble)
+    terms, selected = _oracle_evaluate(ensemble, list(coeffs))
+    assert len(corr.terms) == len(coeffs)
     assert all(_same(g, w, exact) for g, w in zip(corr.terms, terms))
     assert all(_same(g, w, exact) for g, w in zip(corr.selected_fractions, selected))
-    assert _same(corr.selection_rate, sum(selected) / len(MERMIN_COMBOS), exact)
+    assert _same(corr.selection_rate, sum(selected) / len(coeffs), exact)
     if None in terms:
         assert corr.mu is None
     else:
-        mu = abs(terms[0] + terms[1] + terms[2] - terms[3])
+        mu = abs(2 * sum(c * t for c, t in zip(coeffs.values(), terms)))
         assert _same(corr.mu, mu, exact)
 
 
@@ -481,9 +501,12 @@ def test_marginals_and_counterfactual_match_per_strategy_loop(ensemble):
     assert counterfactual_selection_dependence(ensemble) is _oracle_counterfactual(ensemble)
 
 
-@given(ensemble=weighted_ensembles())
+@given(ensemble=weighted_ensembles(int_weights=True))
 @settings(max_examples=60, deadline=None)
 def test_ensemble_json_round_trip_property(ensemble):
     again = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(ensemble))))
     assert again.entries == ensemble.entries
-    assert [type(w) for _, w in again.entries] == [type(w) for _, w in ensemble.entries]
+    # an exact weight (Fraction or int) comes back as an exact Fraction
+    assert [isinstance(w, float) for _, w in again.entries] == [
+        isinstance(w, float) for _, w in ensemble.entries
+    ]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from etbell.numerics import (
     StateVector,
-    apply,
     as_matrix,
     is_unitary,
     matmul,
@@ -117,13 +116,6 @@ def test_state_vector_default_labels_and_inner():
     w = StateVector([0.0, 1.0, 0.0])
     assert v.inner(w) == 0.0
     assert v.inner(v) == 1.0
-
-
-def test_apply_preserves_labels():
-    v = StateVector([1.0, 0.0], ("S", "L"))
-    out = apply(np.array([[0, 1], [1, 0]]), v)
-    assert out.labels == ("S", "L")
-    assert out.amplitudes[1] == 1.0
 
 
 def test_matrix_json_round_trip():

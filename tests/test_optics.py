@@ -16,7 +16,6 @@ from etbell.optics import (
     compose,
     dft_unitary,
     element_from_json,
-    element_unitary,
     generation_cascade,
     measurement_basis,
     network_from_json,
@@ -270,7 +269,12 @@ def _dense_compose(network):
     """Reference: the full n x n product of every element's unitary."""
     u = np.eye(network.n_modes, dtype=complex)
     for el in network.elements:
-        u = element_unitary(el, network.n_modes) @ u
+        if el.kind == "beam_splitter":
+            m = bs_unitary(el.reflectivity, el.phase, el.modes, network.n_modes)
+        else:
+            m = np.eye(network.n_modes, dtype=complex)
+            m[el.modes[0], el.modes[0]] = np.exp(1j * el.phase)
+        u = m @ u
     return u
 
 

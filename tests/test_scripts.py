@@ -26,10 +26,3 @@ def test_loophole_separation_script(tmp_path):
     assert summary["max_mu_setting_independent"] == "2"
     assert summary["strategies_examined"] == {"dependent": 4096, "independent": 512}
 
-
-def test_phase_sweep_script(tmp_path):
-    out = tmp_path / "sweep.csv"
-    run_script("phase_sweep.py", "--points", "8", "--out", str(out), cwd=tmp_path)
-    header, *rows = out.read_text().splitlines()
-    assert header == "phase,term1,term2,term3,term4,mu"
-    assert len(rows) == 8

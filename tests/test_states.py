@@ -15,7 +15,6 @@ from etbell.optics import (
     analyzer_matrix,
 )
 from etbell.states import (
-    GHZ_STABILIZERS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -92,9 +91,20 @@ def test_qunit_two_levels_is_bell_state():
 
 def test_stabilizer_expectations_are_minus_one():
     values = stabilizer_expectations(ghz_state(3))
-    assert len(values) == len(GHZ_STABILIZERS) == 4
+    assert len(values) == len(mermin_coefficients(3)) == 4
     for v in values:
         assert abs(v + 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, count", [(2, 4), (4, 16)])
+def test_stabilizer_expectations_cover_every_mermin_term(n, count):
+    values = stabilizer_expectations(ghz_state(n))
+    coeffs = mermin_coefficients(n)
+    assert len(values) == len(coeffs) == count
+    assert all(abs(v) <= 1 + 1e-12 for v in values)
+    # signed terms: weighted by |c_s| they add up to the Mermin value
+    mu = abs(2 * sum(float(abs(c)) * v for c, v in zip(coeffs.values(), values)))
+    assert abs(mu - mermin_n(ghz_state(n)).mu) < 1e-12
 
 
 def test_expectation_examples():
@@ -147,6 +157,12 @@ def test_mermin3_rejects_non_dichotomic():
         mermin3(ghz_state(3), np.eye(2), *([PAULI_X] * 5))
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_mermin3_takes_three_parties(n):
+    with pytest.raises(ValueError, match=f"three-party state, got {n} parties"):
+        mermin3(ghz_state(n), *([PAULI_X] * 6))
+
+
 def test_mermin_coefficients_three_party_layout():
     coeffs = mermin_coefficients(3)
     from fractions import Fraction
@@ -166,8 +182,12 @@ def test_mermin_n_reduces_to_mermin3(seed):
     offsets = rng.uniform(-math.pi, math.pi, size=3)
     settings_pairs = rotated_settings(offsets)
     got = mermin_n(state, settings_pairs)
-    want = mermin3(state, *_flat(settings_pairs)).mu
-    assert abs(got - want) < 1e-12
+    a, b, c = settings_pairs
+    combos = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+    want = [expectation(state, [a[i], b[j], c[k]]) for i, j, k in combos]
+    assert np.allclose(got.terms, want, rtol=0, atol=1e-12)
+    assert abs(got.mu - abs(want[0] + want[1] + want[2] - want[3])) < 1e-12
+    assert mermin3(state, *_flat(settings_pairs)) == got
 
 
 def test_chsh_optimum_on_bell_state():
@@ -176,7 +196,7 @@ def test_chsh_optimum_on_bell_state():
         (equatorial_observable(0.0), equatorial_observable(math.pi / 2)),
         (equatorial_observable(-math.pi / 4), equatorial_observable(math.pi / 4)),
     )
-    value = mermin_n(ghz_state(2), settings_pairs)
+    value = mermin_n(ghz_state(2), settings_pairs).mu
     assert abs(value - 2.0 * math.sqrt(2.0)) < 1e-12
     # No equatorial grid point exceeds the quantum maximum.
     grid = np.linspace(0, 2 * math.pi, 9, endpoint=False)
@@ -186,7 +206,7 @@ def test_chsh_optimum_on_bell_state():
             (equatorial_observable(a0), equatorial_observable(a1)),
             (equatorial_observable(b0), equatorial_observable(b1)),
         )
-        best = max(best, mermin_n(ghz_state(2), pairs))
+        best = max(best, mermin_n(ghz_state(2), pairs).mu)
     assert best <= 2.0 * math.sqrt(2.0) + 1e-9
 
 
@@ -197,7 +217,7 @@ def test_chsh_optimum_on_bell_state():
     [(2, 2.0), (3, 4.0), (4, 4.0), (5, 0.0), (6, 8.0)],
 )
 def test_mermin_n_ghz_frozen_values(n, expected):
-    assert abs(mermin_n(ghz_state(n)) - expected) < 1e-10
+    assert abs(mermin_n(ghz_state(n)).mu - expected) < 1e-10
 
 
 def test_mermin_phase_sweep_continuous_with_maximum_at_zero():
@@ -460,7 +480,7 @@ def test_mermin_n_matches_dense_coefficient_sum(n, seed):
     total = 0.0
     for s, c in mermin_coefficients(n).items():
         total += float(c) * _dense_expectation(state, [settings_pairs[j][s[j]] for j in range(n)])
-    assert abs(mermin_n(state, settings_pairs) - abs(2.0 * total)) <= 1e-12
+    assert abs(mermin_n(state, settings_pairs).mu - abs(2.0 * total)) <= 1e-12
 
 
 def test_correlator_paths_build_no_dense_operator(monkeypatch):
@@ -468,7 +488,7 @@ def test_correlator_paths_build_no_dense_operator(monkeypatch):
         raise AssertionError("dense kron product built")
 
     monkeypatch.setattr(np, "kron", no_kron)
-    assert abs(mermin_n(ghz_state(5)) - 0.0) < 1e-10
+    assert abs(mermin_n(ghz_state(5)).mu - 0.0) < 1e-10
     assert all(abs(v + 1.0) < 1e-12 for v in stabilizer_expectations(ghz_state(3)))
 
 
@@ -484,6 +504,6 @@ def test_correlator_guard_raises_before_allocating(monkeypatch):
 
 def test_correlator_guard_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(states_module, "MAX_CORRELATOR_ENTRIES", 2**10)
-    assert abs(mermin_n(ghz_state(5))) < 1e-10  # 2^5 settings x 2^5 levels
+    assert abs(mermin_n(ghz_state(5)).mu) < 1e-10  # 2^5 settings x 2^5 levels
     with pytest.raises(ValueError, match="exceeds"):
         mermin_n(ghz_state(6))
