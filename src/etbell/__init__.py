@@ -17,7 +17,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .events import EventRecord, EventTable, all_equal, mermin_estimate
+from .events import EventTable, all_equal, mermin_estimate
 from .lhv import (
     FixedBinInstruction,
     LocalInstruction,

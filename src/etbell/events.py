@@ -11,21 +11,32 @@ terms are ``<A0 B0 C1>, <A0 B1 C0>, <A1 B0 C0>, <A1 B1 C1>`` and
 
 Both the hidden-variable simulators and the quantum samplers emit
 :class:`EventTable`; downstream coincidence analysis is therefore identical
-for every model. A table behaves as a sequence of :class:`EventRecord`
-(one record per party per trial) while storing everything columnar, so
-million-trial runs stay cheap.
+for every model. A table stores each field as one (trials, parties) int8
+array, so million-trial runs stay cheap, and its CSV codec works on whole
+arrays: the writer looks each row up in a table of pre-rendered rows, and
+the reader parses the body with one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
+import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
+# Trials rendered per write, so the writer's memory does not grow with the table.
+CSV_CHUNK_TRIALS = 4096
+# One CSV row as np.loadtxt parses it: every column an integer but the label.
+_CSV_DTYPE = np.dtype([(name, object if name == "bin" else np.int64) for name in CSV_COLUMNS])
+# An integer field as np.loadtxt accepts it (given an int64 value); used
+# only to name a failing line.
+_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def mermin_coefficients(n: int) -> dict[tuple[int, ...], Fraction]:
@@ -77,18 +88,9 @@ def all_equal(bins) -> np.ndarray:
     return (bins == bins[..., :1]).all(axis=-1)
 
 
-class EventRecord(NamedTuple):
-    trial: int
-    party: int
-    setting: int
-    bin: str
-    sign: int
-    selected: bool
-
-
 @dataclass(frozen=True, eq=False)
 class EventTable:
-    """Columnar event stream; indexable as a flat sequence of records."""
+    """Columnar event stream: one row per trial, one column per party."""
 
     settings: np.ndarray  # (trials, parties) int8
     bins: np.ndarray  # (trials, parties) int8, codes into bin_labels
@@ -131,34 +133,9 @@ class EventTable:
     def n_parties(self) -> int:
         return self.settings.shape[1]
 
-    def record(self, trial: int, party: int) -> EventRecord:
-        return EventRecord(
-            trial=trial,
-            party=party,
-            setting=int(self.settings[trial, party]),
-            bin=self.bin_labels[self.bins[trial, party]],
-            sign=int(self.signs[trial, party]),
-            selected=bool(self.selected[trial]),
-        )
-
     def __len__(self) -> int:
+        """Rows of the CSV wire format: one per (trial, party) cell."""
         return self.n_trials * self.n_parties
-
-    def __getitem__(self, index: int) -> EventRecord:
-        if not isinstance(index, (int, np.integer)):
-            raise TypeError("event tables index by flat integer position")
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("event index out of range")
-        trial, party = divmod(int(index), self.n_parties)
-        return self.record(trial, party)
-
-    def __iter__(self) -> Iterator[EventRecord]:
-        for trial in range(self.n_trials):
-            for party in range(self.n_parties):
-                yield self.record(trial, party)
 
     def selection_rate(self) -> float:
         if self.n_trials == 0:
@@ -166,38 +143,59 @@ class EventTable:
         return float(self.selected.mean())
 
     def write_csv(self, path) -> None:
+        """Write the CSV wire format: the :data:`CSV_COLUMNS` header, then one
+        row per (trial, party) cell in trial-major order, with ``\\r\\n`` line
+        ends and csv's minimal quoting of bin labels.
+
+        ``csv.writer`` renders each distinct row suffix
+        ``party,setting,bin,sign,selected`` once; every cell then picks its
+        suffix by an integer code and gets its trial number prepended,
+        :data:`CSV_CHUNK_TRIALS` trials at a time.
+        """
+        parties, n_labels = self.n_parties, len(self.bin_labels)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        suffixes = []
+        for row in itertools.product(range(parties), (0, 1), self.bin_labels, (1, -1), (0, 1)):
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(row)
+            suffixes.append(buf.getvalue())
+        suffixes = np.array(suffixes, dtype=object)
+        party = np.arange(parties)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for rec in self:
-                writer.writerow(
-                    (rec.trial, rec.party, rec.setting, rec.bin, rec.sign, int(rec.selected))
-                )
+            csv.writer(fh).writerow(CSV_COLUMNS)
+            for start in range(0, self.n_trials, CSV_CHUNK_TRIALS):
+                rows = slice(start, start + CSV_CHUNK_TRIALS)
+                # the suffix's position in the itertools.product above
+                code = (party * 2 + self.settings[rows]) * n_labels + self.bins[rows]
+                code = code * 4 + (self.signs[rows] < 0) * 2 + self.selected[rows, None]
+                trials = np.arange(start, start + len(code)).astype(str).astype(object) + ","
+                fh.write("".join(np.repeat(trials, parties) + suffixes[code.ravel()]))
 
     @classmethod
     def read_csv(cls, path, bin_labels: tuple[str, ...] | None = None) -> "EventTable":
-        """Read the CSV wire format. Every row must have one field per
-        column, every ``(trial, party)`` cell of the grid must appear exactly
-        once, and the parties of one trial must agree on ``selected``; a
-        violation names the first offending line or cell."""
+        """Read the CSV wire format. Every row must have one integer field per
+        column but ``bin``, every ``(trial, party)`` cell of the grid must
+        appear exactly once, and the parties of one trial must agree on
+        ``selected``; a violation names the first offending line or cell.
+        Blank lines are skipped. Without ``bin_labels`` the labels are taken
+        in order of first appearance."""
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if tuple(next(reader, ())) != CSV_COLUMNS:
+            if tuple(next(csv.reader([fh.readline()]), ())) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header in {path}")
-            rows = []
-            for row in reader:
-                if len(row) != len(CSV_COLUMNS):
-                    if not row:
-                        continue  # blank line
-                    raise ValueError(
-                        f"line {reader.line_num}: {len(row)} fields, expected {len(CSV_COLUMNS)}"
+            with warnings.catch_warnings():
+                # an empty body is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                try:
+                    data = np.loadtxt(
+                        fh, delimiter=",", quotechar='"', comments=None, dtype=_CSV_DTYPE, ndmin=1
                     )
-                rows.append(row)
-        if not rows:
+                except ValueError as exc:
+                    raise _first_malformed_line(path, exc) from None
+        if not data.size:
             raise ValueError("event CSV contains no rows")
-        column = {name: k for k, name in enumerate(CSV_COLUMNS)}
-        trial = np.array([int(r[column["trial"]]) for r in rows])
-        party = np.array([int(r[column["party"]]) for r in rows])
+        trial, party = data["trial"], data["party"]
         negative = np.flatnonzero((trial < 0) | (party < 0))
         if negative.size:
             k = negative[0]
@@ -215,26 +213,52 @@ class EventTable:
             t, p = divmod(missing, shape[1])
             raise ValueError(f"missing event for trial {t}, party {p}")
         if bin_labels is None:
-            bin_labels = tuple(dict.fromkeys(r[column["bin"]] for r in rows))
+            bin_labels = tuple(dict.fromkeys(data["bin"]))
         code = {label: k for k, label in enumerate(bin_labels)}
-
-        def grid(name, convert=int):
-            k = column[name]
-            out = np.empty(shape, dtype=np.int64)
-            out[trial, party] = [convert(r[k]) for r in rows]
-            return out
-
         try:
-            bins = grid("bin", code.__getitem__)
+            codes = np.fromiter(map(code.__getitem__, data["bin"]), np.int64, data.size)
         except KeyError as exc:
             raise ValueError(f"bin label {exc.args[0]!r} not in {bin_labels}") from None
-        flags = grid("selected")
+
+        def grid(values):
+            out = np.empty(shape, dtype=np.int64)
+            out[trial, party] = values
+            return out
+
+        flags = grid(data["selected"])
         if not ((flags == 0) | (flags == 1)).all():
             raise ValueError("selected flags must be 0 or 1")
         mixed = np.flatnonzero((flags != flags[:, :1]).any(axis=1))
         if mixed.size:
             raise ValueError(f"inconsistent selected flags in trial {mixed[0]}")
-        return cls(grid("setting"), bins, grid("sign"), flags[:, 0] == 1, bin_labels)
+        settings, signs = grid(data["setting"]), grid(data["sign"])
+        return cls(settings, grid(codes), signs, flags[:, 0] == 1, bin_labels)
+
+
+def _first_malformed_line(path, error: ValueError) -> ValueError:
+    """Name the physical line of the row ``np.loadtxt`` rejected.
+
+    loadtxt numbers rows, not lines, so re-scan with ``csv.reader`` and
+    return the first row with the wrong field count or a non-integer field,
+    or ``error`` itself if no row is found."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue  # blank line
+            if len(row) != len(CSV_COLUMNS):
+                return ValueError(
+                    f"line {reader.line_num}: {len(row)} fields, expected {len(CSV_COLUMNS)}"
+                )
+            for name, field in zip(CSV_COLUMNS, row):
+                if name != "bin" and not (
+                    _INT_FIELD.fullmatch(field) and -(2**63) <= int(field) < 2**63
+                ):
+                    return ValueError(
+                        f"line {reader.line_num}: {name} {field!r} is not a 64-bit integer"
+                    )
+    return error
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -5,11 +8,12 @@ from hypothesis import strategies as st
 
 from etbell.events import (
     CSV_COLUMNS,
-    EventRecord,
     EventTable,
     all_equal,
     mermin_estimate,
 )
+from etbell.lhv import event_stream, saturating_model
+from etbell.source import source_event_stream
 
 
 def _small_table():
@@ -28,20 +32,32 @@ def test_all_equal():
     assert all_equal(("S",))
 
 
-def test_event_table_sequence_protocol():
-    table = _small_table()
-    assert table.n_trials == 3
-    assert table.n_parties == 3
-    assert len(table) == 9
-    first = table[0]
-    assert first == EventRecord(0, 0, 0, "S", 1, True)
-    assert table[-1] == EventRecord(2, 2, 1, "L", -1, True)
-    assert table[4] == EventRecord(1, 1, 1, "L", 1, False)
-    with pytest.raises(IndexError):
-        table[9]
-    records = list(table)
-    assert len(records) == 9
-    assert records[3].trial == 1
+def _reference_write_csv(table, path):
+    """The per-row ``csv.writer`` loop the vectorised writer must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for trial in range(table.n_trials):
+            for party in range(table.n_parties):
+                writer.writerow(
+                    (
+                        trial,
+                        party,
+                        int(table.settings[trial, party]),
+                        table.bin_labels[table.bins[trial, party]],
+                        int(table.signs[trial, party]),
+                        int(table.selected[trial]),
+                    )
+                )
+
+
+def _assert_same_events(again, table):
+    """Equal columns and equal decoded bin labels; the label tuples may differ."""
+    assert again.settings.shape == table.settings.shape
+    for column in ("settings", "signs", "selected"):
+        assert (getattr(again, column) == getattr(table, column)).all()
+    decoded = [np.array(t.bin_labels, dtype=object)[t.bins] for t in (again, table)]
+    assert (decoded[0] == decoded[1]).all()
 
 
 def test_event_table_validation():
@@ -51,6 +67,13 @@ def test_event_table_validation():
         EventTable([[0, 0]], [[0, 5]], [[1, 1]], [True], ("S", "L"))
     with pytest.raises(ValueError):
         EventTable([[0, 0]], [[0, 0]], [[1, 1]], [True, False])
+
+
+def test_event_table_dimensions():
+    table = _small_table()
+    assert table.n_trials == 3
+    assert table.n_parties == 3
+    assert len(table) == 9  # CSV rows, one per (trial, party) cell
 
 
 def test_selection_rate():
@@ -64,9 +87,10 @@ def test_csv_round_trip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
     again = EventTable.read_csv(path)
-    assert list(again) == list(table)
+    _assert_same_events(again, table)
     forced = EventTable.read_csv(path, bin_labels=("S", "L"))
-    assert list(forced) == list(table)
+    _assert_same_events(forced, table)
+    assert (forced.bins == table.bins).all()
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -214,4 +238,56 @@ def test_csv_round_trip_property(tmp_path, table):
     for column in ("settings", "bins", "signs", "selected"):
         assert (getattr(again, column) == getattr(table, column)).all()
     assert again.bin_labels == table.bin_labels
-    assert list(EventTable.read_csv(path)) == list(table)
+    _assert_same_events(EventTable.read_csv(path), table)
+    reference = tmp_path / "reference.csv"
+    _reference_write_csv(table, reference)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: event_stream(saturating_model(), 100_000, seed=7),
+        lambda: source_event_stream(100_000, seed=7),
+    ],
+    ids=["lhv", "source"],
+)
+def test_csv_writer_matches_reference_on_seeded_streams(tmp_path, make):
+    table = make()
+    table.write_csv(tmp_path / "events.csv")
+    _reference_write_csv(table, tmp_path / "reference.csv")
+    digests = [
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("events.csv", "reference.csv")
+    ]
+    assert digests[0] == digests[1]
+
+
+def test_csv_error_names_physical_line(tmp_path):
+    # header, row, blank line, a row whose quoted label spans two lines,
+    # then a short row on line 6 (csv.reader's line_num)
+    path = tmp_path / "events.csv"
+    body = '0,0,0,S,1,1\r\n\r\n0,1,0,"a\r\nb",1,1\r\n0,2,0,S\r\n'
+    path.write_bytes((",".join(CSV_COLUMNS) + "\r\n" + body).encode())
+    with pytest.raises(ValueError, match="^line 6: 4 fields, expected 6$"):
+        EventTable.read_csv(path)
+
+
+@pytest.mark.parametrize("field", ["1.0", "x", "", "1_0", str(2**63)])
+@pytest.mark.parametrize("column", [0, 4])
+def test_csv_rejects_non_integer_field_with_line(tmp_path, field, column):
+    row = ["1", "0", "0", "S", "1", "1"]
+    row[column] = field
+    path = tmp_path / "events.csv"
+    path.write_text(f"{','.join(CSV_COLUMNS)}\n0,0,0,S,1,1\n\n{','.join(row)}\n")
+    message = f"^line 4: {CSV_COLUMNS[column]} {field!r} is not a 64-bit integer$"
+    with pytest.raises(ValueError, match=message):
+        EventTable.read_csv(path)
+
+
+@pytest.mark.parametrize("body", ["", "\r\n", "\n\n"])
+def test_csv_header_only_has_no_rows(tmp_path, body):
+    path = tmp_path / "events.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + body)
+    with pytest.raises(ValueError, match="^event CSV contains no rows$"):
+        EventTable.read_csv(path)
