@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -32,8 +33,9 @@ import numpy as np
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
 # Trials rendered per write, so the writer's memory does not grow with the table.
 CSV_CHUNK_TRIALS = 4096
-# One CSV row as np.loadtxt parses it: every column an integer but the label.
-_CSV_DTYPE = np.dtype([(name, object if name == "bin" else np.int64) for name in CSV_COLUMNS])
+# One CSV row as np.loadtxt parses it: every column an integer, the bin
+# label as its code (see _LabelCodes).
+_CSV_DTYPE = np.dtype([(name, np.int64) for name in CSV_COLUMNS])
 # An integer field as np.loadtxt accepts it (given an int64 value); used
 # only to name a failing line.
 _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -150,7 +152,8 @@ class EventTable:
         ``csv.writer`` renders each distinct row suffix
         ``party,setting,bin,sign,selected`` once; every cell then picks its
         suffix by an integer code and gets its trial number prepended,
-        :data:`CSV_CHUNK_TRIALS` trials at a time.
+        :data:`CSV_CHUNK_TRIALS` trials at a time. An existing regular file at
+        ``path`` is unlinked and written anew, not truncated.
         """
         parties, n_labels = self.n_parties, len(self.bin_labels)
         buf = io.StringIO()
@@ -163,6 +166,12 @@ class EventTable:
             suffixes.append(buf.getvalue())
         suffixes = np.array(suffixes, dtype=object)
         party = np.arange(parties)
+        if os.path.isfile(path) and not os.path.islink(path):
+            # Replace a regular file instead of truncating it: ext4 flushes a
+            # file truncated to zero to disk when it is closed, a wait of
+            # tenths of a second that follows the disk's load. A symlink is
+            # written through, as before.
+            os.unlink(path)
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(CSV_COLUMNS)
             for start in range(0, self.n_trials, CSV_CHUNK_TRIALS):
@@ -181,6 +190,8 @@ class EventTable:
         ``selected``; a violation names the first offending line or cell.
         Blank lines are skipped. Without ``bin_labels`` the labels are taken
         in order of first appearance."""
+        codes = _LabelCodes({label: k for k, label in enumerate(bin_labels or ())})
+        n_known = len(codes)
         with open(path, newline="") as fh:
             if tuple(next(csv.reader([fh.readline()]), ())) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header in {path}")
@@ -189,7 +200,13 @@ class EventTable:
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 try:
                     data = np.loadtxt(
-                        fh, delimiter=",", quotechar='"', comments=None, dtype=_CSV_DTYPE, ndmin=1
+                        fh,
+                        delimiter=",",
+                        quotechar='"',
+                        comments=None,
+                        dtype=_CSV_DTYPE,
+                        ndmin=1,
+                        converters={CSV_COLUMNS.index("bin"): codes.__getitem__},
                     )
                 except ValueError as exc:
                     raise _first_malformed_line(path, exc) from None
@@ -213,12 +230,9 @@ class EventTable:
             t, p = divmod(missing, shape[1])
             raise ValueError(f"missing event for trial {t}, party {p}")
         if bin_labels is None:
-            bin_labels = tuple(dict.fromkeys(data["bin"]))
-        code = {label: k for k, label in enumerate(bin_labels)}
-        try:
-            codes = np.fromiter(map(code.__getitem__, data["bin"]), np.int64, data.size)
-        except KeyError as exc:
-            raise ValueError(f"bin label {exc.args[0]!r} not in {bin_labels}") from None
+            bin_labels = tuple(codes)
+        elif len(codes) > n_known:
+            raise ValueError(f"bin label {list(codes)[n_known]!r} not in {bin_labels}")
 
         def grid(values):
             out = np.empty(shape, dtype=np.int64)
@@ -232,7 +246,7 @@ class EventTable:
         if mixed.size:
             raise ValueError(f"inconsistent selected flags in trial {mixed[0]}")
         settings, signs = grid(data["setting"]), grid(data["sign"])
-        return cls(settings, grid(codes), signs, flags[:, 0] == 1, bin_labels)
+        return cls(settings, grid(data["bin"]), signs, flags[:, 0] == 1, bin_labels)
 
 
 def _first_malformed_line(path, error: ValueError) -> ValueError:
@@ -259,6 +273,18 @@ def _first_malformed_line(path, error: ValueError) -> ValueError:
                         f"line {reader.line_num}: {name} {field!r} is not a 64-bit integer"
                     )
     return error
+
+
+class _LabelCodes(dict):
+    """Bin label -> code; an unseen label gets the next code.
+
+    ``np.loadtxt`` calls ``__getitem__`` on each bin field, so the column is
+    parsed straight to integer codes, with the labels in order of first
+    appearance, and no string outlives its row."""
+
+    def __missing__(self, label: str) -> int:
+        self[label] = code = len(self)
+        return code
 
 
 @dataclass(frozen=True)

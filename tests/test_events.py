@@ -199,6 +199,28 @@ def test_csv_rejects_unknown_bin_label(tmp_path):
         EventTable.read_csv(path, bin_labels=("S", "L"))
 
 
+def test_csv_unknown_bin_label_is_the_first_in_the_file(tmp_path):
+    path = tmp_path / "events.csv"
+    _write_events(path, [(0, 0, 0, "S", 1, 1), (0, 1, 0, "Y", 1, 1), (0, 2, 0, "X", 1, 1)])
+    with pytest.raises(ValueError, match="^bin label 'Y' not in"):
+        EventTable.read_csv(path, bin_labels=("S", "L"))
+
+
+def test_csv_write_replaces_an_existing_file(tmp_path):
+    path = tmp_path / "events.csv"
+    event_stream(saturating_model(), 50, seed=1).write_csv(path)
+    table = _small_table()
+    table.write_csv(path)
+    _assert_same_events(EventTable.read_csv(path), table)
+    # a symlink is written through, not replaced
+    link = tmp_path / "link.csv"
+    link.symlink_to(path)
+    event_stream(saturating_model(), 50, seed=2).write_csv(link)
+    table.write_csv(link)
+    assert link.is_symlink()
+    _assert_same_events(EventTable.read_csv(path), table)
+
+
 @pytest.mark.parametrize(
     "row, line",
     [
