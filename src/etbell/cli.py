@@ -20,10 +20,11 @@ The parser is the only configuration: each leaf command declares the flags
 it reads, with their defaults, and registers its handler, which receives the
 parsed arguments. ``--out`` names the report file, except for ``lhv stream``
 and ``source stream`` (the events CSV) and ``network decompose`` (the mesh
-JSON), which then print the report. ``--tol`` is a positive check tolerance
-on the commands that compare a float against one; ``--trials`` and
-``--seed`` exist only on the sampling commands (``lhv stream``,
-``source stream``, ``source audit``).
+JSON), which then print the report. Every file written (``--out``,
+``--sweep-out``) replaces an existing one rather than truncating it.
+``--tol`` is a positive check tolerance on the commands that compare a
+float against one; ``--trials`` and ``--seed`` exist only on the sampling
+commands (``lhv stream``, ``source stream``, ``source audit``).
 
 Reports are JSON with sorted keys and full-precision floats; streams and
 sweeps are CSV. Identical arguments (including seeds) produce byte-identical
@@ -54,10 +55,11 @@ from .lhv import (
     saturating_model,
     scaled_model,
 )
-from .numerics import matrix_from_json, matrix_to_json, unitarity_defect
+from .numerics import matrix_from_json, matrix_to_json, open_replacing, unitarity_defect
 from .optics import (
     compose,
     decomposition_from_json,
+    decomposition_text,
     decomposition_to_json,
     dft_unitary,
     generation_cascade,
@@ -118,7 +120,7 @@ def _emit(report: dict, args, stdout, path: str | None) -> int:
     report["passed"] = all(c["passed"] for c in checks)
     text = json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
     if path:
-        with open(path, "w") as fh:
+        with open_replacing(path) as fh:
             fh.write(text)
     else:
         stdout.write(text)
@@ -187,7 +189,7 @@ def cmd_mermin_quantum(args, stdout) -> int:
 
 def _write_sweep(path: str, points: int) -> None:
     state = ghz_state(3)
-    with open(path, "w") as fh:
+    with open_replacing(path) as fh:
         fh.write("phase,term1,term2,term3,term4,mu\n")
         for k in range(points):
             delta = 2 * math.pi * k / points
@@ -330,17 +332,15 @@ def cmd_network_decompose(args, stdout) -> int:
         u = matrix_from_json(json.load(fh))
     dec = reck_decompose(u, tol=args.tol)
     err = float(np.abs(dec.reconstruct() - u).max())
-    net_json = decomposition_to_json(dec)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(net_json, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open_replacing(args.out) as fh:
+            fh.write(decomposition_text(dec))
     report = {
         "infile": args.infile,
         "n_elements": len(dec.network.elements),
         "residual_phases": [float(p) for p in dec.residual_phases],
         "roundtrip_error": err,
-        "network_json": None if args.out else net_json,
+        "network_json": None if args.out else decomposition_to_json(dec),
         "network_out": args.out,
         "checks": [_check("roundtrip_error", err, err <= 1e-9, 1e-9)],
     }

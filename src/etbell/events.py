@@ -11,10 +11,11 @@ terms are ``<A0 B0 C1>, <A0 B1 C0>, <A1 B0 C0>, <A1 B1 C1>`` and
 
 Both the hidden-variable simulators and the quantum samplers emit
 :class:`EventTable`; downstream coincidence analysis is therefore identical
-for every model. A table stores each field as one (trials, parties) int8
-array, so million-trial runs stay cheap, and its CSV codec works on whole
-arrays: the writer looks each row up in a table of pre-rendered rows, and
-the reader parses the body with one ``np.loadtxt`` call.
+for every model. A table stores each field as one small-integer
+(trials, parties) array, so million-trial runs stay cheap, and its CSV
+codec works on whole arrays: the writer looks each row up in a table of
+pre-rendered rows, and the reader parses the body with one ``np.loadtxt``
+call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -30,12 +30,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from .numerics import open_replacing
+
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
 # Trials rendered per write, so the writer's memory does not grow with the table.
 CSV_CHUNK_TRIALS = 4096
 # One CSV row as np.loadtxt parses it: every column an integer, the bin
 # label as its code (see _LabelCodes).
 _CSV_DTYPE = np.dtype([(name, np.int64) for name in CSV_COLUMNS])
+# Bin codes are at most int16, so a table holds at most this many labels.
+_MAX_BIN_LABELS = 2**15
 # An integer field as np.loadtxt accepts it (given an int64 value); used
 # only to name a failing line.
 _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -95,13 +99,13 @@ class EventTable:
     """Columnar event stream: one row per trial, one column per party."""
 
     settings: np.ndarray  # (trials, parties) int8
-    bins: np.ndarray  # (trials, parties) int8, codes into bin_labels
+    bins: np.ndarray  # (trials, parties) codes into bin_labels, int16 past 128 labels
     signs: np.ndarray  # (trials, parties) int8, values +1/-1
     selected: np.ndarray  # (trials,) bool
     bin_labels: tuple[str, ...] = ("S", "L")
 
     def __post_init__(self):
-        # Check values before narrowing to int8, which would wrap 257 to 1.
+        # Check values before narrowing to int8/int16, which would wrap 257 to 1.
         settings = np.asarray(self.settings)
         bins = np.asarray(self.bins)
         signs = np.asarray(self.signs)
@@ -116,9 +120,13 @@ class EventTable:
             raise ValueError("settings must be 0 or 1")
         if not ((signs == 1) | (signs == -1)).all():
             raise ValueError("signs must be +1 or -1")
+        if len(self.bin_labels) > _MAX_BIN_LABELS:
+            raise ValueError(f"at most {_MAX_BIN_LABELS} bin labels, got {len(self.bin_labels)}")
         if bins.size and not (0 <= bins.min() and bins.max() < len(self.bin_labels)):
             raise ValueError("bin code outside bin_labels")
-        settings, bins, signs = (a.astype(np.int8) for a in (settings, bins, signs))
+        settings, signs = settings.astype(np.int8), signs.astype(np.int8)
+        # the narrowest type that holds every code: int8 up to 128 labels
+        bins = bins.astype(np.int8 if len(self.bin_labels) <= 128 else np.int16)
         for arr in (settings, bins, signs, selected):
             arr.setflags(write=False)
         object.__setattr__(self, "settings", settings)
@@ -152,8 +160,8 @@ class EventTable:
         ``csv.writer`` renders each distinct row suffix
         ``party,setting,bin,sign,selected`` once; every cell then picks its
         suffix by an integer code and gets its trial number prepended,
-        :data:`CSV_CHUNK_TRIALS` trials at a time. An existing regular file at
-        ``path`` is unlinked and written anew, not truncated.
+        :data:`CSV_CHUNK_TRIALS` trials at a time. An existing file at
+        ``path`` is replaced, not truncated (:func:`open_replacing`).
         """
         parties, n_labels = self.n_parties, len(self.bin_labels)
         buf = io.StringIO()
@@ -166,13 +174,7 @@ class EventTable:
             suffixes.append(buf.getvalue())
         suffixes = np.array(suffixes, dtype=object)
         party = np.arange(parties)
-        if os.path.isfile(path) and not os.path.islink(path):
-            # Replace a regular file instead of truncating it: ext4 flushes a
-            # file truncated to zero to disk when it is closed, a wait of
-            # tenths of a second that follows the disk's load. A symlink is
-            # written through, as before.
-            os.unlink(path)
-        with open(path, "w", newline="") as fh:
+        with open_replacing(path, newline="") as fh:
             csv.writer(fh).writerow(CSV_COLUMNS)
             for start in range(0, self.n_trials, CSV_CHUNK_TRIALS):
                 rows = slice(start, start + CSV_CHUNK_TRIALS)

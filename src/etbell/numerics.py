@@ -2,8 +2,10 @@
 
 Matrices are plain ``numpy`` arrays of ``complex128``; the functions here add
 the validation the rest of the package leans on (finite entries, shape
-discipline, unitarity checks). :class:`StateVector` pairs an amplitude vector
-with basis labels so states stay self-describing when subsystems combine.
+discipline, unitarity checks), with the strict JSON field readers and the
+one file writer (:func:`open_replacing`) every output goes through.
+:class:`StateVector` pairs an amplitude vector with basis labels so states
+stay self-describing when subsystems combine.
 
 All values are immutable after construction (arrays are marked read-only)
 and safe to share across threads.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +67,8 @@ def unitarity_defect(m) -> float:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("unitarity is defined for square matrices only")
+    if m.size == 0:
+        raise ValueError(f"unitarity is undefined for an empty matrix of shape {m.shape}")
     residual = m.conj().T @ m - np.eye(m.shape[0])
     return float(np.abs(residual).max())
 
@@ -166,9 +171,28 @@ def json_dim(value, field: str) -> int:
 
 def json_real(value, field: str) -> float:
     """A finite JSON number (not a bool or a string) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if (
+        type(value) is not float
+        and (isinstance(value, bool) or not isinstance(value, (int, float)))
+        or not math.isfinite(value)
+    ):
         raise ValueError(f"{field} must be a finite number, got {value!r}")
     return float(value)
+
+
+def open_replacing(path, newline=None):
+    """Open ``path`` for writing text, replacing an existing regular file
+    instead of truncating it.
+
+    ext4 flushes a file truncated to zero to disk when it is closed, a wait
+    of tens to hundreds of milliseconds that follows the disk's load.
+    Unlinking returns at once while the old file's data is not yet written
+    back, as when a run rewrites its own recent output. A symlink is
+    written through, not replaced.
+    """
+    if os.path.isfile(path) and not os.path.islink(path):
+        os.unlink(path)
+    return open(path, "w", newline=newline)
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
@@ -179,9 +203,13 @@ def matrix_from_json(data: dict) -> np.ndarray:
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(f"entries must be a list of rows*cols = {rows * cols} pairs")
-    flat = np.empty(rows * cols, dtype=complex)
+    parts: list = []
     for k, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"entries[{k}] must be a [re, im] pair, got {pair!r}")
-        flat[k] = complex(json_real(pair[0], f"entries[{k}]"), json_real(pair[1], f"entries[{k}]"))
-    return as_matrix(flat.reshape(rows, cols))
+        for x in pair:
+            if type(x) is not float or not math.isfinite(x):
+                json_real(x, f"entries[{k}]")  # raises unless x is a JSON integer
+        parts += pair
+    # consecutive (re, im) float64s viewed as complex128 are complex(re, im)
+    return as_matrix(np.array(parts, dtype=float).view(complex).reshape(rows, cols))

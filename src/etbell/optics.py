@@ -54,22 +54,29 @@ class OpticalElement:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not all(is_integer(m) for m in self.modes):
-            raise ValueError(f"modes must be integers, got {self.modes!r}")
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
-        if any(m < 0 for m in self.modes):
+        # Exact ints and floats skip the numbers ABC checks, which are slow.
+        for m in self.modes:
+            if type(m) is not int and not is_integer(m):
+                raise ValueError(f"modes must be integers, got {self.modes!r}")
+        modes = tuple(map(int, self.modes))
+        object.__setattr__(self, "modes", modes)
+        if min(modes, default=0) < 0:
             raise ValueError("mode indices must be nonnegative")
-        for name in ("reflectivity", "phase"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        for name, value in (("reflectivity", self.reflectivity), ("phase", self.phase)):
+            if (
+                type(value) is not float
+                and type(value) is not int
+                and (isinstance(value, bool) or not isinstance(value, numbers.Real))
+                or not math.isfinite(value)
+            ):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.kind == BEAM_SPLITTER:
-            if len(self.modes) != 2 or self.modes[0] == self.modes[1]:
+            if len(modes) != 2 or modes[0] == modes[1]:
                 raise ValueError("beam splitter needs two distinct modes")
             if not 0.0 <= self.reflectivity <= 1.0:
                 raise ValueError("reflectivity must lie in [0, 1]")
         elif self.kind == PHASE_SHIFTER:
-            if len(self.modes) != 1:
+            if len(modes) != 1:
                 raise ValueError("phase shifter acts on exactly one mode")
             if self.reflectivity != 0.0:
                 raise ValueError("a phase shifter has no reflectivity")
@@ -94,7 +101,9 @@ class InterferometerNetwork:
         if not is_integer(self.n_modes) or self.n_modes < 1:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes!r}")
         object.__setattr__(self, "elements", tuple(self.elements))
-        for el in self.elements:
+        for k, el in enumerate(self.elements):
+            if not isinstance(el, OpticalElement):
+                raise ValueError(f"elements[{k}] must be an OpticalElement, got {el!r}")
             if max(el.modes) >= self.n_modes:
                 raise ValueError(
                     f"element on modes {el.modes} exceeds n_modes={self.n_modes}"
@@ -127,15 +136,19 @@ def bs_unitary(reflectivity: float, phase: float, modes: tuple[int, int], n: int
 def compose(network: InterferometerNetwork) -> np.ndarray:
     """Total unitary of the network (elements applied in propagation order).
 
-    Each element changes only the rows of the modes it acts on.
+    Each element changes only the rows of the modes it acts on. A splitter
+    on ascending adjacent modes (every Reck stage) reads and writes its two
+    rows as one slice view instead of a fancy-indexed copy.
     """
     u = np.eye(network.n_modes, dtype=complex)
     for el in network.elements:
-        rows = list(el.modes)
+        modes = el.modes
         if el.kind == BEAM_SPLITTER:
+            i, j = modes
+            rows = slice(i, i + 2) if j == i + 1 else list(modes)
             u[rows] = _bs_block(el.reflectivity, el.phase) @ u[rows]
         else:
-            u[rows] *= np.exp(1j * el.phase)
+            u[modes[0]] *= np.exp(1j * el.phase)
     u.setflags(write=False)
     return u
 
@@ -241,6 +254,11 @@ class ReckDecomposition:
 
     def __post_init__(self):
         phases = np.array(self.residual_phases, dtype=float).reshape(-1)
+        n = self.network.n_modes
+        if phases.size != n:
+            raise ValueError(f"residual_phases needs one phase per mode ({n}), got {phases.size}")
+        if not np.isfinite(phases).all():
+            raise ValueError("residual_phases must be finite")
         phases.setflags(write=False)
         object.__setattr__(self, "residual_phases", phases)
 
@@ -263,30 +281,36 @@ def reck_decompose(u, tol: float = DEFAULT_TOL) -> ReckDecomposition:
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ValueError("can only decompose square matrices")
+    if u.size == 0:
+        raise ValueError(f"cannot decompose an empty matrix of shape {u.shape}")
     if not is_unitary(u, tol):
         raise ValueError("input matrix is not unitary within tolerance")
     n = u.shape[0]
-    w = np.array(u)
+    # Row k of w is column k of the matrix being reduced, so every stage
+    # updates two contiguous rows. Stage i reads and writes only the live
+    # entries i: of them; those left of i are exact zeros by then and feed
+    # neither a later stage nor the residual diagonal.
+    w = np.array(u.T)
     elements: list[OpticalElement] = []
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            a = w[i, j]
-            b = w[i, j + 1]
+            a = w[j, i]
+            b = w[j + 1, i]
             if b == 0:
                 continue
             psi = float(np.angle(b) - np.angle(a))
-            h = math.hypot(abs(a), abs(b))
-            t = abs(a) / h
-            r = abs(b) / h
-            w[:, j + 1] *= np.exp(-1j * psi)
-            cj = w[:, j].copy()
-            ck = w[:, j + 1].copy()
-            w[:, j] = cj * t + ck * r
-            w[:, j + 1] = cj * r - ck * t
-            w[i, j + 1] = 0.0
+            abs_a, abs_b = abs(a), abs(b)
+            h = math.hypot(abs_a, abs_b)
+            t = abs_a / h
+            r = abs_b / h
+            cj = w[j, i:]
+            ck = w[j + 1, i:]
+            ck *= np.exp(-1j * psi)
+            w[j, i:], w[j + 1, i:] = cj * t + ck * r, cj * r - ck * t
+            w[j + 1, i] = 0.0
             if psi != 0.0:
                 elements.append(phase_shifter(j + 1, psi))
-            elements.append(beam_splitter(j, j + 1, r * r))
+            elements.append(beam_splitter(j, j + 1, float(r * r)))
     phases = np.angle(np.diag(w))
     return ReckDecomposition(InterferometerNetwork(n, tuple(elements)), phases)
 
@@ -339,6 +363,60 @@ def decomposition_to_json(dec: ReckDecomposition) -> dict:
     data = network_to_json(dec.network)
     data["residual_phases"] = [float(p) for p in dec.residual_phases]
     return data
+
+
+# One element of the mesh file, as json.dumps(..., indent=2, sort_keys=True)
+# writes it inside the "elements" list.
+_SPLITTER_JSON = (
+    '    {\n      "R": %s,\n      "kind": "' + BEAM_SPLITTER + '",\n      "modes": [\n'
+    '        %d,\n        %d\n      ],\n      "phase": %s\n    }'
+)
+_SHIFTER_JSON = (
+    '    {\n      "kind": "' + PHASE_SHIFTER + '",\n      "modes": [\n        %d\n      ],\n'
+    '      "phase": %s\n    }'
+)
+
+
+def _json_number(value) -> str:
+    """A number as ``json.dumps`` writes it; like json, refuse other types."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_block(lines: list[str]) -> str:
+    """A JSON list at nesting level 1 from its already indented items."""
+    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
+
+
+def decomposition_text(dec: ReckDecomposition) -> str:
+    """The mesh file: the text of ``json.dumps(decomposition_to_json(dec),
+    indent=2, sort_keys=True) + "\\n"``.
+
+    Each element is rendered from its kind's template instead of through
+    json's indenting encoder, which is pure Python.
+    """
+    items = []
+    for el in dec.network.elements:
+        r, p = el.reflectivity, el.phase
+        # "%s" writes an exact float as its repr, as json does
+        if type(r) is not float:
+            r = _json_number(r)
+        if type(p) is not float:
+            p = _json_number(p)
+        if el.kind == BEAM_SPLITTER:
+            items.append(_SPLITTER_JSON % (r, *el.modes, p))
+        else:
+            items.append(_SHIFTER_JSON % (*el.modes, p))
+    phases = ["    " + float.__repr__(p) for p in dec.residual_phases.tolist()]
+    return (
+        '{\n  "elements": ' + _json_block(items)
+        + ',\n  "n_modes": ' + _json_number(dec.network.n_modes)
+        + ',\n  "residual_phases": ' + _json_block(phases)
+        + "\n}\n"
+    )
 
 
 def decomposition_from_json(data: dict) -> ReckDecomposition:

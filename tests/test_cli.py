@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from etbell.cli import build_parser, main
+from etbell.lhv import event_stream, saturating_model
 from etbell.numerics import matrix_from_json, matrix_to_json
 from etbell.optics import dft_unitary
 
@@ -314,6 +315,56 @@ def test_json_report_written_to_file(tmp_path):
     assert text == ""
     report = json.loads(out.read_text())
     assert report["passed"] is True
+
+
+def _cli_writes(argv):
+    def write(path, version):
+        assert main([*argv(version), str(path)], stdout=io.StringIO()) == 0
+
+    return write
+
+
+def _events_csv(path, version):
+    event_stream(saturating_model(), 50, seed=version).write_csv(path)
+
+
+def _mesh(path, version):
+    infile = path.parent / f"unitary{version}.json"
+    infile.write_text(json.dumps(matrix_to_json(random_unitary(3 + version, seed=version))))
+    run = ["network", "decompose", "--in", str(infile), "--out", str(path)]
+    assert main(run, stdout=io.StringIO()) == 0
+
+
+# writer -> write(path, version): two versions give two different files
+OUT_WRITERS = {
+    "events_csv": _events_csv,
+    "report": _cli_writes(lambda k: ["network", "dft", "--n", str(2 + k), "--out"]),
+    "sweep_csv": _cli_writes(lambda k: ["mermin-quantum", "--sweep", str(3 + k), "--sweep-out"]),
+    "mesh": _mesh,
+}
+
+
+@pytest.mark.parametrize("writer", OUT_WRITERS)
+def test_out_file_is_replaced_not_truncated(tmp_path, writer):
+    write = OUT_WRITERS[writer]
+    fresh = []
+    for version in (0, 1):
+        write(tmp_path / f"fresh{version}", version)
+        fresh.append((tmp_path / f"fresh{version}").read_bytes())
+    assert fresh[0] != fresh[1]
+    path = tmp_path / "out"
+    write(path, 0)
+    # a hard link keeps naming the old file once the path is replaced
+    os.link(path, tmp_path / "old")
+    write(path, 1)
+    assert path.read_bytes() == fresh[1]
+    assert (tmp_path / "old").read_bytes() == fresh[0]
+    # a symlink is written through, not replaced
+    link = tmp_path / "link"
+    link.symlink_to(path)
+    write(link, 0)
+    assert link.is_symlink()
+    assert path.read_bytes() == fresh[0]
 
 
 def test_cli_import_does_not_load_scipy():

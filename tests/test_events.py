@@ -69,6 +69,19 @@ def test_event_table_validation():
         EventTable([[0, 0]], [[0, 0]], [[1, 1]], [True, False])
 
 
+@pytest.mark.parametrize("n_labels, code", [(128, 127), (129, 128), (200, 150), (2**15, 2**15 - 1)])
+def test_event_table_keeps_bin_codes_past_int8(n_labels, code):
+    labels = tuple(f"b{k}" for k in range(n_labels))
+    table = EventTable([[0]], [[code]], [[1]], [True], labels)
+    assert table.bins[0, 0] == code
+    assert table.bin_labels[table.bins[0, 0]] == f"b{code}"
+
+
+def test_event_table_rejects_more_labels_than_codes():
+    with pytest.raises(ValueError, match="bin labels"):
+        EventTable([[0]], [[0]], [[1]], [True], tuple(str(k) for k in range(2**15 + 1)))
+
+
 def test_event_table_dimensions():
     table = _small_table()
     assert table.n_trials == 3
@@ -204,21 +217,6 @@ def test_csv_unknown_bin_label_is_the_first_in_the_file(tmp_path):
     _write_events(path, [(0, 0, 0, "S", 1, 1), (0, 1, 0, "Y", 1, 1), (0, 2, 0, "X", 1, 1)])
     with pytest.raises(ValueError, match="^bin label 'Y' not in"):
         EventTable.read_csv(path, bin_labels=("S", "L"))
-
-
-def test_csv_write_replaces_an_existing_file(tmp_path):
-    path = tmp_path / "events.csv"
-    event_stream(saturating_model(), 50, seed=1).write_csv(path)
-    table = _small_table()
-    table.write_csv(path)
-    _assert_same_events(EventTable.read_csv(path), table)
-    # a symlink is written through, not replaced
-    link = tmp_path / "link.csv"
-    link.symlink_to(path)
-    event_stream(saturating_model(), 50, seed=2).write_csv(link)
-    table.write_csv(link)
-    assert link.is_symlink()
-    _assert_same_events(EventTable.read_csv(path), table)
 
 
 @pytest.mark.parametrize(

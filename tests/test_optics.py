@@ -10,10 +10,13 @@ from etbell.numerics import unitarity_defect
 from etbell.optics import (
     InterferometerNetwork,
     OpticalElement,
+    ReckDecomposition,
     analyzer_matrix,
     beam_splitter,
     bs_unitary,
     compose,
+    decomposition_text,
+    decomposition_to_json,
     dft_unitary,
     element_from_json,
     generation_cascade,
@@ -383,3 +386,73 @@ def test_element_rejects_non_integer_modes():
         OpticalElement("beam_splitter", (0.9, 1.2), 0.5)
     with pytest.raises(ValueError, match="n_modes"):
         InterferometerNetwork(2.9, ())
+
+
+def test_network_rejects_an_element_that_is_not_one():
+    with pytest.raises(ValueError, match=r"elements\[1\]"):
+        InterferometerNetwork(2, (phase_shifter(0, 0.5), "x"))
+
+
+@pytest.mark.parametrize("call", [reck_decompose, unitarity_defect])
+def test_empty_matrix_is_rejected_with_its_shape(call):
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        call(np.zeros((0, 0)))
+
+
+def _json_reference(dec):
+    """The mesh file as the JSON module writes it."""
+    return json.dumps(decomposition_to_json(dec), indent=2, sort_keys=True) + "\n"
+
+
+# numbers as the mesh may hold them: ints, -0.0, numpy scalars, and numpy
+# types that json cannot write
+_REALS = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from([0, 1, -0.0, 0.0, 1.0]),
+    st.floats(min_value=-10.0, max_value=10.0).map(np.float64),
+    st.sampled_from([np.int64(0), np.float32(0.5)]),
+)
+
+
+@st.composite
+def _decompositions(draw):
+    n_modes = draw(st.integers(min_value=1, max_value=14))
+    mode = st.integers(min_value=0, max_value=n_modes - 1)
+    elements = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        i = draw(mode)
+        phase = draw(_REALS)
+        if n_modes > 1 and draw(st.booleans()):
+            j = draw(mode.filter(lambda m: m != i))
+            r = draw(_REALS.filter(lambda x: 0 <= x <= 1))
+            elements.append(beam_splitter(draw(st.sampled_from([i, np.int64(i)])), j, r, phase))
+        else:
+            elements.append(phase_shifter(i, phase))
+    phases = draw(st.lists(_REALS, min_size=n_modes, max_size=n_modes))
+    return ReckDecomposition(InterferometerNetwork(n_modes, tuple(elements)), phases)
+
+
+@given(dec=_decompositions())
+@settings(max_examples=200, deadline=None)
+def test_mesh_text_is_what_json_writes(dec):
+    try:
+        want = _json_reference(dec)
+    except TypeError:
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            decomposition_text(dec)
+        return
+    assert decomposition_text(dec) == want
+
+
+def test_mesh_text_of_a_decomposed_unitary():
+    dec = reck_decompose(random_unitary(12, seed=5))
+    assert decomposition_text(dec) == _json_reference(dec)
+    empty = reck_decompose(np.eye(3))
+    assert decomposition_text(empty) == _json_reference(empty)
+    assert '"elements": [],' in decomposition_text(empty)
+
+
+@pytest.mark.parametrize("phases", [[0.0], [0.0, float("nan")], [0.0, float("inf")]])
+def test_decomposition_needs_one_finite_phase_per_mode(phases):
+    with pytest.raises(ValueError, match="residual_phases"):
+        ReckDecomposition(InterferometerNetwork(2, ()), phases)
