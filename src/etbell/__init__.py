@@ -5,6 +5,8 @@ postselection rules, beam-splitter network algebra, and a pulsed-source
 coincidence model.
 """
 
+import importlib.machinery
+import importlib.util
 import os
 import sys
 
@@ -17,51 +19,40 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .events import EventTable, all_equal, mermin_estimate
-from .lhv import (
-    FixedBinInstruction,
-    LocalInstruction,
-    PostselectedCorrelations,
-    StrategyEnsemble,
-    evaluate_postselected,
-    event_stream,
-    max_mu_setting_dependent,
-    max_mu_setting_independent,
-    mermin_classical_bound,
-    saturating_model,
-    scaled_model,
-)
-from .numerics import DEFAULT_TOL, StateVector, is_unitary, matmul, tensor
-from .optics import (
-    InterferometerNetwork,
-    OpticalElement,
-    beam_splitter,
-    bs_unitary,
-    compose,
-    dft_unitary,
-    generation_cascade,
-    measurement_basis,
-    phase_shifter,
-    qutrit_analyzer,
-    reck_decompose,
-)
-from .source import (
-    coincidence_filter,
-    four_photon_state,
-    locality_audit,
-    source_event_stream,
-)
-from .states import (
-    MerminResult,
-    MultiPartyState,
-    correlators,
-    expectation,
-    ghz_state,
-    mermin3,
-    mermin_n,
-    prepare_postselected,
-    qunit_state,
-    standard_settings,
-)
-
 __version__ = "0.1.0"
+
+# The public names, by defining module. Each module is bound here lazily:
+# ``import etbell`` executes none of them, and a module's code runs on the
+# first access to one of its attributes, so a command pays only for the
+# modules it uses.
+_EXPORTS = {
+    "events": "EventTable all_equal mermin_estimate",
+    "lhv": "FixedBinInstruction LocalInstruction PostselectedCorrelations StrategyEnsemble "
+    "evaluate_postselected event_stream max_mu_setting_dependent max_mu_setting_independent "
+    "mermin_classical_bound saturating_model scaled_model",
+    "numerics": "DEFAULT_TOL StateVector is_unitary matmul tensor",
+    "optics": "InterferometerNetwork OpticalElement beam_splitter bs_unitary compose dft_unitary "
+    "generation_cascade measurement_basis phase_shifter qutrit_analyzer reck_decompose",
+    "source": "coincidence_filter four_photon_state locality_audit source_event_stream",
+    "states": "MerminResult MultiPartyState correlators expectation ghz_state mermin3 mermin_n "
+    "prepare_postselected qunit_state standard_settings",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+for _module in _EXPORTS:
+    _spec = importlib.machinery.PathFinder.find_spec(f"{__name__}.{_module}", __path__)
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_module])
+del _module, _spec
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        return getattr(globals()[_MODULE_OF[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -42,50 +42,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
-from .events import mermin_estimate
-from .lhv import (
-    ensemble_to_json,
-    evaluate_postselected,
-    event_stream,
-    marginal_distribution,
-    max_mu_setting_dependent,
-    max_mu_setting_independent,
-    mermin_classical_bound,
-    saturating_model,
-    scaled_model,
-)
-from .numerics import matrix_from_json, matrix_to_json, open_replacing, unitarity_defect
-from .optics import (
-    compose,
-    decomposition_from_json,
-    decomposition_text,
-    decomposition_to_json,
-    dft_unitary,
-    generation_cascade,
-    network_from_json,
-    network_to_json,
-    qutrit_analyzer,
-    reck_decompose,
-)
-from .source import (
-    coincidence_filter,
-    four_photon_state,
-    locality_audit,
-    source_event_stream,
-)
-from .states import (
-    PAULI_X,
-    PAULI_Y,
-    ghz_state,
-    mermin_n,
-    rotated_settings,
-    sample_measurement_events,
-    stabilizer_expectations,
-    state_to_json,
-)
-
-_PAULI_BY_CHAR = {"x": PAULI_X, "y": PAULI_Y}
+# Module-qualified calls keep each submodule unexecuted until a handler uses
+# it (the package binds them lazily), so a command runs only what it needs.
+from . import __version__, events, lhv, numerics, optics, source, states
 
 
 def _encode(obj):
@@ -120,7 +79,7 @@ def _emit(report: dict, args, stdout, path: str | None) -> int:
     report["passed"] = all(c["passed"] for c in checks)
     text = json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
     if path:
-        with open_replacing(path) as fh:
+        with numerics.open_replacing(path) as fh:
             fh.write(text)
     else:
         stdout.write(text)
@@ -128,7 +87,7 @@ def _emit(report: dict, args, stdout, path: str | None) -> int:
 
 
 def _unitary_report(args, m, stdout, **fields) -> int:
-    defect = unitarity_defect(m)
+    defect = numerics.unitarity_defect(m)
     report = {
         **fields,
         "unitarity_defect": defect,
@@ -140,14 +99,14 @@ def _unitary_report(args, m, stdout, **fields) -> int:
 def _parse_settings(spec: str, n: int):
     """Setting spec: two chars = (setting-0, setting-1) Paulis for every
     party; n chars = one Pauli per party used for both settings."""
+    pauli = {"x": states.PAULI_X, "y": states.PAULI_Y}
     spec = spec.lower()
-    if any(c not in _PAULI_BY_CHAR for c in spec):
+    if any(c not in pauli for c in spec):
         raise ValueError("settings may only use the characters x and y")
     if len(spec) == 2:
-        pair = (_PAULI_BY_CHAR[spec[0]], _PAULI_BY_CHAR[spec[1]])
-        return (pair,) * n
+        return ((pauli[spec[0]], pauli[spec[1]]),) * n
     if len(spec) == n:
-        return tuple((_PAULI_BY_CHAR[c], _PAULI_BY_CHAR[c]) for c in spec)
+        return tuple((pauli[c], pauli[c]) for c in spec)
     raise ValueError(f"settings must have 2 or {n} characters")
 
 
@@ -159,15 +118,15 @@ def cmd_mermin_quantum(args, stdout) -> int:
         raise ValueError(f"--sweep needs at least one point, got {args.sweep}")
     if args.sweep_out is not None and args.sweep is None:
         raise ValueError("--sweep-out needs --sweep")
-    state = ghz_state(n)
+    state = states.ghz_state(n)
     settings = _parse_settings(args.settings, n)
-    result = mermin_n(state, settings)
+    result = states.mermin_n(state, settings)
     mu = result.mu
     report: dict = {"n_parties": n, "settings": args.settings, "mu": mu}
     checks = []
     if n == 3:
         report["terms"] = list(result.terms)
-        stabilizers = stabilizer_expectations(state)
+        stabilizers = states.stabilizer_expectations(state)
         report["stabilizer_expectations"] = list(stabilizers)
         for k, value in enumerate(stabilizers):
             checks.append(
@@ -176,7 +135,7 @@ def cmd_mermin_quantum(args, stdout) -> int:
         if args.settings == "yx":
             checks.append(_check("mu_equals_4", mu, abs(mu - 4.0) <= tol, tol))
     if n <= 6:  # the classical bound enumerates 4^n assignments
-        report["classical_bound"] = mermin_classical_bound(n)
+        report["classical_bound"] = lhv.mermin_classical_bound(n)
     quantum_bound = 2.0 ** ((n + 1) / 2)
     checks.append(_check("mu_within_quantum_bound", mu, mu <= quantum_bound + tol, tol))
     report["checks"] = checks
@@ -188,12 +147,12 @@ def cmd_mermin_quantum(args, stdout) -> int:
 
 
 def _write_sweep(path: str, points: int) -> None:
-    state = ghz_state(3)
-    with open_replacing(path) as fh:
+    state = states.ghz_state(3)
+    with numerics.open_replacing(path) as fh:
         fh.write("phase,term1,term2,term3,term4,mu\n")
         for k in range(points):
             delta = 2 * math.pi * k / points
-            result = mermin_n(state, rotated_settings((delta, 0.0, 0.0)))
+            result = states.mermin_n(state, states.rotated_settings((delta, 0.0, 0.0)))
             cells = [repr(float(v)) for v in (delta, *result.terms, result.mu)]
             fh.write(",".join(cells) + "\n")
 
@@ -209,9 +168,9 @@ def _correlations_report(corr) -> dict:
 
 
 def cmd_lhv_table1(args, stdout) -> int:
-    model = saturating_model()
-    corr = evaluate_postselected(model)
-    marginals = marginal_distribution(model)
+    model = lhv.saturating_model()
+    corr = lhv.evaluate_postselected(model)
+    marginals = lhv.marginal_distribution(model)
     uniform = all(
         len(dist) == 4 and all(w == Fraction(1, 4) for w in dist.values())
         for dist in marginals.values()
@@ -241,16 +200,16 @@ def cmd_lhv_table1(args, stdout) -> int:
 
 def cmd_lhv_search(args, stdout) -> int:
     if args.selection == "dependent":
-        result = max_mu_setting_dependent()
+        result = lhv.max_mu_setting_dependent()
         expected = 4
     else:
-        result = max_mu_setting_independent()
+        result = lhv.max_mu_setting_independent()
         expected = 2
     report = {
         "selection": args.selection,
         "mu_max": result.mu_max,
         "strategies_examined": result.strategies_examined,
-        "witness": ensemble_to_json(result.witness),
+        "witness": lhv.ensemble_to_json(result.witness),
         "witness_correlations": _correlations_report(result.correlations),
         "checks": [_check(f"mu_max_equals_{expected}", result.mu_max, result.mu_max == expected)],
     }
@@ -258,7 +217,7 @@ def cmd_lhv_search(args, stdout) -> int:
 
 
 def cmd_lhv_scale(args, stdout) -> int:
-    corr = evaluate_postselected(scaled_model(args.target))
+    corr = lhv.evaluate_postselected(lhv.scaled_model(args.target))
     achieved = float(corr.mu)
     report = {
         "target": args.target,
@@ -270,10 +229,10 @@ def cmd_lhv_scale(args, stdout) -> int:
 
 
 def cmd_lhv_stream(args, stdout) -> int:
-    model = saturating_model() if args.target is None else scaled_model(args.target)
-    table = event_stream(model, args.trials, seed=args.seed)
-    estimate = mermin_estimate(table)
-    exact = evaluate_postselected(model)
+    model = lhv.saturating_model() if args.target is None else lhv.scaled_model(args.target)
+    table = lhv.event_stream(model, args.trials, seed=args.seed)
+    estimate = events.mermin_estimate(table)
+    exact = lhv.evaluate_postselected(model)
     checks = []
     for k, (est, ex, n_sel) in enumerate(zip(estimate.terms, exact.terms, estimate.selected_counts)):
         if est is None or n_sel == 0:
@@ -301,24 +260,24 @@ def cmd_lhv_stream(args, stdout) -> int:
 
 
 def cmd_network_dft(args, stdout) -> int:
-    m = dft_unitary(args.n)
-    return _unitary_report(args, m, stdout, n=args.n, matrix=matrix_to_json(m))
+    m = optics.dft_unitary(args.n)
+    return _unitary_report(args, m, stdout, n=args.n, matrix=numerics.matrix_to_json(m))
 
 
 def cmd_network_analyzer(args, stdout) -> int:
     phases = {k: getattr(args, k) for k in ("alpha", "beta", "gamma", "phi2", "phi3")}
-    m = qutrit_analyzer(**phases)
-    return _unitary_report(args, m, stdout, phases=phases, matrix=matrix_to_json(m))
+    m = optics.qutrit_analyzer(**phases)
+    return _unitary_report(args, m, stdout, phases=phases, matrix=numerics.matrix_to_json(m))
 
 
 def cmd_network_cascade(args, stdout) -> int:
     n = args.n
-    net = generation_cascade(n)
-    amplitudes = compose(net)[:, 0]
+    net = optics.generation_cascade(n)
+    amplitudes = optics.compose(net)[:, 0]
     worst = float(np.abs(np.abs(amplitudes) - 1.0 / math.sqrt(n)).max())
     report = {
         "n": n,
-        "network": network_to_json(net),
+        "network": optics.network_to_json(net),
         "reflectivities": [el.reflectivity for el in net.elements],
         "output_amplitudes": [[a.real, a.imag] for a in amplitudes],
         "max_amplitude_error": worst,
@@ -329,18 +288,18 @@ def cmd_network_cascade(args, stdout) -> int:
 
 def cmd_network_decompose(args, stdout) -> int:
     with open(args.infile) as fh:
-        u = matrix_from_json(json.load(fh))
-    dec = reck_decompose(u, tol=args.tol)
+        u = numerics.matrix_from_json(json.load(fh))
+    dec = optics.reck_decompose(u, tol=args.tol)
     err = float(np.abs(dec.reconstruct() - u).max())
     if args.out:
-        with open_replacing(args.out) as fh:
-            fh.write(decomposition_text(dec))
+        with numerics.open_replacing(args.out) as fh:
+            fh.write(optics.decomposition_text(dec))
     report = {
         "infile": args.infile,
         "n_elements": len(dec.network.elements),
         "residual_phases": [float(p) for p in dec.residual_phases],
         "roundtrip_error": err,
-        "network_json": None if args.out else decomposition_to_json(dec),
+        "network_json": None if args.out else optics.decomposition_to_json(dec),
         "network_out": args.out,
         "checks": [_check("roundtrip_error", err, err <= 1e-9, 1e-9)],
     }
@@ -352,22 +311,22 @@ def cmd_network_verify(args, stdout) -> int:
         data = json.load(fh)
     if isinstance(data, dict) and "elements" in data:
         if "residual_phases" in data:  # written by `network decompose`
-            net = decomposition_from_json(data).network
+            net = optics.decomposition_from_json(data).network
         else:
-            net = network_from_json(data)
-        m = compose(net)
+            net = optics.network_from_json(data)
+        m = optics.compose(net)
         kind = "network"
     else:
-        m = matrix_from_json(data)
+        m = numerics.matrix_from_json(data)
         kind = "matrix"
     return _unitary_report(args, m, stdout, infile=args.infile, kind=kind)
 
 
 def cmd_source_state(args, stdout) -> int:
-    state = four_photon_state()
+    state = source.four_photon_state()
     norm = float(np.linalg.norm(state.amplitudes))
     report = {
-        "state": state_to_json(state),
+        "state": states.state_to_json(state),
         "norm": norm,
         "checks": [_check("normalized", norm, abs(norm - 1.0) <= args.tol, args.tol)],
     }
@@ -375,17 +334,17 @@ def cmd_source_state(args, stdout) -> int:
 
 
 def cmd_source_filter(args, stdout) -> int:
-    filtered, keep = coincidence_filter(four_photon_state())
+    filtered, keep = source.coincidence_filter(source.four_photon_state())
     report = {
         "keep_probability": keep,
-        "filtered_state": state_to_json(filtered),
+        "filtered_state": states.state_to_json(filtered),
         "checks": [_check("keep_probability_1_2", keep, abs(keep - 0.5) <= args.tol, args.tol)],
     }
     return _emit(report, args, stdout, args.out)
 
 
 def cmd_source_stream(args, stdout) -> int:
-    table = source_event_stream(args.trials, seed=args.seed)
+    table = source.source_event_stream(args.trials, seed=args.seed)
     agree = float(
         ((table.bins[:, 0] == table.bins[:, 1]) & (table.bins[:, 2] == table.bins[:, 3])).mean()
     )
@@ -409,13 +368,14 @@ def cmd_source_stream(args, stdout) -> int:
 
 def cmd_source_audit(args, stdout) -> int:
     if args.model == "quantum":
-        table = sample_measurement_events(ghz_state(3), trials=args.trials, seed=args.seed)
-        audit = locality_audit(table)
+        ghz = states.ghz_state(3)
+        table = states.sample_measurement_events(ghz, trials=args.trials, seed=args.seed)
+        audit = source.locality_audit(table)
         expect_dependent = False
     else:
-        model = saturating_model()
-        table = event_stream(model, args.trials, seed=args.seed)
-        audit = locality_audit(table, ensemble=model)
+        model = lhv.saturating_model()
+        table = lhv.event_stream(model, args.trials, seed=args.seed)
+        audit = source.locality_audit(table, ensemble=model)
         expect_dependent = True
     report = {
         "model": args.model,
@@ -479,15 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", type=int, default=None, help="phase sweep points to CSV")
     p.add_argument("--sweep-out", type=str, default=None, help="sweep CSV (default mermin_sweep.csv)")
 
-    lhv = sub.add_parser("lhv", help="local hidden-variable models").add_subparsers(
+    lhv_cmds = sub.add_parser("lhv", help="local hidden-variable models").add_subparsers(
         dest="action", required=True
     )
-    leaf(lhv, "table1", cmd_lhv_table1, "verify the saturating instruction model")
-    q = leaf(lhv, "search", cmd_lhv_search, "exhaustive postselected-mu maximization")
+    leaf(lhv_cmds, "table1", cmd_lhv_table1, "verify the saturating instruction model")
+    q = leaf(lhv_cmds, "search", cmd_lhv_search, "exhaustive postselected-mu maximization")
     q.add_argument("--selection", choices=("dependent", "independent"), required=True)
-    q = leaf(lhv, "scale", cmd_lhv_scale, "model with a chosen postselected mu")
+    q = leaf(lhv_cmds, "scale", cmd_lhv_scale, "model with a chosen postselected mu")
     q.add_argument("--target", type=float, required=True)
-    q = leaf(lhv, "stream", cmd_lhv_stream, "Monte-Carlo event stream", out="events CSV", sampled=True)
+    q = leaf(lhv_cmds, "stream", cmd_lhv_stream, "Monte-Carlo event stream", out="events CSV",
+             sampled=True)
     q.add_argument("--target", type=float, default=None, help="scaled-model target mu")
 
     net = sub.add_parser("network", help="interferometer network tools").add_subparsers(

@@ -308,19 +308,19 @@ def mermin_estimate(table: EventTable) -> EmpiricalCorrelations:
     A combination with no selected trials yields ``None`` for its term
     (undefined, deliberately distinct from zero).
     """
-    coeffs = mermin_coefficients(table.n_parties)
-    prod = table.signs.prod(axis=1)
-    terms: list[float | None] = []
-    combo_counts: list[int] = []
-    selected_counts: list[int] = []
-    rates: list[float | None] = []
-    for combo in coeffs:
-        mask = (table.settings == np.array(combo, dtype=np.int8)).all(axis=1)
-        sel = mask & table.selected
-        combo_counts.append(int(mask.sum()))
-        selected_counts.append(int(sel.sum()))
-        terms.append(float(prod[sel].mean()) if sel.any() else None)
-        rates.append(float(sel.sum() / mask.sum()) if mask.any() else None)
+    n = table.n_parties
+    coeffs = mermin_coefficients(n)
+    # a setting string read as a binary number, the first party's bit highest
+    place = 1 << np.arange(n - 1, -1, -1)
+    code = table.settings @ place
+    combos = np.array(list(coeffs)) @ place
+    chosen = code[table.selected]
+    prod = table.signs[table.selected].prod(axis=1)
+    combo_counts = np.bincount(code, minlength=1 << n)[combos].tolist()
+    selected_counts = np.bincount(chosen, minlength=1 << n)[combos].tolist()
+    sums = np.bincount(chosen, weights=prod, minlength=1 << n)[combos].tolist()
+    terms = [s / k if k else None for s, k in zip(sums, selected_counts)]
+    rates = [k / m if m else None for k, m in zip(selected_counts, combo_counts)]
     rate = None
     if all(r is not None for r in rates):
         rate = float(sum(rates) / len(rates))

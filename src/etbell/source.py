@@ -16,31 +16,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lhv, states  # each executed only by the functions that use it
 from .events import EventTable
-from .lhv import StrategyEnsemble, combo_outcomes, strategy_table
 from .numerics import seeded_rng
-from .states import MultiPartyState, postselect_coincident
 
 TIME_BINS = ("t0", "t1")
 
 
-def four_photon_state() -> MultiPartyState:
+def four_photon_state() -> states.MultiPartyState:
     """State of two independently emitted pairs over the two pump bins:
     equal amplitudes 1/2 on t0t0t0t0, t1t1t1t1, t0t0t1t1, and t1t1t0t0."""
     dims = (2, 2, 2, 2)
     amps = np.zeros(16, dtype=complex)
     for pattern in ((0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0)):
         amps[np.ravel_multi_index(pattern, dims)] = 0.5
-    return MultiPartyState(dims, amps, ((TIME_BINS),) * 4)
+    return states.MultiPartyState(dims, amps, ((TIME_BINS),) * 4)
 
 
-def coincidence_filter(state: MultiPartyState):
+def coincidence_filter(state: states.MultiPartyState):
     """Project onto all-equal time bins and renormalize.
 
     Returns ``(filtered_state, keep_probability)`` where the probability is
     the squared norm of the projected amplitudes. Idempotent.
     """
-    return postselect_coincident(state.tensor_view(), state.level_labels)
+    return states.postselect_coincident(state.tensor_view(), state.level_labels)
 
 
 def source_event_stream(trials: int, seed: int = 0) -> EventTable:
@@ -137,19 +136,19 @@ def _chi2(table: np.ndarray) -> tuple[float, float]:
     return stat, chi2_sf(stat, df)
 
 
-def counterfactual_selection_dependence(ensemble: StrategyEnsemble) -> bool:
+def counterfactual_selection_dependence(ensemble: lhv.StrategyEnsemble) -> bool:
     """Exact loophole check: is some positive-weight strategy selected under
     some setting combinations and rejected under others?"""
     combos = list(itertools.product((0, 1), repeat=ensemble.n_parties))
-    table = strategy_table(s for s, w in ensemble.entries if w > 0)
-    selected = combo_outcomes(*table, combos) != 0
+    table = lhv.strategy_table(s for s, w in ensemble.entries if w > 0)
+    selected = lhv.combo_outcomes(*table, combos) != 0
     return bool((selected.any(axis=1) & ~selected.all(axis=1)).any())
 
 
 def locality_audit(
     events: EventTable,
     *,
-    ensemble: StrategyEnsemble | None = None,
+    ensemble: lhv.StrategyEnsemble | None = None,
     significance: float = 1e-3,
 ) -> LocalityAuditReport:
     """Test whether selection frequencies depend on the measurement settings.

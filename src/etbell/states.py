@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import optics  # executed only when prepare_postselected composes a network
 from .events import EventTable, all_equal, mermin_coefficients, mermin_mu
 from .numerics import as_matrix, is_integer, json_dim, json_fields, json_real, seeded_rng
-from .optics import InterferometerNetwork, compose
 
 PAULI_X = as_matrix(((0, 1), (1, 0)))
 PAULI_Y = as_matrix(((0, -1j), (1j, 0)))
@@ -312,7 +312,7 @@ def prepare_postselected(networks, emission_amplitudes=None, input_mode: int = 0
         src = src / norm
     columns = []
     for net in nets:
-        u = compose(net)
+        u = optics.compose(net)
         if not 0 <= input_mode < net.n_modes:
             raise ValueError("input mode outside network")
         columns.append(u[:, input_mode])

@@ -413,12 +413,12 @@ def test_zero_tolerance_is_rejected(capsys):
 
 
 def test_arithmetic_error_is_reported(monkeypatch, capsys):
-    from etbell import cli
+    from etbell import states
 
     def imaginary(*args, **kwargs):
         raise ArithmeticError("expectation has imaginary part 0.001")
 
-    monkeypatch.setattr(cli, "mermin_n", imaginary)
+    monkeypatch.setattr(states, "mermin_n", imaginary)
     code, text = run_cli(["mermin-quantum"])
     assert code == 1
     assert text == ""

@@ -3,14 +3,16 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from etbell.events import (
     CSV_COLUMNS,
     EventTable,
     all_equal,
+    mermin_coefficients,
     mermin_estimate,
+    mermin_mu,
 )
 from etbell.lhv import event_stream, saturating_model
 from etbell.source import source_event_stream
@@ -150,6 +152,51 @@ def test_mermin_estimate_two_parties_is_chsh():
     assert est.selected_counts == (4, 1, 1, 2)
     assert est.selection_rates == (1.0, 1.0, 0.5, 1.0)
     assert est.selection_rate == 0.875
+
+
+def _reference_estimate(table):
+    """One setting mask and one mean per Mermin combination: the loop the
+    bincount estimate must match exactly."""
+    prod = table.signs.prod(axis=1)
+    terms, combo_counts, selected_counts, rates = [], [], [], []
+    for combo in mermin_coefficients(table.n_parties):
+        mask = (table.settings == np.array(combo)).all(axis=1)
+        sel = mask & table.selected
+        combo_counts.append(int(mask.sum()))
+        selected_counts.append(int(sel.sum()))
+        terms.append(float(prod[sel].mean()) if sel.any() else None)
+        rates.append(float(sel.sum() / mask.sum()) if mask.any() else None)
+    return terms, combo_counts, selected_counts, rates
+
+
+@st.composite
+def mermin_tables(draw):
+    parties = draw(st.integers(min_value=2, max_value=5))
+    trials = draw(st.integers(min_value=0, max_value=40))
+    bits = st.lists(st.integers(0, 1), min_size=trials * parties, max_size=trials * parties)
+    settings, signs = (np.array(draw(bits), dtype=int).reshape(trials, parties) for _ in range(2))
+    flags = draw(st.lists(st.booleans(), min_size=trials, max_size=trials))
+    return EventTable(settings, np.zeros_like(settings), 1 - 2 * signs, flags)
+
+
+# every combination has trials, and (0, 1, 0) has none selected
+@example(table=EventTable([[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]] * 2, [[0] * 3] * 8,
+                          [[1, -1, 1]] * 8, [True, False, True, True] * 2))
+@given(table=mermin_tables())
+@settings(max_examples=150, deadline=None)
+def test_mermin_estimate_matches_per_combination_reference(table):
+    terms, combo_counts, selected_counts, rates = _reference_estimate(table)
+    est = mermin_estimate(table)
+    assert est.terms == tuple(terms)
+    assert est.combo_counts == tuple(combo_counts)
+    assert est.selected_counts == tuple(selected_counts)
+    assert est.selection_rates == tuple(rates)
+    assert est.mu == mermin_mu(mermin_coefficients(table.n_parties), terms)
+    if None in rates:
+        assert est.selection_rate is None
+    else:
+        assert est.selection_rate == sum(rates) / len(rates)
+    assert all(type(k) is int for k in est.combo_counts + est.selected_counts)
 
 
 @pytest.mark.parametrize(
