@@ -489,7 +489,7 @@ def main(argv=None, stdout=None) -> int:
         if "tol" in args and not args.tol > 0:
             raise ValueError("tolerance must be positive")
         return args.handler(args, stdout)
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

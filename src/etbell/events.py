@@ -14,8 +14,8 @@ Both the hidden-variable simulators and the quantum samplers emit
 for every model. A table stores each field as one small-integer
 (trials, parties) array, so million-trial runs stay cheap, and its CSV
 codec works on whole arrays: the writer looks each row up in a table of
-pre-rendered rows, and the reader parses the body with one ``np.loadtxt``
-call.
+pre-rendered rows, and the reader parses the body with ``np.loadtxt``, one
+chunk of rows per call, narrowing each chunk as it arrives.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import io
 import itertools
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -35,9 +35,12 @@ from .numerics import open_replacing
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
 # Trials rendered per write, so the writer's memory does not grow with the table.
 CSV_CHUNK_TRIALS = 4096
-# One CSV row as np.loadtxt parses it: every column an integer, the bin
+# Rows parsed per np.loadtxt call: the reader holds one chunk plus ~20 B per row.
+CSV_CHUNK_ROWS = 2**16
+# The CSV body as np.loadtxt parses it: every column an integer, the bin
 # label as its code (see _LabelCodes).
-_CSV_DTYPE = np.dtype([(name, np.int64) for name in CSV_COLUMNS])
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1,
+                dtype=np.dtype([(name, np.int64) for name in CSV_COLUMNS]))
 # Bin codes are at most int16, so a table holds at most this many labels.
 _MAX_BIN_LABELS = 2**15
 # An integer field as np.loadtxt accepts it (given an int64 value); used
@@ -122,17 +125,15 @@ class EventTable:
             raise ValueError("signs must be +1 or -1")
         if len(self.bin_labels) > _MAX_BIN_LABELS:
             raise ValueError(f"at most {_MAX_BIN_LABELS} bin labels, got {len(self.bin_labels)}")
+        _LabelCodes(self.bin_labels)  # distinct strings
         if bins.size and not (0 <= bins.min() and bins.max() < len(self.bin_labels)):
             raise ValueError("bin code outside bin_labels")
         settings, signs = settings.astype(np.int8), signs.astype(np.int8)
         # the narrowest type that holds every code: int8 up to 128 labels
         bins = bins.astype(np.int8 if len(self.bin_labels) <= 128 else np.int16)
-        for arr in (settings, bins, signs, selected):
+        for field, arr in zip(fields(self), (settings, bins, signs, selected)):
             arr.setflags(write=False)
-        object.__setattr__(self, "settings", settings)
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "selected", selected)
+            object.__setattr__(self, field.name, arr)
         object.__setattr__(self, "bin_labels", tuple(self.bin_labels))
 
     @property
@@ -191,64 +192,75 @@ class EventTable:
         appear exactly once, and the parties of one trial must agree on
         ``selected``; a violation names the first offending line or cell.
         Blank lines are skipped. Without ``bin_labels`` the labels are taken
-        in order of first appearance."""
-        codes = _LabelCodes({label: k for k, label in enumerate(bin_labels or ())})
+        in order of first appearance. The body is parsed and narrowed
+        :data:`CSV_CHUNK_ROWS` rows at a time."""
+        codes = _LabelCodes(bin_labels or ())
         n_known = len(codes)
-        with open(path, newline="") as fh:
+        convert = {CSV_COLUMNS.index("bin"): codes.__getitem__}
+        chunks, data = [], None
+        with open(path, newline="") as fh, warnings.catch_warnings():
             if tuple(next(csv.reader([fh.readline()]), ())) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header in {path}")
-            with warnings.catch_warnings():
-                # an empty body is reported below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # an empty body is reported below, and blank lines are skipped
+            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
+            while data is None or data.size == CSV_CHUNK_ROWS:
                 try:
-                    data = np.loadtxt(
-                        fh,
-                        delimiter=",",
-                        quotechar='"',
-                        comments=None,
-                        dtype=_CSV_DTYPE,
-                        ndmin=1,
-                        converters={CSV_COLUMNS.index("bin"): codes.__getitem__},
-                    )
+                    data = np.loadtxt(fh, converters=convert, max_rows=CSV_CHUNK_ROWS, **_LOADTXT)
                 except ValueError as exc:
                     raise _first_malformed_line(path, exc) from None
-        if not data.size:
+                if data.size:
+                    chunks.append([data["trial"].copy(), data["party"].copy(), *_narrow(data)])
+        if not chunks:
             raise ValueError("event CSV contains no rows")
-        trial, party = data["trial"], data["party"]
-        negative = np.flatnonzero((trial < 0) | (party < 0))
-        if negative.size:
-            k = negative[0]
-            raise ValueError(f"negative index in trial {trial[k]}, party {party[k]}")
-        shape = (int(trial.max()) + 1, int(party.max()) + 1)
-        cells, counts = np.unique(trial * shape[1] + party, return_counts=True)
-        duplicate = np.flatnonzero(counts > 1)
-        if duplicate.size:
-            t, p = divmod(int(cells[duplicate[0]]), shape[1])
-            raise ValueError(f"duplicate event for trial {t}, party {p}")
-        # cells is sorted and unique, so the first gap is the first missing cell
-        gap = np.flatnonzero(cells != np.arange(cells.size))
-        missing = int(gap[0]) if gap.size else cells.size
-        if missing < shape[0] * shape[1]:
-            t, p = divmod(missing, shape[1])
-            raise ValueError(f"missing event for trial {t}, party {p}")
+        for trial, party, *_ in chunks:
+            k = np.argmax((trial < 0) | (party < 0))  # the first negative index, if any
+            if trial[k] < 0 or party[k] < 0:
+                raise ValueError(f"negative index in trial {trial[k]}, party {party[k]}")
+        shape = tuple(max(int(chunk[k].max()) for chunk in chunks) + 1 for k in (0, 1))
+        rows = sum(len(chunk[0]) for chunk in chunks)
+        # T * P == rows cells, every one hit: each cell appears exactly once
+        hit = np.zeros(rows, dtype=bool)
+        for chunk in chunks:
+            chunk[:2] = [chunk[0] * shape[1] + chunk[1]]  # (trial, party) -> cell index
+            if shape[0] * shape[1] == rows:
+                hit[chunk[0]] = True
+        if not hit.all():
+            raise _grid_error(np.concatenate([chunk[0] for chunk in chunks]), shape[1])
         if bin_labels is None:
             bin_labels = tuple(codes)
         elif len(codes) > n_known:
             raise ValueError(f"bin label {list(codes)[n_known]!r} not in {bin_labels}")
-
-        def grid(values):
-            out = np.empty(shape, dtype=np.int64)
-            out[trial, party] = values
-            return out
-
-        flags = grid(data["selected"])
+        settings, bins, signs, flags = grids = [np.empty(shape, c.dtype) for c in chunks[0][1:]]
+        for cells, *columns in chunks:
+            for out, column in zip(grids, columns):
+                out.ravel()[cells] = column
+        del chunks
         if not ((flags == 0) | (flags == 1)).all():
             raise ValueError("selected flags must be 0 or 1")
         mixed = np.flatnonzero((flags != flags[:, :1]).any(axis=1))
         if mixed.size:
             raise ValueError(f"inconsistent selected flags in trial {mixed[0]}")
-        settings, signs = grid(data["setting"]), grid(data["sign"])
-        return cls(settings, grid(data["bin"]), signs, flags[:, 0] == 1, bin_labels)
+        return cls(settings, bins, signs, flags[:, 0] == 1, bin_labels)
+
+
+def _narrow(data) -> list[np.ndarray]:
+    """Setting, bin, sign and selected as int8, int16, int8, int8, saturating instead of wrapping:
+    a bad value stays bad for the later checks (a bin code past int16 means too many labels)."""
+    types = dict(zip(CSV_COLUMNS[2:], (np.int8, np.int16, np.int8, np.int8)))
+    return [np.clip(data[k], np.iinfo(t).min, np.iinfo(t).max).astype(t) for k, t in types.items()]
+
+
+def _grid_error(cells, n_parties) -> ValueError:
+    """The first duplicate, else the first missing, of the cells ``trial * n_parties + party``."""
+    cells, counts = np.unique(cells, return_counts=True)
+    duplicate = np.flatnonzero(counts > 1)
+    if duplicate.size:
+        t, p = divmod(int(cells[duplicate[0]]), n_parties)
+        return ValueError(f"duplicate event for trial {t}, party {p}")
+    # cells is sorted and unique, so the first gap is the first missing cell
+    gap = np.flatnonzero(cells != np.arange(cells.size))
+    t, p = divmod(int(gap[0]) if gap.size else cells.size, n_parties)
+    return ValueError(f"missing event for trial {t}, party {p}")
 
 
 def _first_malformed_line(path, error: ValueError) -> ValueError:
@@ -278,11 +290,19 @@ def _first_malformed_line(path, error: ValueError) -> ValueError:
 
 
 class _LabelCodes(dict):
-    """Bin label -> code; an unseen label gets the next code.
+    """Bin label -> code, from distinct string ``labels``; an unseen label gets the next code.
 
     ``np.loadtxt`` calls ``__getitem__`` on each bin field, so the column is
     parsed straight to integer codes, with the labels in order of first
     appearance, and no string outlives its row."""
+
+    def __init__(self, labels=()):
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"bin label {label!r} is not a string")
+            if label in self:
+                raise ValueError(f"duplicate bin label {label!r}")
+            self[label] = len(self)
 
     def __missing__(self, label: str) -> int:
         self[label] = code = len(self)

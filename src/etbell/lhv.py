@@ -422,9 +422,12 @@ def scaled_model(target) -> StrategyEnsemble:
     so the conditional terms scale linearly: weight p = target/4 on the
     saturating part gives mu = 4p = target, exactly for rational targets.
     """
-    t = Fraction(target)
-    if not 0 <= t <= 4:
-        raise ValueError("target must lie in [0, 4]")
+    try:
+        t = Fraction(target)
+    except (ValueError, OverflowError):  # NaN or infinite
+        t = None
+    if t is None or not 0 <= t <= 4:
+        raise ValueError(f"target must be a finite number in [0, 4], got {target}")
     base = saturating_model()
     flipped = base.flip_party_signs(0)
     p = t / 4

@@ -425,6 +425,29 @@ def test_arithmetic_error_is_reported(monkeypatch, capsys):
     assert "error: expectation has imaginary part" in capsys.readouterr().err
 
 
+def test_memory_error_is_reported(monkeypatch, capsys):
+    from etbell import cli
+
+    def too_large(args, stdout):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_network_cascade", too_large)
+    code, text = run_cli(["network", "cascade", "--n", "100000"])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err == "error: Unable to allocate 149. GiB for an array\n"
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command", [["lhv", "scale"], ["lhv", "stream", "--trials", "10"]])
+def test_non_finite_target_is_an_error(capsys, command, target):
+    code, text = run_cli([*command, f"--target={target}"])
+    assert code == 1
+    assert text == ""
+    shown = str(float(target))
+    assert capsys.readouterr().err == f"error: target must be a finite number in [0, 4], got {shown}\n"
+
+
 def test_format_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(["network", "dft", "--n", "4", "--format", "csv", "--out", str(tmp_path / "f")])

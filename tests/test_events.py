@@ -1,11 +1,14 @@
 import csv
 import hashlib
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from etbell import events
 from etbell.events import (
     CSV_COLUMNS,
     EventTable,
@@ -358,3 +361,154 @@ def test_csv_header_only_has_no_rows(tmp_path, body):
     path.write_text(",".join(CSV_COLUMNS) + "\n" + body)
     with pytest.raises(ValueError, match="^event CSV contains no rows$"):
         EventTable.read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (("S", "S"), "^duplicate bin label 'S'$"),
+        (("S", 1), "^bin label 1 is not a string$"),
+    ],
+)
+def test_event_table_rejects_bad_bin_labels(labels, message):
+    with pytest.raises(ValueError, match=message):
+        EventTable([[0]], [[0]], [[1]], [True], labels)
+
+
+def test_csv_rejects_duplicate_given_bin_labels(tmp_path):
+    path = tmp_path / "events.csv"
+    _write_events(path, [(0, 0, 0, "S", 1, 1)])
+    with pytest.raises(ValueError, match="^duplicate bin label 'S'$"):
+        EventTable.read_csv(path, bin_labels=("S", "S", "L"))
+
+
+@pytest.fixture(params=[2, 3])
+def small_chunks(request, monkeypatch):
+    """Parse the CSV body 2 or 3 rows per np.loadtxt call."""
+    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", request.param)
+
+
+def _csv_text(rows, blank_after=()):
+    """``rows`` under the header as ``csv.writer`` quotes them, with a blank
+    line after each row whose index is in ``blank_after``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    for k, row in enumerate(rows):
+        writer.writerow(row)
+        if k in blank_after:
+            buf.write("\r\n")
+    return buf.getvalue()
+
+
+def _grid_rows(*changes):
+    """Rows of a valid 3-trial, 2-party file with each ``(row, column, value)``
+    of ``changes`` applied."""
+    rows = [[t, p, 0, "S", 1, 1] for t in range(3) for p in range(2)]
+    for k, column, value in changes:
+        rows[k][CSV_COLUMNS.index(column)] = value
+    return rows
+
+
+def test_csv_round_trip_across_chunks(tmp_path, small_chunks):
+    # multi-line quoted labels on both sides of every chunk boundary
+    labels = ("S", "a\r\nb", 'q,"x"\ny')
+    table = EventTable(
+        [[0, 1], [1, 1], [0, 0]], [[1, 2], [1, 0], [2, 1]], [[1, -1], [-1, -1], [1, 1]],
+        [True, False, True], labels,
+    )
+    path = tmp_path / "events.csv"
+    table.write_csv(path)
+    again = EventTable.read_csv(path, bin_labels=labels)
+    for column in ("settings", "bins", "signs", "selected"):
+        assert (getattr(again, column) == getattr(table, column)).all()
+    rows = [
+        [t, p, int(table.settings[t, p]), labels[table.bins[t, p]], int(table.signs[t, p]),
+         int(table.selected[t])]
+        for t in range(3) for p in range(2)
+    ]
+    path.write_text(_csv_text(rows, blank_after={0, 1, 3, 4}), newline="")
+    _assert_same_events(EventTable.read_csv(path), table)
+
+
+@given(table=event_tables())
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_csv_round_trip_property_in_two_row_chunks(tmp_path, monkeypatch, table):
+    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", 2)
+    path = tmp_path / "events.csv"
+    table.write_csv(path)
+    again = EventTable.read_csv(path, bin_labels=table.bin_labels)
+    for column in ("settings", "bins", "signs", "selected"):
+        assert (getattr(again, column) == getattr(table, column)).all()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("2,0,0,S", "^line 8: 4 fields, expected 6$"),
+        ("2,0,x,S,1,1", "^line 8: setting 'x' is not a 64-bit integer$"),
+        ("2,0,0,S,1,1.5", "^line 8: selected '1.5' is not a 64-bit integer$"),
+    ],
+)
+def test_csv_error_in_later_chunk_names_physical_line(tmp_path, small_chunks, bad, message):
+    # the second row's label spans lines 3-4 and line 5 is blank
+    body = f'0,0,0,S,1,1\r\n0,1,0,"a\r\nb",1,1\r\n\r\n1,0,0,S,1,1\r\n1,1,0,S,1,1\r\n{bad}\r\n'
+    path = tmp_path / "events.csv"
+    path.write_bytes((",".join(CSV_COLUMNS) + "\r\n" + body).encode())
+    with pytest.raises(ValueError, match=message):
+        EventTable.read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # each bad value would wrap to a valid one in int8
+        ([(5, "setting", 257)], "^settings must be 0 or 1$"),
+        ([(5, "setting", -255)], "^settings must be 0 or 1$"),
+        ([(5, "sign", 2**32 + 1)], "^signs must be \\+1 or -1$"),
+        ([(4, "sign", -(2**40) - 255)], "^signs must be \\+1 or -1$"),
+        ([(5, "selected", 256)], "^selected flags must be 0 or 1$"),
+        # with two bad values: selected flags first, then settings, then signs
+        ([(4, "setting", 256), (5, "selected", 257)], "^selected flags must be 0 or 1$"),
+        ([(4, "sign", 2**8 + 1), (5, "setting", 2**9)], "^settings must be 0 or 1$"),
+    ],
+)
+def test_csv_out_of_range_value_in_later_chunk(tmp_path, small_chunks, changes, message):
+    path = tmp_path / "events.csv"
+    path.write_text(_csv_text(_grid_rows(*changes)), newline="")
+    with pytest.raises(ValueError, match=message):
+        EventTable.read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (_grid_rows((5, "party", 0)), "^duplicate event for trial 2, party 0$"),
+        (_grid_rows()[:3] + _grid_rows()[4:], "^missing event for trial 1, party 1$"),
+        (_grid_rows()[:5], "^missing event for trial 2, party 1$"),
+        (_grid_rows() + [[3, 1, 0, "S", 1, 1]], "^missing event for trial 3, party 0$"),
+        (_grid_rows((4, "trial", -1)), "^negative index in trial -1, party 0$"),
+    ],
+)
+def test_csv_bad_cell_in_later_chunk(tmp_path, small_chunks, rows, message):
+    path = tmp_path / "events.csv"
+    path.write_text(_csv_text(rows), newline="")
+    with pytest.raises(ValueError, match=message):
+        EventTable.read_csv(path)
+
+
+def test_csv_read_memory_per_row(tmp_path):
+    # the table itself needs about 4 bytes per row; one chunk and the int64
+    # trial and party columns come on top
+    path = tmp_path / "events.csv"
+    source_event_stream(100_000, seed=7).write_csv(path)
+    tracemalloc.start()
+    try:
+        table = EventTable.read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 400_000
+    assert peak <= 50 * len(table)

@@ -510,3 +510,9 @@ def test_ensemble_json_round_trip_property(ensemble):
     assert [isinstance(w, float) for _, w in again.entries] == [
         isinstance(w, float) for _, w in ensemble.entries
     ]
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_scaled_model_rejects_non_finite_target(target):
+    with pytest.raises(ValueError, match=rf"^target must be a finite number in \[0, 4\], got {target}$"):
+        scaled_model(target)
