@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 # modules it uses.
 _EXPORTS = {
     "events": "EventTable all_equal mermin_estimate",
-    "lhv": "FixedBinInstruction LocalInstruction PostselectedCorrelations StrategyEnsemble "
+    "lhv": "PostselectedCorrelations StrategyEnsemble "
     "evaluate_postselected event_stream max_mu_setting_dependent max_mu_setting_independent "
     "mermin_classical_bound saturating_model scaled_model",
     "numerics": "DEFAULT_TOL StateVector is_unitary matmul tensor",

@@ -2,19 +2,20 @@
 Mermin test.
 
 A strategy gives each party, for each of its two settings, an arrival bin
-(``S`` or ``L``) and a detector sign. Ensembles mix strategies with
-nonnegative weights; weights and conditional correlations stay exact
-:class:`fractions.Fraction` values whenever the input weights are rational,
-so the headline numbers come out exact rather than merely within tolerance.
+(``S`` or ``L``) and a detector sign: the party's instruction. An ensemble holds its strategies as
+two small-integer arrays, ``bins[k, p, s]`` (codes into :data:`BINS`) and
+``signs[k, p, s]`` (+1 or -1), and mixes them with nonnegative weights;
+weights and conditional correlations stay exact :class:`fractions.Fraction`
+values whenever the input weights are rational, so the headline numbers
+come out exact rather than merely within tolerance.
 :func:`evaluate_postselected` and :func:`event_stream` take any party count,
 with the terms of :func:`~etbell.events.mermin_coefficients`; the searches
 and the saturating model below are three-party:
 
 * with the bare all-bins-equal coincidence rule, instructions whose bin may
   depend on the setting reach the algebraic maximum ``mu = 4``;
-* once the bin is forced to be setting-independent
-  (:class:`FixedBinInstruction`), exhaustive enumeration caps every mixture
-  at the classical bound ``mu = 2``.
+* once the bin is forced to be setting-independent, exhaustive enumeration
+  caps every mixture at the classical bound ``mu = 2``.
 
 The gap between those two numbers is the postselection loophole this
 package is built to exhibit.
@@ -22,8 +23,8 @@ package is built to exhibit.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,148 +39,69 @@ SIGNS = (1, -1)
 TOKENS = tuple(f"{b}{'+' if s > 0 else '-'}" for b in BINS for s in SIGNS)
 
 
-@dataclass(frozen=True, eq=False)
-class LocalInstruction:
-    """Per-setting bin and sign for one party: ``bins[s]``, ``signs[s]``.
-
-    Equality is by field values, so a :class:`FixedBinInstruction` equals
-    the unrestricted instruction with the same table.
-    """
-
-    bins: tuple[str, str]
-    signs: tuple[int, int]
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalInstruction):
-            return NotImplemented
-        return self.bins == other.bins and self.signs == other.signs
-
-    def __hash__(self):
-        return hash((self.bins, self.signs))
-
-    def __post_init__(self):
-        bins = () if isinstance(self.bins, str) else tuple(self.bins)
-        signs = tuple(self.signs)
-        if len(bins) != 2 or any(b not in BINS for b in bins):
-            raise ValueError(f"bins must assign S or L to both settings, got {self.bins!r}")
-        if len(signs) != 2 or not all(is_integer(s) and s in SIGNS for s in signs):
-            raise ValueError(f"signs must assign the integer +1 or -1 to both settings, got {self.signs!r}")
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "signs", tuple(int(s) for s in signs))
-
-    def bin(self, setting: int) -> str:
-        return self.bins[setting]
-
-    def sign(self, setting: int) -> int:
-        return self.signs[setting]
-
-    def swap_bins(self):
-        swapped = tuple("L" if b == "S" else "S" for b in self.bins)
-        return type(self)(swapped, self.signs)
-
-    def flip_signs(self):
-        return type(self)(self.bins, tuple(-s for s in self.signs))
-
-    def token(self, setting: int) -> str:
-        return f"{self.bin(setting)}{'+' if self.sign(setting) > 0 else '-'}"
-
-
-class FixedBinInstruction(LocalInstruction):
-    """Instruction whose arrival bin does not depend on the setting."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.bins[0] != self.bins[1]:
-            raise ValueError("fixed-bin instruction cannot vary its bin")
-
-    @classmethod
-    def of(cls, bin: str, signs: tuple[int, int]) -> "FixedBinInstruction":
-        return cls((bin, bin), signs)
-
-
-def all_instructions() -> tuple[LocalInstruction, ...]:
-    """All 16 per-party instructions (bin and sign free per setting)."""
-    choices = tuple((b, s) for b in BINS for s in SIGNS)
-    return tuple(
-        LocalInstruction((b0, b1), (s0, s1))
-        for (b0, s0) in choices
-        for (b1, s1) in choices
-    )
-
-
-def fixed_bin_instructions() -> tuple[FixedBinInstruction, ...]:
-    """All 8 per-party instructions with a setting-independent bin."""
-    return tuple(
-        FixedBinInstruction.of(b, (s0, s1))
-        for b in BINS
-        for s0 in SIGNS
-        for s1 in SIGNS
-    )
-
-
 def _exact(weight) -> bool:
     """An exact weight: a Fraction or an integer (not a bool)."""
     return isinstance(weight, Fraction) or is_integer(weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyEnsemble:
     """Weighted mixture of joint deterministic strategies.
 
-    ``entries`` pairs each strategy (one instruction per party) with its
-    weight. Rational weights make every derived quantity exact.
+    ``bins`` and ``signs`` have shape (strategies, parties, settings = 2):
+    strategy ``k`` puts party ``p`` under setting ``s`` in bin
+    ``BINS[bins[k, p, s]]`` with detector sign ``signs[k, p, s]``. Both are
+    stored as read-only int8 arrays. ``weights[k]`` is the weight of
+    strategy ``k``; rational weights make every derived quantity exact.
     """
 
-    entries: tuple[tuple[tuple[LocalInstruction, ...], Fraction | float], ...]
+    bins: np.ndarray
+    signs: np.ndarray
+    weights: tuple[Fraction | float, ...]
 
     def __post_init__(self):
-        entries = tuple(
-            (tuple(strategy), weight) for strategy, weight in self.entries
-        )
-        if not entries:
+        weights = tuple(self.weights)
+        if not weights:
             raise ValueError("ensemble cannot be empty")
-        n = len(entries[0][0])
-        if any(len(strategy) != n for strategy, _ in entries):
-            raise ValueError("all strategies must cover the same parties")
-        if any(isinstance(weight, bool) for _, weight in entries):
-            raise ValueError("weights must be numbers, not bools")
-        if any(weight < 0 for _, weight in entries):
+        for name, allowed in (("bins", (0, 1)), ("signs", SIGNS)):
+            table = np.asarray(getattr(self, name))
+            if table.dtype.kind not in "iu":  # not bool, float or str
+                raise ValueError(f"{name} must be an integer array, got dtype {table.dtype}")
+            if table.ndim != 3 or table.shape[0] != len(weights) or 0 in table.shape or table.shape[2] != 2:
+                raise ValueError(f"{name} must have shape ({len(weights)}, parties, 2), got {table.shape}")
+            if not np.isin(table, allowed).all():
+                raise ValueError(f"{name} must take values in {set(allowed)}")
+            table = table.astype(np.int8)
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+        if self.bins.shape != self.signs.shape:
+            raise ValueError("bins and signs must share one shape")
+        for w in weights:
+            if isinstance(w, bool):
+                raise ValueError("weights must be numbers, not bools")
+            if not (_exact(w) or isinstance(w, numbers.Real) and math.isfinite(w)):
+                raise ValueError(f"weights must be finite real numbers, got {w!r}")
+        if any(weight < 0 for weight in weights):
             raise ValueError("weights must be nonnegative")
-        total = sum(weight for _, weight in entries)
-        if all(_exact(w) for _, w in entries):
+        total = sum(weights)
+        if all(_exact(w) for w in weights):
             if total != 1:
                 raise ValueError(f"weights must sum to 1, got {total}")
         elif abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total}")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_parties(self) -> int:
-        return len(self.entries[0][0])
+        return self.bins.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
 
-    @classmethod
-    def single(cls, strategy) -> "StrategyEnsemble":
-        return cls(((tuple(strategy), Fraction(1)),))
 
-    @classmethod
-    def uniform(cls, strategies) -> "StrategyEnsemble":
-        strategies = tuple(tuple(s) for s in strategies)
-        w = Fraction(1, len(strategies))
-        return cls(tuple((s, w) for s in strategies))
-
-    def flip_party_signs(self, party: int) -> "StrategyEnsemble":
-        entries = []
-        for strategy, weight in self.entries:
-            flipped = tuple(
-                instr.flip_signs() if p == party else instr
-                for p, instr in enumerate(strategy)
-            )
-            entries.append((flipped, weight))
-        return StrategyEnsemble(tuple(entries))
+def _uniform(bins, signs) -> StrategyEnsemble:
+    return StrategyEnsemble(bins, signs, (Fraction(1, len(bins)),) * len(bins))
 
 
 @dataclass(frozen=True)
@@ -202,22 +124,10 @@ class PostselectedCorrelations:
         return tuple(k for k, t in enumerate(self.terms) if t is None)
 
 
-def strategy_table(strategies) -> tuple[np.ndarray, np.ndarray]:
-    """Joint strategies as two int8 arrays of shape (strategies, parties,
-    settings): bin codes (indices into ``BINS``) and signs."""
-    strategies = tuple(strategies)
-    bins = np.array(
-        [[[BINS.index(b) for b in instr.bins] for instr in s] for s in strategies],
-        dtype=np.int8,
-    )
-    signs = np.array([[instr.signs for instr in s] for s in strategies], dtype=np.int8)
-    return bins, signs
-
-
 def combo_outcomes(bins, signs, combos) -> np.ndarray:
-    """Outcome of each tabled strategy under each setting combination, shape
-    (strategies, combos): the sign product where :func:`all_equal` selects
-    the combination's bins, 0 where it rejects them."""
+    """Outcome of each strategy of (strategies, parties, settings) bin and
+    sign tables under each setting combination, shape (strategies, combos):
+    its sign product where :func:`all_equal` selects its bins, else 0."""
     combos = np.asarray(combos)
     parties = np.arange(combos.shape[1])
     selected = all_equal(bins[:, parties, combos])
@@ -229,7 +139,7 @@ def _weighted_sum(ensemble: StrategyEnsemble, values: np.ndarray) -> list:
     nested lists. When every weight is exact the sums are taken on integer
     numerators over the weights' common denominator and come out as
     Fractions; otherwise they are float64 sums."""
-    weights = [w for _, w in ensemble.entries]
+    weights = ensemble.weights
     if all(_exact(w) for w in weights):
         denom = math.lcm(*(Fraction(w).denominator for w in weights))
         numerators = np.array([int(w * denom) for w in weights], dtype=object)
@@ -246,7 +156,7 @@ def evaluate_postselected(ensemble: StrategyEnsemble) -> PostselectedCorrelation
     rational ensemble weights.
     """
     coeffs = mermin_coefficients(ensemble.n_parties)
-    outcomes = combo_outcomes(*strategy_table(s for s, _ in ensemble.entries), tuple(coeffs))
+    outcomes = combo_outcomes(ensemble.bins, ensemble.signs, tuple(coeffs))
     selected = _weighted_sum(ensemble, outcomes != 0)
     product = _weighted_sum(ensemble, outcomes)
     terms = tuple(p / w if w > 0 else None for p, w in zip(product, selected))
@@ -258,69 +168,34 @@ def evaluate_postselected(ensemble: StrategyEnsemble) -> PostselectedCorrelation
     )
 
 
-# Instruction patterns of the saturating model, one row per pattern, columns
-# (A0, A1, B0, B1, C0, C1). A signed token is fixed; a bare letter ranges
-# over both signs; "L/S" ranges over all four outcomes. Each pattern is
-# selected under exactly one Mermin setting combination and contributes a
-# fixed sign there; the full model also contains every S<->L mirrored copy.
-_SATURATING_PATTERNS = (
-    ("S+", "L", "S+", "L", "L/S", "S+"),
-    ("S+", "L", "S-", "L", "L/S", "S-"),
-    ("S-", "L", "S+", "L", "L/S", "S-"),
-    ("S-", "L", "S-", "L", "L/S", "S+"),
-    ("S+", "L", "L", "S+", "S+", "L/S"),
-    ("S+", "L", "L", "S-", "S-", "L/S"),
-    ("S-", "L", "L", "S+", "S-", "L/S"),
-    ("S-", "L", "L", "S-", "S+", "L/S"),
-    ("L", "S+", "S+", "L", "S+", "L/S"),
-    ("L", "S+", "S-", "L", "S-", "L/S"),
-    ("L", "S-", "S+", "L", "S-", "L/S"),
-    ("L", "S-", "S-", "L", "S+", "L/S"),
-    ("L", "S+", "L", "S+", "L/S", "S-"),
-    ("L", "S+", "L", "S-", "L/S", "S+"),
-    ("L", "S-", "L", "S+", "L/S", "S+"),
-    ("L", "S-", "L", "S-", "L/S", "S-"),
-)
-
-
-def _cell_options(token: str) -> tuple[tuple[str, int], ...]:
-    if token == "L/S":
-        return (("S", 1), ("S", -1), ("L", 1), ("L", -1))
-    bin_, sign = token[0], token[1:]
-    if sign == "+":
-        return ((bin_, 1),)
-    if sign == "-":
-        return ((bin_, -1),)
-    return ((bin_, 1), (bin_, -1))
-
-
 def saturating_model() -> StrategyEnsemble:
     """Uniform instruction ensemble reaching ``mu = 4`` under bin coincidence.
 
-    Expands the 16 patterns above plus their S<->L mirrors (512 strategies).
-    Under the all-bins-equal rule each pattern family is selected for exactly
-    one setting combination, where its fixed signs multiply to the designated
-    +1, +1, +1, -1; a quarter of the weight survives selection and every
-    single-party outcome S+, S-, L+, L- occurs with probability 1/4.
+    Per three-party Mermin combination with designated term sign ``c``,
+    every party sits in ``S`` at that combination's setting, with signs
+    ``s0``, ``s1``, ``c * s0 * s1``; at the other setting parties 0 and 1
+    sit in ``L`` with free signs and party 2 takes each of S+, S-, L+, L-.
+    Rows run lexicographically over (combination, s0, s1, other-setting
+    signs of parties 0 and 1, party 2's other outcome), then the S<->L
+    mirrors of all 256 follow (512 strategies). Each strategy is selected
+    for exactly one combination, where its signs multiply to ``c``; a
+    quarter of the weight survives selection and every single-party outcome
+    S+, S-, L+, L- has probability 1/4.
     """
-    strategies = []
-    for row in _SATURATING_PATTERNS:
-        per_party = []
-        for p in range(3):
-            opts0 = _cell_options(row[2 * p])
-            opts1 = _cell_options(row[2 * p + 1])
-            per_party.append(
-                tuple(
-                    LocalInstruction((b0, b1), (s0, s1))
-                    for (b0, s0) in opts0
-                    for (b1, s1) in opts1
-                )
-            )
-        strategies.extend(itertools.product(*per_party))
-    mirrored = [
-        tuple(instr.swap_bins() for instr in strategy) for strategy in strategies
-    ]
-    return StrategyEnsemble.uniform(tuple(strategies) + tuple(mirrored))
+    coeffs = mermin_coefficients(3)
+    combos = np.array(list(coeffs))
+    term_signs = np.array([int(2 * c) for c in coeffs.values()])
+    k, c0, c1, o0, o1, other = np.indices((len(combos), 2, 2, 2, 2, 4)).reshape(6, -1)
+    s0, s1 = 1 - 2 * c0, 1 - 2 * c1
+    at_combo = combos[k][..., None] == np.arange(2)  # (rows, parties, settings)
+    long_ = np.ones_like(other)
+    bins = np.where(at_combo, 0, np.stack([long_, long_, other // 2], axis=-1)[..., None])
+    signs = np.where(
+        at_combo,
+        np.stack([s0, s1, term_signs[k] * s0 * s1], axis=-1)[..., None],
+        1 - 2 * np.stack([o0, o1, other % 2], axis=-1)[..., None],
+    )
+    return _uniform(np.concatenate([bins, 1 - bins]), np.concatenate([signs, signs]))
 
 
 def marginal_distribution(ensemble: StrategyEnsemble):
@@ -329,8 +204,7 @@ def marginal_distribution(ensemble: StrategyEnsemble):
     A token is listed when some strategy of the ensemble produces it, even
     with zero weight.
     """
-    bins, signs = strategy_table(s for s, _ in ensemble.entries)
-    produced = (2 * bins + (signs < 0))[..., None] == np.arange(len(TOKENS))
+    produced = (2 * ensemble.bins + (ensemble.signs < 0))[..., None] == np.arange(len(TOKENS))
     totals = _weighted_sum(ensemble, produced)
     present = produced.any(axis=0)
     return {
@@ -350,15 +224,24 @@ class SearchResult:
     strategies_examined: int
 
 
-def _joint_strategies(instructions):
-    """Table of ``itertools.product(instructions, repeat=3)``, in that order,
-    with each row's instruction indices, and its outcomes under the
-    three-party Mermin combinations with their term signs ``2 c_s = +-1``."""
-    bins, signs = strategy_table((instr,) for instr in instructions)
-    idx = np.indices((len(instructions),) * 3).reshape(3, -1).T
+def _instructions() -> tuple[np.ndarray, np.ndarray]:
+    """The 16 per-party instructions as (16, settings) bin and sign tables,
+    in lexicographic (bin0, sign0, bin1, sign1) order, sign code
+    ``c -> 1 - 2c``."""
+    b0, c0, b1, c1 = np.indices((2, 2, 2, 2)).reshape(4, -1)
+    return np.stack([b0, b1], axis=-1), 1 - 2 * np.stack([c0, c1], axis=-1)
+
+
+def _joint_strategies(bins, signs):
+    """Every three-party strategy built from one party's instruction table,
+    in ``itertools.product(table, repeat=3)`` order, as (strategies, 3, 2)
+    bin and sign tables, with its outcomes under the three-party Mermin
+    combinations and their term signs ``2 c_s = +-1``."""
+    idx = np.indices((len(bins),) * 3).reshape(3, -1).T
+    bins, signs = bins[idx], signs[idx]
     coeffs = mermin_coefficients(3)
-    outcomes = combo_outcomes(bins[idx, 0], signs[idx, 0], tuple(coeffs))
-    return outcomes, np.array([int(2 * c) for c in coeffs.values()]), idx
+    outcomes = combo_outcomes(bins, signs, tuple(coeffs))
+    return bins, signs, outcomes, np.array([int(2 * c) for c in coeffs.values()])
 
 
 def max_mu_setting_dependent() -> SearchResult:
@@ -370,46 +253,47 @@ def max_mu_setting_dependent() -> SearchResult:
     each setting combination, the first strategy selected exclusively there
     with the designated sign, which drives mu to exactly 4.
     """
-    instructions = all_instructions()
-    outcomes, term_signs, idx = _joint_strategies(instructions)
+    bins, signs, outcomes, term_signs = _joint_strategies(*_instructions())
     exclusive = np.count_nonzero(outcomes, axis=1) == 1
     witnesses = []
     for k, target in enumerate(term_signs):
         match = exclusive & (outcomes[:, k] == target)
         if not match.any():
             raise RuntimeError("no exclusive strategy for a Mermin combination")
-        witnesses.append(tuple(instructions[i] for i in idx[match.argmax()]))
-    witness = StrategyEnsemble.uniform(witnesses)
+        witnesses.append(match.argmax())
+    witness = _uniform(bins[witnesses], signs[witnesses])
     correlations = evaluate_postselected(witness)
     return SearchResult(
         mu_max=Fraction(correlations.mu),
         witness=witness,
         correlations=correlations,
-        strategies_examined=len(idx),
+        strategies_examined=len(outcomes),
     )
 
 
 def max_mu_setting_independent() -> SearchResult:
     """Exhaustive maximum of postselected mu over fixed-bin instructions.
 
-    With setting-independent bins a strategy is selected for all four
-    combinations or none, so every mixture's mu is a weighted average of
-    single-strategy values and the maximum over the 8^3 joint strategies is
-    the maximum over all ensembles. The witness is the first maximizer.
+    With setting-independent bins (``bins[..., 0] == bins[..., 1]``) a
+    strategy is selected for all four combinations or none, so every
+    mixture's mu is a weighted average of single-strategy values and the
+    maximum over the 8^3 joint strategies is the maximum over all
+    ensembles. The witness is the first maximizer.
     """
-    instructions = fixed_bin_instructions()
-    outcomes, term_signs, idx = _joint_strategies(instructions)
+    bins, signs = _instructions()
+    fixed = bins[:, 0] == bins[:, 1]
+    bins, signs, outcomes, term_signs = _joint_strategies(bins[fixed], signs[fixed])
     selected = outcomes.any(axis=1)
     if not selected.any():
         raise RuntimeError("no fixed-bin strategy is ever selected")
     mu = np.where(selected, np.abs(outcomes @ term_signs), -1)
     best = int(mu.argmax())
-    witness = StrategyEnsemble.single(tuple(instructions[i] for i in idx[best]))
+    witness = _uniform(bins[best : best + 1], signs[best : best + 1])
     return SearchResult(
         mu_max=Fraction(int(mu[best])),
         witness=witness,
         correlations=evaluate_postselected(witness),
-        strategies_examined=len(idx),
+        strategies_examined=len(outcomes),
     )
 
 
@@ -429,14 +313,16 @@ def scaled_model(target) -> StrategyEnsemble:
     if t is None or not 0 <= t <= 4:
         raise ValueError(f"target must be a finite number in [0, 4], got {target}")
     base = saturating_model()
-    flipped = base.flip_party_signs(0)
+    flipped = base.signs.copy()
+    flipped[:, 0] *= -1
     p = t / 4
     w_keep = (1 + p) / 2
     w_flip = (1 - p) / 2
-    entries = tuple(
-        (strategy, weight * w_keep) for strategy, weight in base.entries
-    ) + tuple((strategy, weight * w_flip) for strategy, weight in flipped.entries)
-    return StrategyEnsemble(entries)
+    return StrategyEnsemble(
+        np.concatenate([base.bins, base.bins]),
+        np.concatenate([base.signs, flipped]),
+        tuple(w * w_keep for w in base.weights) + tuple(w * w_flip for w in base.weights),
+    )
 
 
 def mermin_classical_bound(n: int) -> Fraction:
@@ -447,8 +333,7 @@ def mermin_classical_bound(n: int) -> Fraction:
     terms = np.array(list(coeffs))
     denom = math.lcm(*(c.denominator for c in coeffs.values()))
     numerators = np.array([int(c * denom) for c in coeffs.values()])
-    pairs = tuple(itertools.product(SIGNS, repeat=2))
-    assignments = np.array(list(itertools.product(pairs, repeat=n)), dtype=np.int8)
+    assignments = 1 - 2 * np.indices((2,) * (2 * n), dtype=np.int8).reshape(2 * n, -1).T.reshape(-1, n, 2)
     products = assignments[:, np.arange(n), terms].prod(axis=-1)
     return Fraction(2 * int(np.abs(products @ numerators).max()), denom)
 
@@ -464,41 +349,41 @@ def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTa
     rng = seeded_rng(seed)
     n = ensemble.n_parties
     if np.isscalar(schedule):
+        if not is_integer(schedule):
+            raise ValueError(f"trial count must be an integer, got {schedule!r}")
         trials = int(schedule)
         if trials < 1:
             raise ValueError("need at least one trial")
         settings = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
     else:
-        settings = np.asarray(schedule, dtype=np.int8)
+        # Check the values before narrowing, which would wrap 257 to 1 and cut 0.5 to 0.
+        settings = np.asarray(schedule)
         if settings.ndim != 2 or settings.shape[1] != n:
             raise ValueError("schedule must be a (trials, parties) array")
-        if settings.size and not np.isin(settings, (0, 1)).all():
+        if not ((settings == 0) | (settings == 1)).all():
             raise ValueError("settings must be 0 or 1")
+        settings = settings.astype(np.int8)
         trials = settings.shape[0]
-    weights = np.array([float(w) for _, w in ensemble.entries])
+    weights = np.array([float(w) for w in ensemble.weights])
     weights = weights / weights.sum()
-    picks = rng.choice(len(ensemble.entries), size=trials, p=weights)
-    bin_lut, sign_lut = strategy_table(s for s, _ in ensemble.entries)
+    picks = rng.choice(ensemble.size, size=trials, p=weights)
     party_idx = np.arange(n)[None, :]
-    bins = bin_lut[picks[:, None], party_idx, settings]
-    signs = sign_lut[picks[:, None], party_idx, settings]
+    bins = ensemble.bins[picks[:, None], party_idx, settings]
+    signs = ensemble.signs[picks[:, None], party_idx, settings]
     return EventTable(settings, bins, signs, all_equal(bins), BINS)
 
 
 def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:
     """JSON form: an exact weight (Fraction or int) as a fraction string, a
     float as a number."""
-    entries = []
-    for strategy, weight in ensemble.entries:
-        entries.append(
-            {
-                "parties": [
-                    {"bins": list(instr.bins), "signs": list(instr.signs)}
-                    for instr in strategy
-                ],
-                "weight": str(weight) if _exact(weight) else weight,
-            }
-        )
+    strategies = zip(np.array(BINS)[ensemble.bins].tolist(), ensemble.signs.tolist(), ensemble.weights)
+    entries = [
+        {
+            "parties": [{"bins": b, "signs": s} for b, s in zip(bins, signs)],
+            "weight": str(weight) if _exact(weight) else weight,
+        }
+        for bins, signs, weight in strategies
+    ]
     return {"entries": entries}
 
 
@@ -508,30 +393,37 @@ def ensemble_from_json(data: dict) -> StrategyEnsemble:
     json_fields(data, "ensemble", ("entries",))
     if not isinstance(data["entries"], list):
         raise ValueError(f"entries must be a list, got {data['entries']!r}")
-    entries = []
+    bins, signs, weights = [], [], []
     for k, item in enumerate(data["entries"]):
         json_fields(item, f"entries[{k}]", ("parties", "weight"))
         parties = item["parties"]
         if not isinstance(parties, list) or not parties:
             raise ValueError(f"entries[{k}].parties must be a non-empty list, got {parties!r}")
-        strategy = []
+        if bins and len(parties) != len(bins[0]):
+            raise ValueError(f"entries[{k}].parties: all strategies must cover the same parties")
+        bins.append([])
+        signs.append([])
         for p, party in enumerate(parties):
             where = f"entries[{k}].parties[{p}]"
             json_fields(party, where, ("bins", "signs"))
             for key in ("bins", "signs"):
                 if not isinstance(party[key], list):
                     raise ValueError(f"{where}.{key} must be a list, got {party[key]!r}")
-            try:
-                strategy.append(LocalInstruction(tuple(party["bins"]), tuple(party["signs"])))
-            except ValueError as exc:
-                raise ValueError(f"{where}.{exc}") from None
+            party_bins, party_signs = tuple(party["bins"]), tuple(party["signs"])
+            if len(party_bins) != 2 or not all(b in BINS for b in party_bins):
+                raise ValueError(f"{where}.bins must assign S or L to both settings, got {party_bins!r}")
+            if len(party_signs) != 2 or not all(is_integer(s) and s in SIGNS for s in party_signs):
+                raise ValueError(
+                    f"{where}.signs must assign the integer +1 or -1 to both settings, got {party_signs!r}"
+                )
+            bins[-1].append([BINS.index(b) for b in party_bins])
+            signs[-1].append(party_signs)
         raw = item["weight"]
         if isinstance(raw, str):
             try:
-                weight = Fraction(raw)
+                weights.append(Fraction(raw))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"entries[{k}].weight {raw!r} is not a fraction") from None
         else:
-            weight = json_real(raw, f"entries[{k}].weight")
-        entries.append((tuple(strategy), weight))
-    return StrategyEnsemble(tuple(entries))
+            weights.append(json_real(raw, f"entries[{k}].weight"))
+    return StrategyEnsemble(np.array(bins, dtype=np.int8), np.array(signs, dtype=np.int8), tuple(weights))

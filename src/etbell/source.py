@@ -140,8 +140,8 @@ def counterfactual_selection_dependence(ensemble: lhv.StrategyEnsemble) -> bool:
     """Exact loophole check: is some positive-weight strategy selected under
     some setting combinations and rejected under others?"""
     combos = list(itertools.product((0, 1), repeat=ensemble.n_parties))
-    table = lhv.strategy_table(s for s, w in ensemble.entries if w > 0)
-    selected = lhv.combo_outcomes(*table, combos) != 0
+    live = np.array([w > 0 for w in ensemble.weights])
+    selected = lhv.combo_outcomes(ensemble.bins[live], ensemble.signs[live], combos) != 0
     return bool((selected.any(axis=1) & ~selected.all(axis=1)).any())
 
 

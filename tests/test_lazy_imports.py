@@ -45,7 +45,7 @@ def test_import_executes_no_submodule():
 
 
 def test_every_public_name_resolves_to_its_defining_module():
-    assert len(etbell.__all__) == 44
+    assert len(etbell.__all__) == 42
     listed = dir(etbell)
     for name in etbell.__all__:
         module = getattr(etbell, etbell._MODULE_OF[name])

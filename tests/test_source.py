@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.stats import chi2, chi2_contingency
 
 from etbell.events import EventTable
 from etbell.lhv import (
-    FixedBinInstruction,
     StrategyEnsemble,
     event_stream,
     saturating_model,
@@ -112,8 +112,7 @@ def test_audit_saturating_model_detected_counterfactually():
 
 
 def test_audit_constant_selection_trivially_independent():
-    strategy = (FixedBinInstruction.of("S", (1, 1)),) * 3
-    ensemble = StrategyEnsemble.single(strategy)
+    ensemble = StrategyEnsemble(np.zeros((1, 3, 2), dtype=np.int8), np.ones((1, 3, 2), dtype=np.int8), (1,))
     table = event_stream(ensemble, 5_000, seed=8)
     assert table.selected.all()
     report = locality_audit(table, ensemble=ensemble)
@@ -124,14 +123,13 @@ def test_audit_constant_selection_trivially_independent():
 
 def test_counterfactual_dependence_logic():
     assert counterfactual_selection_dependence(saturating_model())
-    fixed = StrategyEnsemble.single(
-        (
-            FixedBinInstruction.of("S", (1, -1)),
-            FixedBinInstruction.of("L", (1, 1)),
-            FixedBinInstruction.of("S", (-1, -1)),
-        )
-    )
+    # fixed bins S, L, S: rejected under every combination
+    fixed = StrategyEnsemble([[[0, 0], [1, 1], [0, 0]]], [[[1, -1], [1, 1], [-1, -1]]], (1,))
     assert not counterfactual_selection_dependence(fixed)
+    # a setting-dependent strategy counts only while its weight is positive
+    dependent = [[0, 1], [0, 0], [0, 0]]
+    mixed = StrategyEnsemble([[[0, 0]] * 3, dependent], [[[1, 1]] * 3] * 2, (Fraction(1), Fraction(0)))
+    assert not counterfactual_selection_dependence(mixed)
 
 
 def test_audit_detects_crude_setting_dependence():
