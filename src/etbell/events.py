@@ -15,7 +15,10 @@ for every model. A table stores each field as one small-integer
 (trials, parties) array, so million-trial runs stay cheap, and its CSV
 codec works on whole arrays: the writer looks each row up in a table of
 pre-rendered rows, and the reader parses the body with ``np.loadtxt``, one
-chunk of rows per call, narrowing each chunk as it arrives.
+chunk of rows per call. It keeps each column of a chunk in the narrowest
+integer type that holds its values, checks the (trial, party) grid, then
+places the chunks into the table one by one and lets each go once placed,
+so a read peaks at about 14 bytes per CSV row.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ from .numerics import open_replacing
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
 # Trials rendered per write, so the writer's memory does not grow with the table.
 CSV_CHUNK_TRIALS = 4096
-# Rows parsed per np.loadtxt call: the reader holds one chunk plus ~20 B per row.
-CSV_CHUNK_ROWS = 2**16
+# Rows parsed per np.loadtxt call. A parsed chunk takes 48 B per row and the
+# reader holds up to two, besides about 14 B per row of the file; at 2**16
+# the two chunks were 6 MB, more than a 100k-trial table.
+CSV_CHUNK_ROWS = 2**14
 # The CSV body as np.loadtxt parses it: every column an integer, the bin
 # label as its code (see _LabelCodes).
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1,
@@ -193,7 +198,8 @@ class EventTable:
         ``selected``; a violation names the first offending line or cell.
         Blank lines are skipped. Without ``bin_labels`` the labels are taken
         in order of first appearance. The body is parsed and narrowed
-        :data:`CSV_CHUNK_ROWS` rows at a time."""
+        :data:`CSV_CHUNK_ROWS` rows at a time; the grid is checked before
+        any chunk is placed."""
         codes = _LabelCodes(bin_labels or ())
         n_known = len(codes)
         convert = {CSV_COLUMNS.index("bin"): codes.__getitem__}
@@ -209,7 +215,7 @@ class EventTable:
                 except ValueError as exc:
                     raise _first_malformed_line(path, exc) from None
                 if data.size:
-                    chunks.append([data["trial"].copy(), data["party"].copy(), *_narrow(data)])
+                    chunks.append([_narrowest(data[name]) for name in CSV_COLUMNS])
         if not chunks:
             raise ValueError("event CSV contains no rows")
         for trial, party, *_ in chunks:
@@ -217,24 +223,19 @@ class EventTable:
             if trial[k] < 0 or party[k] < 0:
                 raise ValueError(f"negative index in trial {trial[k]}, party {party[k]}")
         shape = tuple(max(int(chunk[k].max()) for chunk in chunks) + 1 for k in (0, 1))
-        rows = sum(len(chunk[0]) for chunk in chunks)
-        # T * P == rows cells, every one hit: each cell appears exactly once
-        hit = np.zeros(rows, dtype=bool)
-        for chunk in chunks:
-            chunk[:2] = [chunk[0] * shape[1] + chunk[1]]  # (trial, party) -> cell index
-            if shape[0] * shape[1] == rows:
-                hit[chunk[0]] = True
-        if not hit.all():
-            raise _grid_error(np.concatenate([chunk[0] for chunk in chunks]), shape[1])
+        _check_grid(chunks, shape)
         if bin_labels is None:
             bin_labels = tuple(codes)
         elif len(codes) > n_known:
             raise ValueError(f"bin label {list(codes)[n_known]!r} not in {bin_labels}")
-        settings, bins, signs, flags = grids = [np.empty(shape, c.dtype) for c in chunks[0][1:]]
-        for cells, *columns in chunks:
+        settings, bins, signs, flags = grids = [
+            np.empty(shape, np.result_type(*{chunk[k].dtype for chunk in chunks})) for k in range(2, 6)
+        ]
+        while chunks:  # place each chunk, then let it go
+            trial, party, *columns = chunks.pop()
+            cells = np.ravel_multi_index((trial, party), shape)
             for out, column in zip(grids, columns):
                 out.ravel()[cells] = column
-        del chunks
         if not ((flags == 0) | (flags == 1)).all():
             raise ValueError("selected flags must be 0 or 1")
         mixed = np.flatnonzero((flags != flags[:, :1]).any(axis=1))
@@ -243,24 +244,39 @@ class EventTable:
         return cls(settings, bins, signs, flags[:, 0] == 1, bin_labels)
 
 
-def _narrow(data) -> list[np.ndarray]:
-    """Setting, bin, sign and selected as int8, int16, int8, int8, saturating instead of wrapping:
-    a bad value stays bad for the later checks (a bin code past int16 means too many labels)."""
-    types = dict(zip(CSV_COLUMNS[2:], (np.int8, np.int16, np.int8, np.int8)))
-    return [np.clip(data[k], np.iinfo(t).min, np.iinfo(t).max).astype(t) for k, t in types.items()]
+def _narrowest(column) -> np.ndarray:
+    """``column`` in the narrowest integer type that holds its values exactly,
+    so that a bad value stays bad for the later checks and every message."""
+    column = np.ascontiguousarray(column)  # min, max and astype run faster on a contiguous copy
+    lo, hi = column.min(), column.max()
+    types = (np.int8, np.int16, np.int32, np.int64)
+    return column.astype(next(t for t in types if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max))
 
 
-def _grid_error(cells, n_parties) -> ValueError:
-    """The first duplicate, else the first missing, of the cells ``trial * n_parties + party``."""
-    cells, counts = np.unique(cells, return_counts=True)
+def _check_grid(chunks, shape) -> None:
+    """Raise unless each ``(trial, party)`` cell of the ``shape`` grid appears
+    exactly once in ``chunks``: the first duplicate, else the first missing
+    cell in trial-major order."""
+    rows = sum(len(chunk[0]) for chunk in chunks)
+    hit = np.zeros(rows, dtype=bool)
+    # T * P == rows cells, every one hit; only then is every cell index below
+    # rows, so none can wrap in int64
+    if shape[0] * shape[1] == rows:
+        for trial, party, *_ in chunks:
+            hit[np.ravel_multi_index((trial, party), shape)] = True
+    if hit.all():
+        return
+    pairs = np.column_stack([np.concatenate([chunk[k] for chunk in chunks]) for k in (0, 1)])
+    cells, counts = np.unique(pairs, axis=0, return_counts=True)  # sorted trial-major
     duplicate = np.flatnonzero(counts > 1)
     if duplicate.size:
-        t, p = divmod(int(cells[duplicate[0]]), n_parties)
-        return ValueError(f"duplicate event for trial {t}, party {p}")
+        t, p = cells[duplicate[0]]
+        raise ValueError(f"duplicate event for trial {t}, party {p}")
     # cells is sorted and unique, so the first gap is the first missing cell
-    gap = np.flatnonzero(cells != np.arange(cells.size))
-    t, p = divmod(int(gap[0]) if gap.size else cells.size, n_parties)
-    return ValueError(f"missing event for trial {t}, party {p}")
+    grid = np.column_stack(np.divmod(np.arange(len(cells)), shape[1]))
+    gap = np.flatnonzero((cells != grid).any(axis=1))
+    t, p = divmod(int(gap[0]) if gap.size else len(cells), shape[1])
+    raise ValueError(f"missing event for trial {t}, party {p}")
 
 
 def _first_malformed_line(path, error: ValueError) -> ValueError:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .events import EventTable, all_equal, mermin_coefficients, mermin_mu
-from .numerics import is_integer, json_fields, json_real, seeded_rng
+from .numerics import is_integer, json_fields, json_real, seeded_rng, trial_count
 
 BINS = ("S", "L")
 SIGNS = (1, -1)
@@ -349,11 +349,7 @@ def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTa
     rng = seeded_rng(seed)
     n = ensemble.n_parties
     if np.isscalar(schedule):
-        if not is_integer(schedule):
-            raise ValueError(f"trial count must be an integer, got {schedule!r}")
-        trials = int(schedule)
-        if trials < 1:
-            raise ValueError("need at least one trial")
+        trials = trial_count(schedule)
         settings = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
     else:
         # Check the values before narrowing, which would wrap 257 to 1 and cut 0.5 to 0.

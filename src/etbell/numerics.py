@@ -155,6 +155,15 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def trial_count(value) -> int:
+    """A trial count as an int: an integer (Python or numpy, not a bool) of at least 1."""
+    if not is_integer(value):
+        raise ValueError(f"trial count must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError("need at least one trial")
+    return int(value)
+
+
 def seeded_rng(seed) -> np.random.Generator:
     """numpy Generator for a non-negative integer seed."""
     if not is_integer(seed) or seed < 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lhv, states  # each executed only by the functions that use it
 from .events import EventTable
-from .numerics import seeded_rng
+from .numerics import seeded_rng, trial_count
 
 TIME_BINS = ("t0", "t1")
 
@@ -49,8 +49,7 @@ def source_event_stream(trials: int, seed: int = 0) -> EventTable:
     both photons of a pair always share the bin. A trial is selected iff all
     four bins agree (the fourfold coincidence surviving the short window).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = trial_count(trials)
     rng = seeded_rng(seed)
     pair_bins = rng.integers(0, 2, size=(trials, 2), dtype=np.int8)
     bins = pair_bins[:, (0, 0, 1, 1)]
@@ -176,9 +175,8 @@ def locality_audit(
                 dependent=p_value < significance,
             )
         )
-    combo_code = events.settings.astype(np.int64) @ (
-        1 << np.arange(events.n_parties, dtype=np.int64)
-    )
+    # party p's setting is bit p of the combination code
+    combo_code = np.ravel_multi_index(events.settings.T[::-1], (2,) * events.n_parties)
     joint = np.zeros((2**events.n_parties, 2), dtype=np.int64)
     for code in range(joint.shape[0]):
         mask = combo_code == code

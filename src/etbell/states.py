@@ -22,8 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics  # executed only when prepare_postselected composes a network
-from .events import EventTable, all_equal, mermin_coefficients, mermin_mu
-from .numerics import as_matrix, is_integer, json_dim, json_fields, json_real, seeded_rng
+from .events import EventTable, mermin_coefficients, mermin_mu
+from .numerics import (
+    as_matrix,
+    is_integer,
+    json_dim,
+    json_fields,
+    json_real,
+    seeded_rng,
+    trial_count,
+)
 
 PAULI_X = as_matrix(((0, 1), (1, 0)))
 PAULI_Y = as_matrix(((0, -1j), (1j, 0)))
@@ -273,13 +281,15 @@ def joint_outcome_distribution(state: MultiPartyState, analyzers) -> np.ndarray:
 
 def postselect_coincident(joint: np.ndarray, level_labels):
     """Keep the outcomes of a joint amplitude tensor whose per-party levels
-    pass :func:`all_equal`, and renormalize.
+    pass :func:`etbell.events.all_equal`, and renormalize.
 
     Returns ``(state, kept_weight)``, the weight being the squared norm of
     the kept amplitudes. Raises if nothing survives.
     """
-    keep = all_equal(np.moveaxis(np.indices(joint.shape), 0, -1))
-    kept = np.where(keep, joint, 0.0)
+    # the all-equal cells are the diagonal (i, ..., i) for i < min(shape)
+    diagonal = (np.arange(min(joint.shape)),) * joint.ndim
+    kept = np.zeros(joint.shape, np.result_type(joint, 0.0))
+    kept[diagonal] = joint[diagonal]
     weight = float(np.sum(np.abs(kept) ** 2))
     if weight <= 0.0:
         raise ValueError("postselection empty")
@@ -351,8 +361,7 @@ def sample_measurement_events(
     with one common random time bin; every trial is a coincidence, so the
     selection is independent of the settings by construction.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = trial_count(trials)
     n = state.n_parties
     if any(d != 2 for d in state.dims):
         raise ValueError("event sampling is defined for qubit states")

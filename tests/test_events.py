@@ -490,6 +490,24 @@ def test_csv_out_of_range_value_in_later_chunk(tmp_path, small_chunks, changes, 
         (_grid_rows()[:5], "^missing event for trial 2, party 1$"),
         (_grid_rows() + [[3, 1, 0, "S", 1, 1]], "^missing event for trial 3, party 0$"),
         (_grid_rows((4, "trial", -1)), "^negative index in trial -1, party 0$"),
+        # indices past int8/int32 and below zero in a later chunk
+        (_grid_rows((5, "party", -1)), "^negative index in trial 2, party -1$"),
+        (_grid_rows((4, "trial", -(2**40))), "^negative index in trial -1099511627776, party 0$"),
+        (_grid_rows((5, "trial", 2**40)), "^missing event for trial 2, party 1$"),
+        (
+            _grid_rows((4, "trial", 2**40), (5, "trial", 2**40), (5, "party", 0)),
+            "^duplicate event for trial 1099511627776, party 0$",
+        ),
+        (_grid_rows((5, "party", 300)), "^missing event for trial 0, party 2$"),
+        # trial * parties wraps in int64 (to 2**63, and to 0 = trial 0, party 0)
+        (
+            [[t, p, 0, "S", 1, 1] for t, p in [(0, 0), (0, 1), (2**62, 0)]],
+            "^missing event for trial 1, party 0$",
+        ),
+        (
+            [[t, p, 0, "S", 1, 1] for t, p in [(0, 0), (0, 1), (0, 2), (0, 3), (2**62, 0)]],
+            "^missing event for trial 1, party 0$",
+        ),
     ],
 )
 def test_csv_bad_cell_in_later_chunk(tmp_path, small_chunks, rows, message):
@@ -500,8 +518,8 @@ def test_csv_bad_cell_in_later_chunk(tmp_path, small_chunks, rows, message):
 
 
 def test_csv_read_memory_per_row(tmp_path):
-    # the table itself needs about 4 bytes per row; one chunk and the int64
-    # trial and party columns come on top
+    # the table itself needs about 4 bytes per row; the parsed chunks (trial
+    # and party as narrow as their values allow) and the grids come on top
     path = tmp_path / "events.csv"
     source_event_stream(100_000, seed=7).write_csv(path)
     tracemalloc.start()
@@ -511,4 +529,4 @@ def test_csv_read_memory_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(table) == 400_000
-    assert peak <= 50 * len(table)
+    assert peak <= 20 * len(table)

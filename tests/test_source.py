@@ -90,6 +90,12 @@ def test_source_stream_deterministic():
         source_event_stream(trials=0, seed=5)
 
 
+@pytest.mark.parametrize("trials", [2.7, True, np.float64(3.0), "5"])
+def test_source_stream_trial_count_must_be_an_integer(trials):
+    with pytest.raises(ValueError, match="^trial count must be an integer"):
+        source_event_stream(trials, seed=5)
+
+
 def test_audit_quantum_stream_passes():
     table = sample_measurement_events(ghz_state(3), trials=20_000, seed=6)
     report = locality_audit(table)

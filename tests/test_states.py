@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import etbell.states as states_module
+from etbell.events import all_equal
 from etbell.optics import (
     InterferometerNetwork,
     beam_splitter,
@@ -28,6 +29,7 @@ from etbell.states import (
     mermin3,
     mermin_coefficients,
     mermin_n,
+    postselect_coincident,
     prepare_postselected,
     qunit_state,
     rotated_settings,
@@ -314,6 +316,29 @@ def test_sample_measurement_events_deterministic_and_saturating():
 
     est = mermin_estimate(table)
     assert est.mu == 4.0
+
+
+@pytest.mark.parametrize("trials", [2.7, True, np.float64(3.0), "5"])
+def test_sample_measurement_events_trial_count_must_be_an_integer(trials):
+    with pytest.raises(ValueError, match="^trial count must be an integer"):
+        sample_measurement_events(ghz_state(3), trials=trials, seed=11)
+
+
+@given(
+    shape=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_postselect_coincident_matches_all_equal_mask(shape, seed):
+    rng = np.random.default_rng(seed)
+    joint = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    labels = tuple(tuple(str(k) for k in range(d)) for d in shape)
+    # reference: the all_equal mask over every cell's index tuple
+    kept = np.where(all_equal(np.moveaxis(np.indices(shape), 0, -1)), joint, 0.0)
+    weight = float(np.sum(np.abs(kept) ** 2))
+    state, got = postselect_coincident(joint, labels)
+    assert got == weight
+    assert state.amplitudes.tobytes() == (kept / math.sqrt(weight)).reshape(-1).tobytes()
 
 
 def test_multiparty_state_validation():
