@@ -17,7 +17,7 @@ from etbell.lhv import (
     max_mu_setting_independent,
     saturating_model,
 )
-from etbell.states import ghz_state, mermin3, standard_settings
+from etbell.states import ghz_state, mermin_n, standard_settings
 
 
 def main() -> None:
@@ -25,8 +25,7 @@ def main() -> None:
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     args = parser.parse_args()
 
-    flat = [obs for pair in standard_settings(3) for obs in pair]
-    quantum = mermin3(ghz_state(3), *flat)
+    quantum = mermin_n(ghz_state(3), standard_settings(3))
 
     model = saturating_model()
     model_corr = evaluate_postselected(model)

@@ -30,9 +30,9 @@ _EXPORTS = {
     "lhv": "PostselectedCorrelations StrategyEnsemble "
     "evaluate_postselected event_stream max_mu_setting_dependent max_mu_setting_independent "
     "mermin_classical_bound saturating_model scaled_model",
-    "numerics": "DEFAULT_TOL StateVector is_unitary matmul tensor",
-    "optics": "InterferometerNetwork OpticalElement beam_splitter bs_unitary compose dft_unitary "
-    "generation_cascade measurement_basis phase_shifter qutrit_analyzer reck_decompose",
+    "numerics": "DEFAULT_TOL is_unitary",
+    "optics": "InterferometerNetwork OpticalElement beam_splitter compose dft_unitary "
+    "generation_cascade phase_shifter qutrit_analyzer reck_decompose",
     "source": "coincidence_filter four_photon_state locality_audit source_event_stream",
     "states": "MerminResult MultiPartyState correlators expectation ghz_state mermin3 mermin_n "
     "prepare_postselected qunit_state standard_settings",

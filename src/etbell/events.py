@@ -347,9 +347,8 @@ def mermin_estimate(table: EventTable) -> EmpiricalCorrelations:
     n = table.n_parties
     coeffs = mermin_coefficients(n)
     # a setting string read as a binary number, the first party's bit highest
-    place = 1 << np.arange(n - 1, -1, -1)
-    code = table.settings @ place
-    combos = np.array(list(coeffs)) @ place
+    code = np.ravel_multi_index(table.settings.T, (2,) * n)
+    combos = np.ravel_multi_index(np.array(list(coeffs)).T, (2,) * n)
     chosen = code[table.selected]
     prod = table.signs[table.selected].prod(axis=1)
     combo_counts = np.bincount(code, minlength=1 << n)[combos].tolist()

@@ -1,14 +1,12 @@
-"""Minimal dense complex linear algebra shared by the optics and state modules.
+"""Matrix checks, strict JSON readers and the file writer shared by the
+other modules.
 
 Matrices are plain ``numpy`` arrays of ``complex128``; the functions here add
 the validation the rest of the package leans on (finite entries, shape
 discipline, unitarity checks), with the strict JSON field readers and the
 one file writer (:func:`open_replacing`) every output goes through.
-:class:`StateVector` pairs an amplitude vector with basis labels so states
-stay self-describing when subsystems combine.
 
-All values are immutable after construction (arrays are marked read-only)
-and safe to share across threads.
+Matrices returned here are read-only and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,13 +14,12 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-#: Default tolerance for unitarity and normalization checks. Every matrix in
-#: this package comes from closed-form entries, far from conditioning limits,
-#: so a fixed default is safe; all checks accept an override.
+#: Default tolerance for unitarity checks. Every matrix in this package
+#: comes from closed-form entries, far from conditioning limits, so a fixed
+#: default is safe; all checks accept an override.
 DEFAULT_TOL = 1e-10
 
 
@@ -35,31 +32,6 @@ def as_matrix(values) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     m.setflags(write=False)
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    out = a @ b
-    out.setflags(write=False)
-    return out
-
-
-def tensor(a, b):
-    """Kronecker product of two matrices or of two labeled state vectors.
-
-    For :class:`StateVector` operands the basis labels concatenate pairwise
-    (``"S" x "L" -> "SL"``).
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        labels = tuple(la + lb for la in a.labels for lb in b.labels)
-        return StateVector(np.kron(a.amplitudes, b.amplitudes), labels)
-    if isinstance(a, StateVector) or isinstance(b, StateVector):
-        raise TypeError("tensor requires two matrices or two StateVectors")
-    return as_matrix(np.kron(as_matrix(a), as_matrix(b)))
 
 
 def unitarity_defect(m) -> float:
@@ -75,56 +47,6 @@ def unitarity_defect(m) -> float:
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     return unitarity_defect(m) <= tol
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Amplitude vector over a labeled basis.
-
-    ``labels`` defaults to ``("1", "2", ...)``. Amplitudes are stored
-    read-only; ``normalize`` returns a fresh vector.
-    """
-
-    amplitudes: np.ndarray
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amplitudes must form a nonempty 1-d vector")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        amps.setflags(write=False)
-        labels = tuple(self.labels) or tuple(str(k + 1) for k in range(amps.size))
-        if len(labels) != amps.size:
-            raise ValueError("need exactly one basis label per amplitude")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.labels)
-
-    def inner(self, other: "StateVector") -> complex:
-        """Hermitian inner product ``<self|other>``."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in inner product")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def allclose(self, other: "StateVector", tol: float = 1e-12) -> bool:
-        return (
-            self.dim == other.dim
-            and float(np.abs(self.amplitudes - other.amplitudes).max()) <= tol
-        )
 
 
 def matrix_to_json(m) -> dict:

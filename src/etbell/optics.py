@@ -12,7 +12,8 @@ acts as the identity outside the 2x2 block (rows/columns ``i``, ``j``)::
 so both output amplitudes derive from the single ``R`` and energy is
 conserved by construction. A phase shifter multiplies one mode by
 ``exp(i*phase)``. Network elements are listed in propagation order, i.e.
-``compose([e1, e2, e3]) == U(e3) @ U(e2) @ U(e1)``.
+``compose([e1, e2, e3]) == U(e3) @ U(e2) @ U(e1)``; one element's n-mode
+unitary ``U(e)`` is ``compose`` of a network holding only ``e``.
 
 With this sign convention the three-mode analyzer cascade (50/50, R=1/3,
 50/50) at phases ``(alpha, beta, gamma) = (pi/3, pi/3, -pi/6)`` composes to
@@ -29,7 +30,6 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
-    StateVector,
     as_matrix,
     is_integer,
     is_unitary,
@@ -118,21 +118,6 @@ def _bs_block(reflectivity: float, phase: float) -> np.ndarray:
     return np.array([[t, ph * r], [r, -ph * t]])
 
 
-def bs_unitary(reflectivity: float, phase: float, modes: tuple[int, int], n: int) -> np.ndarray:
-    """n-mode unitary of a single beam splitter on ``modes``."""
-    i, j = modes
-    if i == j:
-        raise ValueError("beam splitter needs two distinct modes")
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    if max(i, j) >= n or min(i, j) < 0:
-        raise ValueError("mode index out of range")
-    m = np.eye(n, dtype=complex)
-    m[np.ix_((i, j), (i, j))] = _bs_block(reflectivity, phase)
-    m.setflags(write=False)
-    return m
-
-
 def compose(network: InterferometerNetwork) -> np.ndarray:
     """Total unitary of the network (elements applied in propagation order).
 
@@ -204,7 +189,9 @@ def analyzer_matrix(n: int, phis) -> np.ndarray:
     """DFT analyzer with measurement phases ``phis = (phi_2, ..., phi_N)``.
 
     Column ``j >= 2`` of the DFT is multiplied by ``exp(-i*phi_j)``; the
-    first measurement phase is fixed to zero.
+    first measurement phase is fixed to zero. Outcome ``k`` projects onto
+    the conjugate of row ``k``, the vector with components
+    ``conj(w)^((k-1)(j-1)) exp(i*phi_j)/sqrt(N)`` on level ``j``.
     """
     phis = np.asarray(phis, dtype=float).reshape(-1)
     if phis.size != n - 1:
@@ -213,17 +200,6 @@ def analyzer_matrix(n: int, phis) -> np.ndarray:
     m = dft_unitary(n) * col_phase[None, :]
     m.setflags(write=False)
     return m
-
-
-def measurement_basis(n: int, phis) -> list[StateVector]:
-    """Orthonormal basis projected onto by the DFT analyzer.
-
-    Vector ``k`` has components ``conj(w)^((k-1)(j-1)) exp(i*phi_j)/sqrt(N)``
-    on level ``j``, i.e. the conjugated rows of :func:`analyzer_matrix`.
-    """
-    m = analyzer_matrix(n, phis)
-    labels = tuple(str(j + 1) for j in range(n))
-    return [StateVector(m[k].conj(), labels) for k in range(n)]
 
 
 def generation_cascade(n: int) -> InterferometerNetwork:

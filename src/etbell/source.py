@@ -158,13 +158,16 @@ def locality_audit(
     With ``ensemble`` given, the counterfactual dependence of the generating
     model is evaluated exactly as well.
     """
+    n = events.n_parties
+    # party p's setting is bit p of the combination code
+    combo_code = np.ravel_multi_index(events.settings.T[::-1], (2,) * n)
+    # joint[code, s]: the trials with that setting combination and selection s
+    joint = np.bincount(combo_code * 2 + events.selected, minlength=2 ** (n + 1)).reshape(-1, 2)
+    # axis n - 1 - p of the cube holds party p's setting
+    cube = joint.reshape((2,) * n + (2,))
     per_party = []
-    for p in range(events.n_parties):
-        counts = np.zeros((2, 2), dtype=np.int64)
-        for setting in (0, 1):
-            mask = events.settings[:, p] == setting
-            counts[setting, 0] = int((mask & ~events.selected).sum())
-            counts[setting, 1] = int((mask & events.selected).sum())
+    for p in range(n):
+        counts = cube.sum(axis=tuple(a for a in range(n) if a != n - 1 - p))
         chi2, p_value = _chi2(counts)
         per_party.append(
             PartyAudit(
@@ -175,13 +178,6 @@ def locality_audit(
                 dependent=p_value < significance,
             )
         )
-    # party p's setting is bit p of the combination code
-    combo_code = np.ravel_multi_index(events.settings.T[::-1], (2,) * events.n_parties)
-    joint = np.zeros((2**events.n_parties, 2), dtype=np.int64)
-    for code in range(joint.shape[0]):
-        mask = combo_code == code
-        joint[code, 0] = int((mask & ~events.selected).sum())
-        joint[code, 1] = int((mask & events.selected).sum())
     joint_chi2, joint_p = _chi2(joint)
     counterfactual = (
         None if ensemble is None else counterfactual_selection_dependence(ensemble)

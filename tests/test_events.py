@@ -157,6 +157,19 @@ def test_mermin_estimate_two_parties_is_chsh():
     assert est.selection_rate == 0.875
 
 
+def test_mermin_estimate_memory():
+    # the three-party table holds 10 bytes per trial (1.0 MB); one int64
+    # code per trial comes on top, but no wide copy of the settings
+    table = event_stream(saturating_model(), 100_000, seed=3)
+    tracemalloc.start()
+    try:
+        mermin_estimate(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+
+
 def _reference_estimate(table):
     """One setting mask and one mean per Mermin combination: the loop the
     bincount estimate must match exactly."""

@@ -7,39 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etbell.numerics import (
-    StateVector,
     as_matrix,
     is_unitary,
-    matmul,
     matrix_from_json,
     matrix_to_json,
-    tensor,
     unitarity_defect,
 )
 
 from conftest import dft_literal, random_unitary, splitter_literals
 
 
-def test_matmul_identity_case():
-    x = random_unitary(3, seed=11)
-    assert np.abs(matmul(np.eye(3), x) - x).max() == 0.0
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.eye(3), np.eye(4))
-
-
 def test_matmul_splitter_cascade_first_column():
     b1, b2, b3 = splitter_literals(0.0, 0.0, 0.0)
-    product = matmul(b3, matmul(b2, b1))
+    product = b3 @ b2 @ b1
     expected = np.full(3, 1.0 / math.sqrt(3.0))
     assert np.abs(product[:, 0] - expected).max() < 1e-15
 
 
 def test_matmul_splitters_at_dft_phases():
     b1, b2, b3 = splitter_literals(math.pi / 3, math.pi / 3, -math.pi / 6)
-    product = matmul(b3, matmul(b2, b1))
+    product = b3 @ b2 @ b1
     assert np.abs(product - dft_literal(3)).max() < 1e-12
 
 
@@ -50,30 +37,17 @@ def test_matrix_must_be_finite():
         as_matrix([[np.nan, 0], [0, 1]])
 
 
-def test_tensor_basis_states():
-    s = StateVector([1, 0], ("S", "L"))
-    sss = tensor(tensor(s, s), s)
-    assert sss.labels[0] == "SSS"
-    assert sss.amplitudes[0] == 1.0
-    assert np.abs(sss.amplitudes[1:]).max() == 0.0
-
-
 def test_tensor_pauli_x_pair():
     sx = np.array([[0, 1], [1, 0]])
-    out = tensor(sx, sx)
+    out = np.kron(sx, sx)
     assert np.abs(out - np.fliplr(np.eye(4))).max() == 0.0
 
 
 def test_tensor_uniform_superposition():
-    plus = StateVector(np.array([1, 1]) / math.sqrt(2), ("S", "L"))
-    triple = tensor(tensor(plus, plus), plus)
-    assert triple.dim == 8
-    assert np.abs(triple.amplitudes - 1.0 / math.sqrt(8.0)).max() < 1e-15
-
-
-def test_tensor_rejects_mixed_kinds():
-    with pytest.raises(TypeError):
-        tensor(StateVector([1, 0]), np.eye(2))
+    plus = np.array([1, 1]) / math.sqrt(2)
+    triple = np.kron(np.kron(plus, plus), plus)
+    assert triple.size == 8
+    assert np.abs(triple - 1.0 / math.sqrt(8.0)).max() < 1e-15
 
 
 def test_is_unitary_examples():
@@ -87,35 +61,6 @@ def test_unitary_cascade_product():
     from etbell.optics import compose, generation_cascade
 
     assert is_unitary(compose(generation_cascade(4)), 1e-12)
-
-
-def test_normalize_gives_unit_norm():
-    v = StateVector(np.array([3.0, 4.0]) / 5.0)
-    w = StateVector([3.0, 4.0j]).normalize()
-    assert abs(w.norm() - 1.0) < 1e-15
-    assert abs(v.norm() - 1.0) < 1e-15
-
-
-def test_normalize_zero_vector_fails():
-    with pytest.raises(ValueError):
-        StateVector([0.0, 0.0]).normalize()
-
-
-def test_state_vector_validation():
-    with pytest.raises(ValueError):
-        StateVector([])
-    with pytest.raises(ValueError):
-        StateVector([1.0, 0.0], ("only-one",))
-    with pytest.raises(ValueError):
-        StateVector([np.inf, 0.0])
-
-
-def test_state_vector_default_labels_and_inner():
-    v = StateVector([1.0, 0.0, 0.0])
-    assert v.labels == ("1", "2", "3")
-    w = StateVector([0.0, 1.0, 0.0])
-    assert v.inner(w) == 0.0
-    assert v.inner(v) == 1.0
 
 
 def test_matrix_json_round_trip():
@@ -135,37 +80,7 @@ def test_matrix_json_round_trip():
 def test_tensor_of_unitaries_is_unitary(da, db, seed):
     u = random_unitary(da, seed)
     v = random_unitary(db, seed + 1)
-    assert unitarity_defect(tensor(u, v)) <= 1e-12
-
-
-@given(
-    dim=st.integers(min_value=2, max_value=5),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-@settings(max_examples=30, deadline=None)
-def test_matmul_associativity(dim, seed):
-    a = random_unitary(dim, seed)
-    b = random_unitary(dim, seed + 1)
-    c = random_unitary(dim, seed + 2)
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    assert np.abs(left - right).max() <= 1e-12
-
-
-@given(
-    dim=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-@settings(max_examples=30, deadline=None)
-def test_normalize_is_idempotent(dim, seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    if np.linalg.norm(raw) == 0.0:
-        raw = raw + 1.0
-    once = StateVector(raw).normalize()
-    twice = once.normalize()
-    assert abs(once.norm() - 1.0) <= 1e-12
-    assert np.abs(once.amplitudes - twice.amplitudes).max() <= 1e-15
+    assert unitarity_defect(np.kron(u, v)) <= 1e-12
 
 
 _GOOD_MATRIX = {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [0.0, -1.0]]}

@@ -13,14 +13,12 @@ from etbell.optics import (
     ReckDecomposition,
     analyzer_matrix,
     beam_splitter,
-    bs_unitary,
     compose,
     decomposition_text,
     decomposition_to_json,
     dft_unitary,
     element_from_json,
     generation_cascade,
-    measurement_basis,
     network_from_json,
     network_to_json,
     phase_shifter,
@@ -38,36 +36,41 @@ from conftest import (
 )
 
 
+def _splitter_unitary(n, modes, reflectivity, phase):
+    """One splitter's n-mode unitary: compose of a network holding only it."""
+    return compose(InterferometerNetwork(n, (beam_splitter(*modes, reflectivity, phase),)))
+
+
 def test_bs_unitary_matches_splitter_literals():
     alpha, beta, gamma = 0.37, -1.2, 2.5
     b1, b2, b3 = splitter_literals(alpha, beta, gamma)
-    assert np.abs(bs_unitary(0.5, alpha, (1, 2), 3) - b1).max() < 1e-15
-    assert np.abs(bs_unitary(1 / 3, beta, (0, 2), 3) - b2).max() < 1e-15
-    assert np.abs(bs_unitary(0.5, gamma, (0, 1), 3) - b3).max() < 1e-15
+    assert np.abs(_splitter_unitary(3, (1, 2), 0.5, alpha) - b1).max() < 1e-15
+    assert np.abs(_splitter_unitary(3, (0, 2), 1 / 3, beta) - b2).max() < 1e-15
+    assert np.abs(_splitter_unitary(3, (0, 1), 0.5, gamma) - b3).max() < 1e-15
 
 
 def test_bs_unitary_zero_reflectivity_is_diagonal_sign_flip():
     # R=0 sends each input straight through, with the convention's sign
     # flip on the second mode: diag(1, -1) on the block, no mixing.
-    m = bs_unitary(0.0, 0.0, (1, 3), 5)
+    m = _splitter_unitary(5, (1, 3), 0.0, 0.0)
     assert np.abs(np.diag(m) - np.array([1, 1, 1, -1, 1])).max() == 0.0
     off = m - np.diag(np.diag(m))
     assert np.abs(off).max() == 0.0
 
 
 def test_bs_unitary_validation():
-    with pytest.raises(ValueError):
-        bs_unitary(1.5, 0.0, (0, 1), 2)
-    with pytest.raises(ValueError):
-        bs_unitary(0.5, 0.0, (1, 1), 3)
-    with pytest.raises(ValueError):
-        bs_unitary(0.5, 0.0, (0, 3), 3)
+    with pytest.raises(ValueError, match="reflectivity"):
+        beam_splitter(0, 1, 1.5)
+    with pytest.raises(ValueError, match="distinct modes"):
+        beam_splitter(1, 1, 0.5)
+    with pytest.raises(ValueError, match="exceeds n_modes=3"):
+        InterferometerNetwork(3, (beam_splitter(0, 3, 0.5),))
 
 
 @given(r=st.floats(min_value=0.0, max_value=1.0), phase=st.floats(-10, 10))
 @settings(max_examples=50, deadline=None)
 def test_bs_energy_conservation(r, phase):
-    m = bs_unitary(r, phase, (0, 1), 2)
+    m = _splitter_unitary(2, (0, 1), r, phase)
     for col in range(2):
         total = abs(m[0, col]) ** 2 + abs(m[1, col]) ** 2
         assert abs(total - 1.0) <= 1e-15
@@ -125,33 +128,38 @@ def test_dft_small_cases():
         dft_unitary(1)
 
 
+def _basis(n, phis):
+    """The vectors the DFT analyzer projects onto: its rows, conjugated."""
+    return list(analyzer_matrix(n, phis).conj())
+
+
 def test_measurement_basis_three_levels_zero_phases():
-    first, second, third = measurement_basis(3, (0.0, 0.0))
+    first, second, third = _basis(3, (0.0, 0.0))
     s3 = math.sqrt(3.0)
-    assert np.abs(first.amplitudes - np.array([1, 1, 1]) / s3).max() < 1e-15
+    assert np.abs(first - np.array([1, 1, 1]) / s3).max() < 1e-15
     expected_second = np.array(
         [1, np.exp(-2j * math.pi / 3), np.exp(-4j * math.pi / 3)]
     ) / s3
-    assert np.abs(second.amplitudes - expected_second).max() < 1e-15
-    assert abs(second.inner(third)) < 1e-15
+    assert np.abs(second - expected_second).max() < 1e-15
+    assert abs(np.vdot(second, third)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_measurement_basis_matches_formula(n):
     rng = np.random.default_rng(n)
     phis = rng.uniform(-math.pi, math.pi, size=n - 1)
-    vectors = measurement_basis(n, phis)
+    vectors = _basis(n, phis)
     literal = measurement_basis_literal(n, phis)
     for got, want in zip(vectors, literal):
-        assert np.abs(got.amplitudes - want).max() < 1e-12
+        assert np.abs(got - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_measurement_basis_orthonormal(n):
     rng = np.random.default_rng(100 + n)
-    vectors = measurement_basis(n, rng.uniform(-3, 3, size=n - 1))
+    vectors = _basis(n, rng.uniform(-3, 3, size=n - 1))
     gram = np.array(
-        [[v.inner(w) for w in vectors] for v in vectors]
+        [[np.vdot(v, w) for w in vectors] for v in vectors]
     )
     assert np.abs(gram - np.eye(n)).max() < 1e-12
 
@@ -164,13 +172,13 @@ def test_measurement_basis_projection_property():
     s = s / np.linalg.norm(s)
     m = analyzer_matrix(n, phis)
     projected = m @ s
-    for k, vec in enumerate(measurement_basis(n, phis)):
-        assert abs(np.vdot(vec.amplitudes, s) - projected[k]) < 1e-12
+    for k, vec in enumerate(_basis(n, phis)):
+        assert abs(np.vdot(vec, s) - projected[k]) < 1e-12
 
 
 def test_measurement_basis_length_mismatch():
     with pytest.raises(ValueError):
-        measurement_basis(3, (0.0,))
+        analyzer_matrix(3, (0.0,))
 
 
 def test_generation_cascade_structure():
@@ -269,13 +277,16 @@ def test_network_json_round_trip():
 
 
 def _dense_compose(network):
-    """Reference: the full n x n product of every element's unitary."""
+    """Reference: the full n x n product of every element's unitary, each
+    written out from the 2x2 splitter block of the optics docstring."""
     u = np.eye(network.n_modes, dtype=complex)
     for el in network.elements:
+        m = np.eye(network.n_modes, dtype=complex)
         if el.kind == "beam_splitter":
-            m = bs_unitary(el.reflectivity, el.phase, el.modes, network.n_modes)
+            t, r = math.sqrt(1.0 - el.reflectivity), math.sqrt(el.reflectivity)
+            ph = np.exp(1j * el.phase)
+            m[np.ix_(el.modes, el.modes)] = [[t, ph * r], [r, -ph * t]]
         else:
-            m = np.eye(network.n_modes, dtype=complex)
             m[el.modes[0], el.modes[0]] = np.exp(1j * el.phase)
         u = m @ u
     return u

@@ -1,8 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2, chi2_contingency
 
 from etbell.events import EventTable
@@ -150,6 +153,49 @@ def test_audit_detects_crude_setting_dependence():
     report = locality_audit(table)
     assert report.per_party[0].dependent
     assert report.setting_dependent
+
+
+def _reference_audit(table):
+    """Two masks per party and one per setting combination, each over every
+    trial: the counts the audit's single bincount must match exactly."""
+    per_party = []
+    for p in range(table.n_parties):
+        counts = np.zeros((2, 2), dtype=np.int64)
+        for setting in (0, 1):
+            mask = table.settings[:, p] == setting
+            counts[setting] = (mask & ~table.selected).sum(), (mask & table.selected).sum()
+        per_party.append(counts)
+    joint = []
+    # the first party's setting is the lowest bit of the combination code
+    for combo in itertools.product((0, 1), repeat=table.n_parties):
+        mask = (table.settings == combo[::-1]).all(axis=1)
+        joint.append([(mask & ~table.selected).sum(), (mask & table.selected).sum()])
+    return per_party, np.array(joint, dtype=np.int64)
+
+
+@st.composite
+def audit_tables(draw):
+    parties = draw(st.integers(min_value=1, max_value=5))
+    trials = draw(st.integers(min_value=0, max_value=60))
+    bits = draw(st.lists(st.integers(0, 1), min_size=trials * parties, max_size=trials * parties))
+    settings = np.array(bits, dtype=int).reshape(trials, parties)
+    selection = draw(st.sampled_from(["drawn", "all", "none"]))
+    if selection == "drawn":
+        flags = draw(st.lists(st.booleans(), min_size=trials, max_size=trials))
+    else:
+        flags = [selection == "all"] * trials
+    return EventTable(settings, np.zeros_like(settings), np.ones_like(settings), flags)
+
+
+@given(table=audit_tables())
+@settings(max_examples=150, deadline=None)
+def test_audit_counts_match_mask_reference(table):
+    per_party, joint = _reference_audit(table)
+    report = locality_audit(table)
+    for party, counts in zip(report.per_party, per_party, strict=True):
+        assert party.counts == tuple(map(tuple, counts.tolist()))
+        assert (party.chi2, party.p_value) == _chi2(counts)
+    assert (report.joint_chi2, report.joint_p_value) == _chi2(joint)
 
 
 def test_chi2_sf_matches_scipy():

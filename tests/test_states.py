@@ -12,7 +12,6 @@ from etbell.optics import (
     InterferometerNetwork,
     beam_splitter,
     generation_cascade,
-    measurement_basis,
     analyzer_matrix,
 )
 from etbell.states import (
@@ -298,8 +297,8 @@ def test_measurement_basis_consistency_with_distribution():
     amps = random_state_vector(n, seed=17)
     state = MultiPartyState((n,), amps)
     dist = joint_outcome_distribution(state, [analyzer_matrix(n, phis)])
-    for k, vec in enumerate(measurement_basis(n, phis)):
-        want = abs(np.vdot(vec.amplitudes, amps)) ** 2
+    for k, vec in enumerate(analyzer_matrix(n, phis).conj()):
+        want = abs(np.vdot(vec, amps)) ** 2
         assert abs(dist[k] - want) < 1e-12
 
 
