@@ -187,7 +187,7 @@ class EventTable:
                 # the suffix's position in the itertools.product above
                 code = (party * 2 + self.settings[rows]) * n_labels + self.bins[rows]
                 code = code * 4 + (self.signs[rows] < 0) * 2 + self.selected[rows, None]
-                trials = np.arange(start, start + len(code)).astype(str).astype(object) + ","
+                trials = np.array([f"{t}," for t in range(start, start + len(code))], dtype=object)
                 fh.write("".join(np.repeat(trials, parties) + suffixes[code.ravel()]))
 
     @classmethod

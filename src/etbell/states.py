@@ -10,7 +10,9 @@ algebraic maximum 4.
 
 ``prepare_postselected`` models the ideal simultaneous-emission source: one
 photon per party propagates through that party's network, and only joint
-arrival-bin outcomes passing the coincidence rule are kept.
+arrival-bin outcomes passing the coincidence rule are kept. The kept cells
+come from each party's network column alone, so preparation costs about the
+output state, never the tensor over all joint outcomes.
 """
 
 from __future__ import annotations
@@ -117,20 +119,30 @@ def ghz_state(n: int) -> MultiPartyState:
     """(|S...S> + |L...L>)/sqrt(2) over n time-bin qubits."""
     if n < 2:
         raise ValueError("GHZ state needs at least two parties")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return MultiPartyState((2,) * n, amps, ((QUBIT_LABELS),) * n)
+    return _diagonal_state((2,) * n, np.ones(2), (QUBIT_LABELS,) * n)[0]
 
 
 def qunit_state(n: int) -> MultiPartyState:
     """(sum_i |i...i>)/sqrt(n) over n parties with n levels each."""
     if n < 2:
         raise ValueError("qunit state needs at least two parties")
-    dims = (n,) * n
-    amps = np.zeros(n**n, dtype=complex)
-    for i in range(n):
-        amps[np.ravel_multi_index((i,) * n, dims)] = 1.0 / math.sqrt(n)
-    return MultiPartyState(dims, amps, (_default_labels(n),) * n)
+    return _diagonal_state((n,) * n, np.ones(n), (_default_labels(n),) * n)[0]
+
+
+def _diagonal_state(dims, diagonal, level_labels):
+    """``(state, weight)``: ``diagonal[i]`` on ``|i...i>`` renormalized, and its
+    squared norm, summed over the dense layout in ``np.sum``'s order so the
+    bytes match renormalizing a dense kept tensor. Raises if the weight is zero."""
+    amps = np.zeros(math.prod(dims), dtype=complex)
+    # |i...i> sits at i times the sum of the C-order strides
+    cells = np.arange(len(diagonal)) * sum(math.prod(dims[p + 1 :]) for p in range(len(dims)))
+    amps[cells] = diagonal
+    weight = np.abs(amps)
+    weight = float(np.sum(np.square(weight, out=weight)))
+    if weight <= 0.0:
+        raise ValueError("postselection empty")
+    amps[cells] = diagonal / math.sqrt(weight)
+    return MultiPartyState(dims, amps, level_labels), weight
 
 
 #: Largest setting-by-level tensor the correlator kernel builds: 2**24
@@ -288,13 +300,7 @@ def postselect_coincident(joint: np.ndarray, level_labels):
     """
     # the all-equal cells are the diagonal (i, ..., i) for i < min(shape)
     diagonal = (np.arange(min(joint.shape)),) * joint.ndim
-    kept = np.zeros(joint.shape, np.result_type(joint, 0.0))
-    kept[diagonal] = joint[diagonal]
-    weight = float(np.sum(np.abs(kept) ** 2))
-    if weight <= 0.0:
-        raise ValueError("postselection empty")
-    state = MultiPartyState(joint.shape, (kept / math.sqrt(weight)).reshape(-1), level_labels)
-    return state, weight
+    return _diagonal_state(joint.shape, joint[diagonal], level_labels)
 
 
 def prepare_postselected(networks, emission_amplitudes=None, input_mode: int = 0):
@@ -307,43 +313,55 @@ def prepare_postselected(networks, emission_amplitudes=None, input_mode: int = 0
     coherently. Outcomes whose bins are not all equal are discarded and the
     rest renormalized.
 
+    Only the kept cells are computed, from each party's column padded to one
+    row per emission bin; the joint norm is ``src^H (G_1 * ... * G_n) src``
+    with the Gram matrices ``G_p = conj(padded_p) padded_p^T``.
+
     Returns ``(state, selection_probability)``. Raises if nothing survives.
     """
     nets = list(networks)
     if not nets:
-        raise ValueError("need at least one party network")
+        raise ValueError("networks must name at least one party network")
+    for p, net in enumerate(nets):
+        if not isinstance(net, optics.InterferometerNetwork):
+            raise ValueError(f"networks[{p}] must be an InterferometerNetwork, got {type(net).__name__}")
+    if not is_integer(input_mode) or not all(0 <= input_mode < net.n_modes for net in nets):
+        raise ValueError(f"input_mode must be an integer mode of every network, got {input_mode!r}")
     if emission_amplitudes is None:
         src = np.ones(1, dtype=complex)
     else:
-        src = np.asarray(emission_amplitudes, dtype=complex).reshape(-1)
+        try:
+            src = np.asarray(emission_amplitudes, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"emission_amplitudes must be complex numbers ({exc})") from None
+        if src.ndim != 1 or not np.isfinite(src).all():
+            raise ValueError("emission_amplitudes must be a 1-D array of finite amplitudes")
         norm = np.linalg.norm(src)
         if norm == 0:
-            raise ValueError("emission superposition cannot be zero")
+            raise ValueError("emission_amplitudes cannot all be zero")
         src = src / norm
-    columns = []
-    for net in nets:
-        u = optics.compose(net)
-        if not 0 <= input_mode < net.n_modes:
-            raise ValueError("input mode outside network")
-        columns.append(u[:, input_mode])
     n_emit = src.size
-    dims = tuple(col.size + n_emit - 1 for col in columns)
-    joint = np.zeros(dims, dtype=complex)
+    padded = []
+    for net in nets:
+        col = optics.compose(net)[:, input_mode]
+        pad = np.zeros((n_emit, col.size + n_emit - 1), dtype=complex)
+        for t in range(n_emit):
+            pad[t, t : t + col.size] = col
+        padded.append(pad)
+    dims = tuple(pad.shape[1] for pad in padded)
+    k = min(dims)
+    # amplitude of |i...i>: sum_t src_t prod_p padded_p[t, i], with the full
+    # tensor's operations in its order, so the bytes match building it
+    diagonal = np.zeros(k, dtype=complex)
     for t in range(n_emit):
-        padded = []
-        for col, dim in zip(columns, dims):
-            vec = np.zeros(dim, dtype=complex)
-            vec[t : t + col.size] = col
-            padded.append(vec)
-        branch = padded[0]
-        for vec in padded[1:]:
-            branch = np.multiply.outer(branch, vec)
-        joint = joint + src[t] * branch
-    total = float(np.sum(np.abs(joint) ** 2))
-    labels = tuple(
-        QUBIT_LABELS if d == 2 else _default_labels(d) for d in dims
-    )
-    state, weight = postselect_coincident(joint, labels)
+        branch = padded[0][t, :k]
+        for pad in padded[1:]:
+            branch = branch * pad[t, :k]
+        diagonal = diagonal + src[t] * branch
+    gram = np.prod([pad.conj() @ pad.T for pad in padded], axis=0)
+    total = float(np.vdot(src, gram @ src).real)
+    labels = tuple(QUBIT_LABELS if d == 2 else _default_labels(d) for d in dims)
+    state, weight = _diagonal_state(dims, diagonal, labels)
     return state, weight / total
 
 
@@ -390,9 +408,10 @@ def sample_measurement_events(
         mask = combo_flat == combo
         if mask.any():
             outcome_flat[mask] = np.searchsorted(cdf, uniforms[mask], side="right")
-    outcome_flat = np.minimum(outcome_flat, 2**n - 1)
-    levels = np.stack(np.unravel_index(outcome_flat, (2,) * n), axis=1)
-    signs = (2 * levels - 1).astype(np.int8)
+    np.minimum(outcome_flat, 2**n - 1, out=outcome_flat)
+    signs = np.empty((trials, n), dtype=np.int8)
+    for p in range(n):  # party p's level is bit n-1-p; level 0 is sign -1
+        signs[:, p] = 2 * ((outcome_flat >> (n - 1 - p)) & 1) - 1
     bins = np.repeat(common_bins[:, None], n, axis=1)
     return EventTable(
         settings=setting_arr,

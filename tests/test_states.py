@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from etbell.events import all_equal
 from etbell.optics import (
     InterferometerNetwork,
     beam_splitter,
+    compose,
     generation_cascade,
     analyzer_matrix,
+    reck_decompose,
 )
 from etbell.states import (
     PAULI_X,
@@ -280,6 +284,146 @@ def test_prepare_postselected_multibin_emission_normalized():
     assert state.dims == (3, 3)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"input_mode": 1.5}, "input_mode"),
+        ({"input_mode": True}, "input_mode"),
+        ({"input_mode": np.float64(0.0)}, "input_mode"),
+        ({"input_mode": 2}, "input_mode"),
+        ({"emission_amplitudes": [[1, 0], [0, 1]]}, "emission_amplitudes"),
+        ({"emission_amplitudes": 1.0}, "emission_amplitudes"),
+        ({"emission_amplitudes": [math.nan, 1]}, "emission_amplitudes"),
+        ({"emission_amplitudes": [math.inf, 1]}, "emission_amplitudes"),
+        ({"emission_amplitudes": [0, 0]}, "emission_amplitudes"),
+        ({"emission_amplitudes": ["a", 1]}, "emission_amplitudes"),
+        ({"emission_amplitudes": [{}, 1]}, "emission_amplitudes"),
+        ({"networks": [_two_way_splitter(), np.eye(2)]}, r"networks\[1\]"),
+        ({"networks": []}, "networks"),
+    ],
+    ids=[
+        "mode-float", "mode-bool", "mode-numpy-float", "mode-outside",
+        "emission-2d", "emission-scalar", "emission-nan", "emission-inf", "emission-zero",
+        "emission-string", "emission-object",
+        "bare-matrix", "no-networks",
+    ],
+)
+def test_prepare_postselected_refuses_bad_arguments(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        prepare_postselected(**{"networks": [_two_way_splitter()] * 2, **kwargs})
+
+
+def test_prepare_postselected_accepts_numpy_integer_mode():
+    state, _ = prepare_postselected([_two_way_splitter()] * 2, input_mode=np.int64(1))
+    assert state.dims == (2, 2)
+
+
+def _dense_prepare(networks, emission_amplitudes, input_mode):
+    """The outer-product construction: the amplitude tensor over every joint
+    arrival outcome, then the all-equal cells kept and renormalized.
+    Returns the flat amplitudes and the selection probability."""
+    if emission_amplitudes is None:
+        src = np.ones(1, dtype=complex)
+    else:
+        src = np.asarray(emission_amplitudes, dtype=complex)
+        src = src / np.linalg.norm(src)
+    columns = [compose(net)[:, input_mode] for net in networks]
+    dims = tuple(col.size + src.size - 1 for col in columns)
+    joint = np.zeros(dims, dtype=complex)
+    for t in range(src.size):
+        padded = []
+        for col, dim in zip(columns, dims):
+            vec = np.zeros(dim, dtype=complex)
+            vec[t : t + col.size] = col
+            padded.append(vec)
+        branch = padded[0]
+        for vec in padded[1:]:
+            branch = np.multiply.outer(branch, vec)
+        joint = joint + src[t] * branch
+    total = float(np.sum(np.abs(joint) ** 2))
+    kept = np.where(all_equal(np.moveaxis(np.indices(dims), 0, -1)), joint, 0.0)
+    weight = float(np.sum(np.abs(kept) ** 2))
+    if weight <= 0.0:
+        raise ValueError("postselection empty")
+    return (kept / math.sqrt(weight)).reshape(-1), weight / total
+
+
+def _random_network(modes: int, rng, permutation: bool) -> InterferometerNetwork:
+    """The Reck mesh of a random unitary (QR of a complex Gaussian matrix)
+    or of a random permutation, whose single-bin columns can empty the
+    postselection."""
+    if permutation:
+        u = np.eye(modes)[rng.permutation(modes)]
+    else:
+        u = np.linalg.qr(rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes)))[0]
+    return reck_decompose(u).network
+
+
+@given(
+    modes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    n_emit=st.integers(1, 3),
+    default_emission=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_prepare_postselected_matches_dense_construction(modes, n_emit, default_emission, seed, data):
+    rng = np.random.default_rng(seed)
+    networks = [_random_network(m, rng, rng.random() < 0.15) for m in modes]
+    input_mode = data.draw(st.integers(0, min(modes) - 1), label="input_mode")
+    emission = rng.normal(size=n_emit) + 1j * rng.normal(size=n_emit)
+    if n_emit == 1 and default_emission:
+        emission = None
+    try:
+        want, want_prob = _dense_prepare(networks, emission, input_mode)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            prepare_postselected(networks, emission, input_mode)
+        return
+    state, prob = prepare_postselected(networks, emission, input_mode)
+    assert state.dims == tuple(m + n_emit - 1 for m in modes)
+    assert state.amplitudes.tobytes() == want.tobytes()
+    assert abs(prob - want_prob) <= 1e-12 * want_prob
+
+
+def test_prepare_postselected_benchmark_cascade_bytes():
+    # six parties on six-mode cascades, pinned from the dense construction
+    state, prob = prepare_postselected([generation_cascade(6)] * 6)
+    assert hashlib.sha256(state.amplitudes.tobytes()).hexdigest() == (
+        "a3e397da438b3bc254322faff3aca03311472a0dede71179c7c4d6b0b3f891b7"
+    )
+    assert abs(prob - 6.0**-5) <= 1e-12 * prob
+
+
+def test_prepare_postselected_memory_is_about_the_output_state():
+    # the 7^7 joint tensor is never built: the peak is the output state plus
+    # the copy MultiPartyState keeps (the dense construction peaks at 5.1x)
+    networks = [generation_cascade(7)] * 7
+    tracemalloc.start()
+    try:
+        state, _ = prepare_postselected(networks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ghz_state_amplitude_bytes(n):
+    want = np.zeros(2**n, dtype=complex)
+    want[0] = want[-1] = 1.0 / math.sqrt(2.0)
+    assert ghz_state(n).amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_qunit_state_amplitude_bytes(n):
+    # |i...i> at flat index i (n^n - 1)/(n - 1); compared cell by cell on
+    # the nonzero bit patterns, so qunit_state(8) (268 MB) gets no dense twin
+    amps = qunit_state(n).amplitudes
+    cells = np.arange(n) * ((n**n - 1) // (n - 1))
+    assert np.array_equal(np.flatnonzero(amps.view(np.int64)) // 2, cells)
+    assert amps[cells].tobytes() == np.full(n, 1.0 / math.sqrt(n), dtype=complex).tobytes()
+
 def test_joint_outcome_distribution_normalized_and_symmetric():
     n = 3
     q = qunit_state(n)
@@ -315,6 +459,20 @@ def test_sample_measurement_events_deterministic_and_saturating():
 
     est = mermin_estimate(table)
     assert est.mu == 4.0
+
+
+def test_sample_measurement_events_memory():
+    # signs are written into one int8 (trials, n) array from the outcome
+    # index bits, with no int64 per-party level arrays (1.6 MB before)
+    state = ghz_state(3)
+    sample_measurement_events(state, trials=100, seed=6)
+    tracemalloc.start()
+    try:
+        sample_measurement_events(state, trials=20_000, seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_100_000
 
 
 @pytest.mark.parametrize("trials", [2.7, True, np.float64(3.0), "5"])
