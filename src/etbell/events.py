@@ -14,11 +14,11 @@ Both the hidden-variable simulators and the quantum samplers emit
 for every model. A table stores each field as one small-integer
 (trials, parties) array, so million-trial runs stay cheap, and its CSV
 codec works on whole arrays: the writer looks each row up in a table of
-pre-rendered rows, and the reader parses the body with ``np.loadtxt``, one
-chunk of rows per call. It keeps each column of a chunk in the narrowest
-integer type that holds its values, checks the (trial, party) grid, then
-places the chunks into the table one by one and lets each go once placed,
-so a read peaks at about 14 bytes per CSV row.
+pre-rendered rows, and the reader tokenizes the body with array compares,
+one block of bytes at a time (:mod:`etbell._csvbody`). It keeps each column
+of a block in the narrowest integer type that holds its values, checks the
+(trial, party) grid, then places the blocks into the table one by one and
+lets each go once placed, so a read peaks at about 12 bytes per CSV row.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import re
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -38,19 +36,10 @@ from .numerics import open_replacing
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
 # Trials rendered per write, so the writer's memory does not grow with the table.
 CSV_CHUNK_TRIALS = 4096
-# Rows parsed per np.loadtxt call. A parsed chunk takes 48 B per row and the
-# reader holds up to two, besides about 14 B per row of the file; at 2**16
-# the two chunks were 6 MB, more than a 100k-trial table.
-CSV_CHUNK_ROWS = 2**14
-# The CSV body as np.loadtxt parses it: every column an integer, the bin
-# label as its code (see _LabelCodes).
-_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1,
-                dtype=np.dtype([(name, np.int64) for name in CSV_COLUMNS]))
+# Bytes of the CSV body tokenized per block (see etbell._csvbody).
+CSV_CHUNK_ROWS = 2**16
 # Bin codes are at most int16, so a table holds at most this many labels.
 _MAX_BIN_LABELS = 2**15
-# An integer field as np.loadtxt accepts it (given an int64 value); used
-# only to name a failing line.
-_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def mermin_coefficients(n: int) -> dict[tuple[int, ...], Fraction]:
@@ -111,31 +100,35 @@ class EventTable:
     signs: np.ndarray  # (trials, parties) int8, values +1/-1
     selected: np.ndarray  # (trials,) bool
     bin_labels: tuple[str, ...] = ("S", "L")
+    # Take the arrays over without a copy where their types allow, and make
+    # them read-only: only for fresh arrays the package built for the table.
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt=False):
         # Check values before narrowing to int8/int16, which would wrap 257 to 1.
         settings = np.asarray(self.settings)
         bins = np.asarray(self.bins)
         signs = np.asarray(self.signs)
-        selected = np.array(self.selected, dtype=bool)
+        selected = (np.asarray if _adopt else np.array)(self.selected, dtype=bool)
         if settings.ndim != 2:
             raise ValueError("settings must be a (trials, parties) array")
         if bins.shape != settings.shape or signs.shape != settings.shape:
             raise ValueError("settings, bins, and signs must share one shape")
         if selected.shape != (settings.shape[0],):
             raise ValueError("selected must have one flag per trial")
-        if not ((settings == 0) | (settings == 1)).all():
+        if not _all_in(settings, 0, 1):
             raise ValueError("settings must be 0 or 1")
-        if not ((signs == 1) | (signs == -1)).all():
+        if not _all_in(signs, -1, 1):
             raise ValueError("signs must be +1 or -1")
         if len(self.bin_labels) > _MAX_BIN_LABELS:
             raise ValueError(f"at most {_MAX_BIN_LABELS} bin labels, got {len(self.bin_labels)}")
         _LabelCodes(self.bin_labels)  # distinct strings
         if bins.size and not (0 <= bins.min() and bins.max() < len(self.bin_labels)):
             raise ValueError("bin code outside bin_labels")
-        settings, signs = settings.astype(np.int8), signs.astype(np.int8)
+        copy = not _adopt
+        settings, signs = settings.astype(np.int8, copy=copy), signs.astype(np.int8, copy=copy)
         # the narrowest type that holds every code: int8 up to 128 labels
-        bins = bins.astype(np.int8 if len(self.bin_labels) <= 128 else np.int16)
+        bins = bins.astype(np.int8 if len(self.bin_labels) <= 128 else np.int16, copy=copy)
         for field, arr in zip(fields(self), (settings, bins, signs, selected)):
             arr.setflags(write=False)
             object.__setattr__(self, field.name, arr)
@@ -197,25 +190,24 @@ class EventTable:
         appear exactly once, and the parties of one trial must agree on
         ``selected``; a violation names the first offending line or cell.
         Blank lines are skipped. Without ``bin_labels`` the labels are taken
-        in order of first appearance. The body is parsed and narrowed
-        :data:`CSV_CHUNK_ROWS` rows at a time; the grid is checked before
+        in order of first appearance. The body is tokenized and narrowed
+        :data:`CSV_CHUNK_ROWS` bytes at a time; the grid is checked before
         any chunk is placed."""
+        from ._csvbody import body_columns, first_malformed_line
+
         codes = _LabelCodes(bin_labels or ())
         n_known = len(codes)
-        convert = {CSV_COLUMNS.index("bin"): codes.__getitem__}
-        chunks, data = [], None
-        with open(path, newline="") as fh, warnings.catch_warnings():
-            if tuple(next(csv.reader([fh.readline()]), ())) != CSV_COLUMNS:
-                raise ValueError(f"unexpected CSV header in {path}")
-            # an empty body is reported below, and blank lines are skipped
-            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
-            while data is None or data.size == CSV_CHUNK_ROWS:
-                try:
-                    data = np.loadtxt(fh, converters=convert, max_rows=CSV_CHUNK_ROWS, **_LOADTXT)
-                except ValueError as exc:
-                    raise _first_malformed_line(path, exc) from None
-                if data.size:
-                    chunks.append([_narrowest(data[name]) for name in CSV_COLUMNS])
+        with open(path, newline="") as fh:
+            header, encoding = fh.readline(), fh.encoding
+        if tuple(next(csv.reader([header]), ())) != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV header in {path}")
+        chunks = []
+        with open(path, "rb") as fh:
+            fh.seek(len(header))  # the header matched, so it is ASCII: a byte per character
+            try:
+                chunks.extend(body_columns(fh, codes, encoding, CSV_CHUNK_ROWS))
+            except ValueError:
+                raise first_malformed_line(path) from None
         if not chunks:
             raise ValueError("event CSV contains no rows")
         for trial, party, *_ in chunks:
@@ -228,29 +220,36 @@ class EventTable:
             bin_labels = tuple(codes)
         elif len(codes) > n_known:
             raise ValueError(f"bin label {list(codes)[n_known]!r} not in {bin_labels}")
-        settings, bins, signs, flags = grids = [
-            np.empty(shape, np.result_type(*{chunk[k].dtype for chunk in chunks})) for k in range(2, 6)
+        if not all(_all_in(chunk[5], 0, 1) for chunk in chunks):
+            raise ValueError("selected flags must be 0 or 1")
+        settings, bins, signs = grids = [
+            np.empty(shape, np.result_type(*{chunk[k].dtype for chunk in chunks})) for k in range(2, 5)
         ]
+        # per trial: some party selected it, some party rejected it
+        selected, rejected = np.zeros(shape[0], bool), np.zeros(shape[0], bool)
         while chunks:  # place each chunk, then let it go
-            trial, party, *columns = chunks.pop()
+            trial, party, *columns, flags = chunks.pop()
             cells = np.ravel_multi_index((trial, party), shape)
             for out, column in zip(grids, columns):
                 out.ravel()[cells] = column
-        if not ((flags == 0) | (flags == 1)).all():
-            raise ValueError("selected flags must be 0 or 1")
-        mixed = np.flatnonzero((flags != flags[:, :1]).any(axis=1))
+            selected[trial[flags == 1]] = True
+            rejected[trial[flags == 0]] = True
+        mixed = np.flatnonzero(selected & rejected)
         if mixed.size:
             raise ValueError(f"inconsistent selected flags in trial {mixed[0]}")
-        return cls(settings, bins, signs, flags[:, 0] == 1, bin_labels)
+        return cls(settings, bins, signs, selected, bin_labels)
 
 
-def _narrowest(column) -> np.ndarray:
-    """``column`` in the narrowest integer type that holds its values exactly,
-    so that a bad value stays bad for the later checks and every message."""
-    column = np.ascontiguousarray(column)  # min, max and astype run faster on a contiguous copy
-    lo, hi = column.min(), column.max()
-    types = (np.int8, np.int16, np.int32, np.int64)
-    return column.astype(next(t for t in types if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max))
+def _all_in(values, a, b) -> bool:
+    """Whether every entry of ``values`` is ``a`` or ``b``, where ``a < b`` and
+    no integer but 0 lies between them. An integer array is checked with
+    reductions alone, no temporary of its size."""
+    if values.dtype.kind not in "biu":
+        return np.count_nonzero(values == a) + np.count_nonzero(values == b) == values.size
+    if not values.size:
+        return True
+    inside = a <= values.min() and values.max() <= b
+    return inside and (b - a == 1 or np.count_nonzero(values) == values.size)
 
 
 def _check_grid(chunks, shape) -> None:
@@ -279,38 +278,9 @@ def _check_grid(chunks, shape) -> None:
     raise ValueError(f"missing event for trial {t}, party {p}")
 
 
-def _first_malformed_line(path, error: ValueError) -> ValueError:
-    """Name the physical line of the row ``np.loadtxt`` rejected.
-
-    loadtxt numbers rows, not lines, so re-scan with ``csv.reader`` and
-    return the first row with the wrong field count or a non-integer field,
-    or ``error`` itself if no row is found."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue  # blank line
-            if len(row) != len(CSV_COLUMNS):
-                return ValueError(
-                    f"line {reader.line_num}: {len(row)} fields, expected {len(CSV_COLUMNS)}"
-                )
-            for name, field in zip(CSV_COLUMNS, row):
-                if name != "bin" and not (
-                    _INT_FIELD.fullmatch(field) and -(2**63) <= int(field) < 2**63
-                ):
-                    return ValueError(
-                        f"line {reader.line_num}: {name} {field!r} is not a 64-bit integer"
-                    )
-    return error
-
-
 class _LabelCodes(dict):
-    """Bin label -> code, from distinct string ``labels``; an unseen label gets the next code.
-
-    ``np.loadtxt`` calls ``__getitem__`` on each bin field, so the column is
-    parsed straight to integer codes, with the labels in order of first
-    appearance, and no string outlives its row."""
+    """Bin label -> code, from distinct string ``labels``; an unseen label gets the next code,
+    so the labels met in a file are coded in order of first appearance."""
 
     def __init__(self, labels=()):
         for label in labels:

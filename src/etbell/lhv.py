@@ -366,7 +366,7 @@ def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTa
     party_idx = np.arange(n)[None, :]
     bins = ensemble.bins[picks[:, None], party_idx, settings]
     signs = ensemble.signs[picks[:, None], party_idx, settings]
-    return EventTable(settings, bins, signs, all_equal(bins), BINS)
+    return EventTable(settings, bins, signs, all_equal(bins), BINS, _adopt=True)
 
 
 def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:

@@ -56,7 +56,7 @@ def source_event_stream(trials: int, seed: int = 0) -> EventTable:
     selected = pair_bins[:, 0] == pair_bins[:, 1]
     settings = np.zeros((trials, 4), dtype=np.int8)
     signs = np.ones((trials, 4), dtype=np.int8)
-    return EventTable(settings, bins, signs, selected, TIME_BINS)
+    return EventTable(settings, bins, signs, selected, TIME_BINS, _adopt=True)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -53,14 +53,17 @@ class MultiPartyState:
     dims: tuple[int, ...]
     amplitudes: np.ndarray
     level_labels: tuple[tuple[str, ...], ...] = ()
+    # Take a complex vector over without a copy and make it read-only: only
+    # for a fresh array the package built for the state.
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt=False):
         if not all(is_integer(d) for d in self.dims):
             raise ValueError(f"dims must be integers, got {tuple(self.dims)!r}")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("each party needs at least one level")
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = (np.asarray if _adopt else np.array)(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != math.prod(dims):
             raise ValueError("amplitude count must equal the product of dims")
         if not np.isfinite(amps).all():
@@ -142,7 +145,7 @@ def _diagonal_state(dims, diagonal, level_labels):
     if weight <= 0.0:
         raise ValueError("postselection empty")
     amps[cells] = diagonal / math.sqrt(weight)
-    return MultiPartyState(dims, amps, level_labels), weight
+    return MultiPartyState(dims, amps, level_labels, _adopt=True), weight
 
 
 #: Largest setting-by-level tensor the correlator kernel builds: 2**24
@@ -419,6 +422,7 @@ def sample_measurement_events(
         signs=signs,
         selected=np.ones(trials, dtype=bool),
         bin_labels=bin_labels,
+        _adopt=True,
     )
 
 

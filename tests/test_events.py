@@ -87,6 +87,19 @@ def test_event_table_rejects_more_labels_than_codes():
         EventTable([[0]], [[0]], [[1]], [True], tuple(str(k) for k in range(2**15 + 1)))
 
 
+def test_event_table_copies_the_callers_arrays():
+    # only the package's own constructors hand their fresh arrays over
+    grid = np.zeros((2, 3), np.int8)
+    arrays = grid, grid.copy(), grid + 1, np.ones(2, bool)
+    table = EventTable(*arrays)
+    for given, kept in zip(arrays, (table.settings, table.bins, table.signs, table.selected)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+    schedule = np.zeros((4, 3), np.int8)
+    table = event_stream(saturating_model(), schedule, seed=1)
+    assert schedule.flags.writeable and not np.shares_memory(schedule, table.settings)
+
+
 def test_event_table_dimensions():
     table = _small_table()
     assert table.n_trials == 3
@@ -368,6 +381,44 @@ def test_csv_rejects_non_integer_field_with_line(tmp_path, field, column):
         EventTable.read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "body, labels, table",
+    [
+        # LF ends, no final line end, bare CR ends: one 1 x 2 table
+        ("0,0,0,S,1,1\n0,1,1,L,-1,1\n", ("S", "L"), ([[0, 1]], [[0, 1]], [[1, -1]], [True])),
+        ("0,0,0,S,1,1\r\n0,1,1,L,-1,1", ("S", "L"), ([[0, 1]], [[0, 1]], [[1, -1]], [True])),
+        ("0,0,0,S,1,1\r0,1,1,L,-1,1\r", ("S", "L"), ([[0, 1]], [[0, 1]], [[1, -1]], [True])),
+        # integers padded with blanks, signed, quoted and with leading zeros
+        (' 0 ,+0,"0",S,01,00\n', ("S",), ([[0]], [[0]], [[1]], [False])),
+        ('0,0,1,"S,\r\nx",-1,1\n', ("S,\r\nx",), ([[1]], [[0]], [[-1]], [True])),
+        # a quote inside a field is a literal one, and text after a closing quote is kept
+        ('0,0,0,a"b,1,1\n0,1,0,"a"b,1,1\n', ('a"b', "ab"), ([[0, 0]], [[0, 1]], [[1, 1]], [True])),
+        # labels are taken as they stand, spaces, NUL and '#' included
+        (
+            "0,0,0, S,1,1\n0,1,0,\u00e9,1,1\n1,0,0,S\x00,1,0\n1,1,0,#x,1,0\n2,0,0,,1,1\n2,1,0, S,1,1\n",
+            (" S", "\u00e9", "S\x00", "#x", ""),
+            ([[0, 0]] * 3, [[0, 1], [2, 3], [4, 0]], [[1, 1]] * 3, [True, False, True]),
+        ),
+    ],
+)
+def test_csv_reader_accepts(tmp_path, body, labels, table):
+    path = tmp_path / "events.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + body, newline="")
+    got = EventTable.read_csv(path)
+    assert got.bin_labels == labels
+    for name, want in zip(("settings", "bins", "signs", "selected"), table):
+        column = getattr(got, name)
+        assert column.tolist() == want
+        assert column.dtype == (bool if name == "selected" else np.int8)
+
+
+def test_csv_reader_rejects_blank_filled_line(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n0,0,0,S,1,1\n \n", newline="")
+    with pytest.raises(ValueError, match="^line 3: 1 fields, expected 6$"):
+        EventTable.read_csv(path)
+
+
 @pytest.mark.parametrize("body", ["", "\r\n", "\n\n"])
 def test_csv_header_only_has_no_rows(tmp_path, body):
     path = tmp_path / "events.csv"
@@ -397,7 +448,9 @@ def test_csv_rejects_duplicate_given_bin_labels(tmp_path):
 
 @pytest.fixture(params=[2, 3])
 def small_chunks(request, monkeypatch):
-    """Parse the CSV body 2 or 3 rows per np.loadtxt call."""
+    """Tokenize the CSV body in blocks of 2 or 3 bytes, so that block ends
+    fall inside quoted multi-line labels, between CR and LF and inside digit
+    runs."""
     monkeypatch.setattr(events, "CSV_CHUNK_ROWS", request.param)
 
 
@@ -449,7 +502,7 @@ def test_csv_round_trip_across_chunks(tmp_path, small_chunks):
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 def test_csv_round_trip_property_in_two_row_chunks(tmp_path, monkeypatch, table):
-    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", 2)
+    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", 2)  # bytes per block
     path = tmp_path / "events.csv"
     table.write_csv(path)
     again = EventTable.read_csv(path, bin_labels=table.bin_labels)

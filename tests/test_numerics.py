@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,23 +10,9 @@ from etbell.numerics import (
     is_unitary,
     matrix_from_json,
     matrix_to_json,
-    unitarity_defect,
 )
 
-from conftest import dft_literal, random_unitary, splitter_literals
-
-
-def test_matmul_splitter_cascade_first_column():
-    b1, b2, b3 = splitter_literals(0.0, 0.0, 0.0)
-    product = b3 @ b2 @ b1
-    expected = np.full(3, 1.0 / math.sqrt(3.0))
-    assert np.abs(product[:, 0] - expected).max() < 1e-15
-
-
-def test_matmul_splitters_at_dft_phases():
-    b1, b2, b3 = splitter_literals(math.pi / 3, math.pi / 3, -math.pi / 6)
-    product = b3 @ b2 @ b1
-    assert np.abs(product - dft_literal(3)).max() < 1e-12
+from conftest import dft_literal, random_unitary
 
 
 def test_matrix_must_be_finite():
@@ -35,19 +20,6 @@ def test_matrix_must_be_finite():
         as_matrix([[np.inf, 0], [0, 1]])
     with pytest.raises(ValueError):
         as_matrix([[np.nan, 0], [0, 1]])
-
-
-def test_tensor_pauli_x_pair():
-    sx = np.array([[0, 1], [1, 0]])
-    out = np.kron(sx, sx)
-    assert np.abs(out - np.fliplr(np.eye(4))).max() == 0.0
-
-
-def test_tensor_uniform_superposition():
-    plus = np.array([1, 1]) / math.sqrt(2)
-    triple = np.kron(np.kron(plus, plus), plus)
-    assert triple.size == 8
-    assert np.abs(triple - 1.0 / math.sqrt(8.0)).max() < 1e-15
 
 
 def test_is_unitary_examples():
@@ -69,18 +41,6 @@ def test_matrix_json_round_trip():
     assert np.abs(again - m).max() == 0.0
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
-
-
-@given(
-    da=st.integers(min_value=2, max_value=4),
-    db=st.integers(min_value=2, max_value=4),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-@settings(max_examples=30, deadline=None)
-def test_tensor_of_unitaries_is_unitary(da, db, seed):
-    u = random_unitary(da, seed)
-    v = random_unitary(db, seed + 1)
-    assert unitarity_defect(np.kron(u, v)) <= 1e-12
 
 
 _GOOD_MATRIX = {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [0.0, -1.0]]}
