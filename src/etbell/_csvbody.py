@@ -3,9 +3,8 @@
 The body is read in bounded binary blocks and split into records and fields
 by byte compares, integer fields are decoded with array arithmetic, and each
 distinct bin label is decoded once. Only an integer field that is no plain
-``-?[0-9]+`` is decoded by itself, and a bin label longer than 7 bytes is
-looked up by its bytes one field at a time. ``read_csv`` imports this module
-on its first call, so the commands that only write events never compile it.
+``-?[0-9]+`` is decoded by itself. ``read_csv`` imports this module on its
+first call, so the commands that only write events never compile it.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from .events import CSV_COLUMNS
 # (with an int64 value).
 _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
 _LF, _CR, _QUOTE, _COMMA, _MINUS = b'\n\r",-'
-_BOUNDARY = np.zeros(256, bool)  # the bytes a quote may follow or precede at a field's edge
-_BOUNDARY[list(b'",\r\n')] = True
 _NARROW = [
     (t, int(np.iinfo(t).min), int(np.iinfo(t).max))
     for t in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64)
@@ -42,7 +39,9 @@ def body_columns(fh, codes, encoding, block_size):
     after its last whole record carry over to the next block. An
     ASCII-compatible ``encoding`` is assumed.
     """
-    carry, seen = b"", [np.array([-1]), np.array([-1]), {}]  # -1: a key no label has
+    carry = b""
+    # the byte strings met so far (see _bin_codes); no field of one piece has digest -1
+    seen = [np.array([-1]), np.array([-1]), np.array([1]), np.array([0]), np.array([-1])]
     while True:
         data = fh.read(max(block_size, len(carry)))  # a long record doubles the read
         final = not data
@@ -112,30 +111,23 @@ def _narrowest(column) -> np.ndarray:
 def _quoted(block: bytes, at, v) -> np.ndarray:
     """Which candidates ``at`` of ``block`` (with bytes ``v``) lie inside
     quotes. A quote opens a quoted field only at the field's start; inside,
-    a doubled quote is a literal one and a single quote closes the field.
-    When every opening quote follows a separator or quote and every closing
-    quote precedes one, this is the running parity of quotes; otherwise the
-    quotes are walked one by one."""
-    quote = v == _QUOTE
-    q, last, buf = at[quote], len(block) - 1, np.frombuffer(block, np.uint8)
-    before = _BOUNDARY[buf[q[::2] - 1]] | (q[::2] == 0)
-    after = _BOUNDARY[buf[np.minimum(q[1::2] + 1, last)]] | (q[1::2] == last)
-    if not (before.all() and after.all()):
-        toggles, inside, pair = [], False, False
-        for k, p in zip(np.flatnonzero(quote).tolist(), q.tolist()):
-            if pair:
-                pair = False
-            elif inside:
-                pair = block[p + 1 : p + 2] == b'"'
-                if not pair:
-                    toggles.append(k)
-                    inside = False
-            elif p == 0 or block[p - 1] in b",\r\n":
-                toggles.append(k)
-                inside = True
-        quote = np.zeros_like(quote)
-        quote[toggles] = True
-    return np.logical_xor.accumulate(quote)
+    a doubled quote is a literal one and a single quote closes the field. So
+    in a run of adjacent quotes only an odd length changes the state: an odd
+    run after a separator (or at the start) flips it, and any other odd run
+    closes a quoted field or is literal, which leaves the state outside."""
+    buf = np.frombuffer(block, np.uint8)
+    quote = np.flatnonzero(v == _QUOTE)
+    q = at[quote]
+    run = np.flatnonzero(np.diff(q, prepend=-2) != 1)  # where each run of quotes starts
+    run = run[np.diff(run, append=len(q)) & 1 == 1]  # the odd runs
+    p = q[run]
+    before = buf[p - 1]  # a run at byte 0 wraps to the last byte, overridden below
+    flips = (before == _COMMA) | (before == _LF) | (before == _CR) | (p == 0)
+    count = np.cumsum(flips)
+    inside = (count - np.maximum.accumulate(np.where(flips, 0, count))) & 1  # flips since outside
+    change = np.zeros(len(at), bool)  # at each odd run's first quote
+    change[quote[run]] = np.diff(inside, prepend=0) != 0
+    return np.logical_xor.accumulate(change)
 
 
 def _integers(block: bytes, start, end, encoding) -> np.ndarray:
@@ -173,35 +165,76 @@ def _integers(block: bytes, start, end, encoding) -> np.ndarray:
 
 def _bin_codes(block: bytes, start, end, codes, seen, encoding) -> np.ndarray:
     """Codes of the bin labels ``block[start:end]`` from ``codes``, each
-    distinct byte string decoded once, in order of first appearance. ``seen``
-    holds the strings met so far: the sorted keys of those of at most 7 bytes
-    and their codes, then the longer ones by their bytes."""
+    distinct byte string decoded once, in order of first appearance.
+
+    A field is packed into integers (:func:`_pieces`): its head, the first 7
+    bytes, then its tail, 7 bytes a piece. It is looked up by a digest of
+    them in ``seen``, the byte strings met so far as five arrays: their
+    sorted digests; their codes and piece counts; where their tails start in
+    the last array, of all their tail pieces. A match of digest, count and
+    tail is a match of the bytes (the head is the digest less the tail's
+    part); a field without one is looked up by its bytes."""
     buf = np.frombuffer(block, np.uint8)
     size = end - start
-    shortest, width = int(size.min()), int(size.max())
-    if width > 7:
-        fields, long = [block[s:e] for s, e in zip(start.tolist(), end.tolist())], seen[2]
-        for field in dict.fromkeys(fields):  # distinct, in order of first appearance
-            if field not in long:
-                long[field] = codes[_unquote(field, encoding)]
-        return np.array([long[field] for field in fields])
-    keys = np.zeros(len(end), np.int64)
-    for j in range(width, 0, -1):  # bijective base 257: one key per byte string
-        at = end - j
-        byte = buf[at] + np.int64(1)
-        if j > shortest:
-            byte *= at >= start
-        keys *= 257
-        keys += byte
-    while True:
-        known, known_codes = seen[0], seen[1]
-        pos = np.searchsorted(known, keys)
-        hit = known[np.minimum(pos, len(known) - 1)] == keys
-        if hit.all():
-            return known_codes[pos]
-        k = np.argmax(~hit)  # the block's first unseen label
-        code = codes[_unquote(block[start[k] : end[k]], encoding)]
-        seen[0], seen[1] = np.insert(known, pos[k], keys[k]), np.insert(known_codes, pos[k], code)
+    head = _pieces(buf, start, end, min(int(size.max()), 7))
+    n = np.maximum(-(-size // 7), 1)  # pieces, the head included
+    long = np.flatnonzero(n > 1)
+    tail_n = n[long] - 1
+    digest = head
+    if long.size:
+        digest = head.copy()
+        tail_first = np.cumsum(tail_n) - tail_n
+        offset = np.arange(tail_first[-1] + tail_n[-1]) - np.repeat(tail_first, tail_n)
+        at0 = np.repeat(start[long] + 7, tail_n) + 7 * offset
+        tail = _pieces(buf, at0, np.repeat(end[long], tail_n), 7)
+        digest[long] += np.add.reduceat(tail * (offset * 1_000_003 + 7), tail_first)  # wraps
+    known, known_codes, known_n, known_first, known_tail = seen
+    pos = np.minimum(np.searchsorted(known, digest), len(known) - 1)
+    hit = (known[pos] == digest) & (known_n[pos] == n)
+    if long.size:
+        theirs = known_tail.take(np.repeat(known_first[pos[long]], tail_n) + offset, mode="clip")
+        hit[long] &= np.logical_and.reduceat(tail == theirs, tail_first)
+    code = known_codes[pos]
+    if hit.all():
+        return code
+    new = {}  # the byte strings without a match, at their first field
+    for k in np.flatnonzero(~hit).tolist():  # new labels are coded in order of appearance
+        field = block[start[k] : end[k]]
+        if field in new:
+            code[k] = code[new[field]]
+        else:
+            new[field] = k
+            code[k] = codes[_unquote(field, encoding)]
+    # into ``seen``, after any string of the same digest, which lookups keep finding
+    fresh = np.array(list(new.values()))
+    fresh_tail_n = n[fresh] - 1
+    tails = [
+        tail[tail_first[i] : tail_first[i] + tail_n[i]]
+        for i in np.searchsorted(long, fresh[fresh_tail_n > 0]).tolist()
+    ]
+    columns = [
+        digest[fresh], code[fresh], n[fresh],
+        np.cumsum(fresh_tail_n) - fresh_tail_n + len(known_tail),
+    ]
+    digests = columns[0].tolist()
+    order = sorted(range(len(fresh)), key=digests.__getitem__)
+    at = np.searchsorted(known, columns[0][order], side="right")
+    seen[:4] = [np.insert(table, at, column[order]) for table, column in zip(seen, columns)]
+    if tails:
+        seen[4] = np.concatenate([known_tail, *tails])
+    return code
+
+
+def _pieces(buf, at0, stop, places) -> np.ndarray:
+    """The bytes ``buf[at0:stop]``, of which at most the first ``places``,
+    as one integer each in bijective base 257 with 7 places, so that no two
+    byte strings of up to 7 bytes share one."""
+    piece = np.zeros(len(at0), np.int64)
+    for i in range(places):
+        at = at0 + i
+        piece *= 257
+        piece += (buf.take(at, mode="clip") + np.int64(1)) * (at < stop)  # 0 past the end
+    return piece * 257 ** (7 - places)
 
 
 def _unquote(field, encoding) -> str:

@@ -412,6 +412,27 @@ def test_csv_reader_accepts(tmp_path, body, labels, table):
         assert column.dtype == (bool if name == "selected" else np.int8)
 
 
+@given(raw=st.lists(st.text('"a,\r\n', max_size=6), min_size=1, max_size=3))
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@example(raw=['"a"""', 'a"', '"a,"a'])
+def test_csv_reader_splits_quoted_labels_as_csv_reader(tmp_path, raw):
+    # each text stands in the bin field of one row as it is, unquoted by no writer
+    body = "".join(f"0,{p},0,{text},1,1\n" for p, text in enumerate(raw))
+    path = tmp_path / "events.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + body, newline="")
+    rows = [row for row in csv.reader(io.StringIO(body, newline="")) if row]
+    others = [["0", str(p), "0", "1", "1"] for p in range(len(rows))]
+    if [row[:3] + row[4:] for row in rows] == others:
+        labels = [row[3] for row in rows]
+        got = EventTable.read_csv(path)
+        assert [got.bin_labels[b] for b in got.bins[0]] == labels
+    else:
+        with pytest.raises(ValueError):
+            EventTable.read_csv(path)
+
+
 def test_csv_reader_rejects_blank_filled_line(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n0,0,0,S,1,1\n \n", newline="")
@@ -596,3 +617,60 @@ def test_csv_read_memory_per_row(tmp_path):
         tracemalloc.stop()
     assert len(table) == 400_000
     assert peak <= 20 * len(table)
+
+
+@pytest.mark.parametrize("block", [2**16, 97])
+def test_csv_reads_many_distinct_labels(tmp_path, monkeypatch, block):
+    # thousands of short labels, and longer ones that share their first 7 bytes,
+    # their last ones, all but a NUL or the digest of their pieces, coded in
+    # order of first appearance
+    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", block)  # bytes per block
+    labels = [f"L{k}" for k in range(3000)] + [
+        "", "\x00", "abcdefg", "abcdefg\x00", "abcdefgh", "abcdefgh" * 2, "abcdefgh" * 2 + "i",
+        "x" * 200, "x" * 199 + "y", "y" + "x" * 199, 'q,"u"\r\nx' * 3,
+        # the same digest: one with a head 7 above the other's, and one tail piece 1 below;
+        # one tail piece 1,000,010 above the other's and the next 7 below
+        "aaaaaaazzzzzzc", "aaaaaahzzzzzzb", "hhhhhhhpppp000qqqqqqz", "hhhhhhhpppp?TGqqqqqqs",
+    ]
+    bins = np.random.default_rng(5).integers(0, len(labels), (4000, 2))
+    table = EventTable(
+        np.zeros_like(bins), bins, np.ones_like(bins), np.ones(4000, bool), tuple(labels)
+    )
+    path = tmp_path / "events.csv"
+    table.write_csv(path)
+    got = EventTable.read_csv(path)
+    assert got.bin_labels == tuple(dict.fromkeys(labels[b] for b in bins.ravel()))
+    assert got.bins.dtype == np.int16
+    assert (np.array(got.bin_labels)[got.bins] == np.array(labels)[bins]).all()
+
+
+def test_csv_read_memory_with_a_long_label(tmp_path):
+    # a 20,000-byte label among short ones costs about 16 bytes per byte of
+    # it in a block; a matrix of 7-byte label pieces by rows would take 90 MB
+    bins = (np.random.default_rng(3).random((5000, 2)) < 0.01).astype(np.int8)
+    table = EventTable(
+        np.zeros_like(bins), bins, np.ones_like(bins), np.ones(5000, bool), ("S", "x" * 20_000)
+    )
+    path = tmp_path / "events.csv"
+    table.write_csv(path)
+    tracemalloc.start()
+    try:
+        got = EventTable.read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.bins == bins).all() and got.bin_labels == table.bin_labels
+    assert peak <= 4_000_000
+
+
+def test_csv_label_lookup_checks_the_piece_count(tmp_path, monkeypatch):
+    # "aaaaaaa\x00" has the digest of "haaaaaa" (its head plus 7 times its tail
+    # piece), and its tail piece is the one stored where "haaaaaa" has none
+    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", 2)  # bytes per block: a row a block
+    labels = ("haaaaaa", "zzzzzzz\x00", "aaaaaaa\x00")
+    table = EventTable([[0, 0], [0, 0]], [[0, 1], [2, 2]], [[1, 1], [1, 1]], [True, True], labels)
+    path = tmp_path / "events.csv"
+    table.write_csv(path)
+    got = EventTable.read_csv(path)
+    assert got.bin_labels == labels
+    assert got.bins.tolist() == [[0, 1], [2, 2]]
