@@ -30,6 +30,9 @@ Reports are JSON with sorted keys and full-precision floats; streams and
 sweeps are CSV. Identical arguments (including seeds) produce byte-identical
 output. The exit status is 0 only if every requested check passed its
 tolerance.
+
+Importing this module loads no numpy and executes no etbell submodule, so
+``--version``, ``--help`` and usage errors exit before either loads.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 # Module-qualified calls keep each submodule unexecuted until a handler uses
 # it (the package binds them lazily), so a command runs only what it needs.
 from . import __version__, events, lhv, numerics, optics, source, states
@@ -50,14 +51,16 @@ from . import __version__, events, lhv, numerics, optics, source, states
 def _encode(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    np = sys.modules.get("numpy")  # a numpy object implies numpy is loaded
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -118,8 +121,9 @@ def cmd_mermin_quantum(args, stdout) -> int:
         raise ValueError(f"--sweep needs at least one point, got {args.sweep}")
     if args.sweep_out is not None and args.sweep is None:
         raise ValueError("--sweep-out needs --sweep")
-    state = states.ghz_state(n)
     settings = _parse_settings(args.settings, n)
+    states.check_correlator_size((2,) * n, (2,) * n)  # before the 2^n amplitudes exist
+    state = states.ghz_state(n)
     result = states.mermin_n(state, settings)
     mu = result.mu
     report: dict = {"n_parties": n, "settings": args.settings, "mu": mu}
@@ -274,7 +278,7 @@ def cmd_network_cascade(args, stdout) -> int:
     n = args.n
     net = optics.generation_cascade(n)
     amplitudes = optics.compose(net)[:, 0]
-    worst = float(np.abs(np.abs(amplitudes) - 1.0 / math.sqrt(n)).max())
+    worst = float(abs(abs(amplitudes) - 1.0 / math.sqrt(n)).max())
     report = {
         "n": n,
         "network": optics.network_to_json(net),
@@ -290,7 +294,7 @@ def cmd_network_decompose(args, stdout) -> int:
     with open(args.infile) as fh:
         u = numerics.matrix_from_json(json.load(fh))
     dec = optics.reck_decompose(u, tol=args.tol)
-    err = float(np.abs(dec.reconstruct() - u).max())
+    err = float(abs(dec.reconstruct() - u).max())
     if args.out:
         with numerics.open_replacing(args.out) as fh:
             fh.write(optics.decomposition_text(dec))
@@ -323,6 +327,8 @@ def cmd_network_verify(args, stdout) -> int:
 
 
 def cmd_source_state(args, stdout) -> int:
+    import numpy as np  # here, so parsing alone never imports numpy
+
     state = source.four_photon_state()
     norm = float(np.linalg.norm(state.amplitudes))
     report = {

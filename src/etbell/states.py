@@ -153,13 +153,27 @@ def _diagonal_state(dims, diagonal, level_labels):
 MAX_CORRELATOR_ENTRIES = 2**24
 
 
+def check_correlator_size(settings, dims) -> None:
+    """Raise ``ValueError`` if the correlators of ``settings[p]`` observables
+    on each party ``p`` of dimension ``dims[p]`` need a setting-by-level
+    tensor above :data:`MAX_CORRELATOR_ENTRIES`. It takes only the sizes, so
+    a caller can check before it builds the state."""
+    entries = math.prod(settings) * math.prod(dims)
+    if entries > MAX_CORRELATOR_ENTRIES:
+        raise ValueError(
+            f"correlator tensor of {entries} entries exceeds the limit of "
+            f"{MAX_CORRELATOR_ENTRIES} ({len(dims)} parties)"
+        )
+
+
 def _apply_stacks(state: MultiPartyState, stacks) -> np.ndarray:
     """Apply per-party operator stacks to the state, one axis at a time.
 
     ``stacks[p]`` has shape ``(k_p, d_p, d_p)``. The result has shape
     ``(k_1..k_n, d_1..d_n)``; entry ``[s, :]`` is the state tensor of
     ``(O_{1,s_1} x ... x O_{n,s_n}) |psi>``. Raises before allocating when
-    the result would exceed :data:`MAX_CORRELATOR_ENTRIES`.
+    the result would exceed :data:`MAX_CORRELATOR_ENTRIES`
+    (:func:`check_correlator_size`).
     """
     n = state.n_parties
     if len(stacks) != n:
@@ -167,12 +181,7 @@ def _apply_stacks(state: MultiPartyState, stacks) -> np.ndarray:
     for stack, d in zip(stacks, state.dims):
         if stack.shape[1:] != (d, d):
             raise ValueError(f"operator shape {stack.shape[1:]} does not match dim {d}")
-    entries = math.prod(len(stack) for stack in stacks) * math.prod(state.dims)
-    if entries > MAX_CORRELATOR_ENTRIES:
-        raise ValueError(
-            f"correlator tensor of {entries} entries exceeds the limit of "
-            f"{MAX_CORRELATOR_ENTRIES} ({n} parties)"
-        )
+    check_correlator_size([len(stack) for stack in stacks], state.dims)
     psi = state.tensor_view()
     for p, stack in enumerate(stacks):
         # setting axes 0..p-1 lead, so party p's level axis sits at p + p

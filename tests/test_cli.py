@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import etbell
 from etbell.cli import build_parser, main
 from etbell.lhv import event_stream, saturating_model
 from etbell.numerics import matrix_from_json, matrix_to_json
@@ -367,6 +368,23 @@ def test_out_file_is_replaced_not_truncated(tmp_path, writer):
     assert path.read_bytes() == fresh[0]
 
 
+def test_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(root / "src") + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "etbell.cli", "--version"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == f"etbell {etbell.__version__}\n"
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert etbell.__version__ == project["version"]
+
+
 def test_cli_import_does_not_load_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.environ.get("PYTHONPATH")
@@ -482,8 +500,17 @@ def test_mermin_quantum_seven_parties_meets_quantum_bound():
     assert abs(report["mu"] - 2.0**4) <= 1e-12
 
 
-def test_mermin_quantum_rejects_parties_past_the_kernel_limit(capsys):
-    code, text = run_cli(["mermin-quantum", "--n", "13"])
-    assert code == 1
-    assert text == ""
-    assert "error: correlator tensor" in capsys.readouterr().err
+def test_mermin_quantum_rejects_parties_past_the_kernel_limit(monkeypatch, capsys):
+    from etbell import states
+
+    def unbuilt(n):  # the limit is checked before the 2^n amplitudes exist
+        raise AssertionError(f"ghz_state({n}) was built")
+
+    monkeypatch.setattr(states, "ghz_state", unbuilt)
+    for n in (13, 30):
+        code, text = run_cli(["mermin-quantum", "--n", str(n)])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == (
+            f"error: correlator tensor of {4**n} entries exceeds the limit of 16777216 ({n} parties)\n"
+        )

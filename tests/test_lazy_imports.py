@@ -1,6 +1,7 @@
-"""``import etbell`` executes no submodule, and each CLI command executes
-only the modules it uses. Those cases run in a fresh interpreter, because
-this test process has long since executed every module."""
+"""``import etbell`` executes no submodule, the CLI parses its arguments
+without numpy, and each CLI command executes only the modules it uses.
+Those cases run in a fresh interpreter, because this test process has long
+since executed every module."""
 
 import ast
 import io
@@ -34,7 +35,7 @@ def _run(code, *args, cwd=None):
         [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True,
         check=True,
     )
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])  # the code run may print before it
 
 
 def test_import_executes_no_submodule():
@@ -44,6 +45,37 @@ def test_import_executes_no_submodule():
         f"print(json.dumps([bound, {EXECUTED}, 'numpy' in sys.modules]))"
     )
     assert got == [SUBMODULES, [], False]
+
+
+def test_cli_import_loads_no_numpy():
+    got = _run(
+        "import json, sys, types, etbell.cli\n"
+        f"print(json.dumps(['numpy' in sys.modules, {EXECUTED}]))"
+    )
+    assert got == [False, ["cli"]]
+
+
+# What argparse answers alone: the version, help texts and usage errors.
+FRONT_END = {
+    "--version": (["--version"], 0),
+    "--help": (["--help"], 0),
+    "lhv --help": (["lhv", "--help"], 0),
+    "unknown flag": (["lhv", "table1", "--bogus"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, status", FRONT_END.values(), ids=FRONT_END)
+def test_front_end_exits_before_numpy_or_any_submodule(argv, status):
+    # ``python -m etbell.cli``, with the exit caught to inspect the process
+    got = _run(
+        "import json, runpy, sys, types\n"
+        "try:\n"
+        "    runpy.run_module('etbell.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        f"    print(json.dumps([exc.code, 'numpy' in sys.modules, {EXECUTED}]))",
+        *argv,
+    )
+    assert got == [status, False, []]
 
 
 def test_every_public_name_resolves_to_its_defining_module():
@@ -94,6 +126,8 @@ def test_star_import_binds_every_public_name():
 
 
 COMMANDS = {
+    "network dft": (["network", "dft", "--n", "4"], ["numerics", "optics"]),
+    "network analyzer": (["network", "analyzer"], ["numerics", "optics"]),
     "network decompose": (["network", "decompose", "--in", "u.json", "--out", "out.json"],
                           ["numerics", "optics"]),
     # a plain matrix file needs no network algebra
@@ -102,10 +136,13 @@ COMMANDS = {
     "network cascade": (["network", "cascade", "--n", "4"], ["numerics", "optics"]),
     "lhv search": (["lhv", "search", "--selection", "dependent"], ["events", "lhv", "numerics"]),
     "lhv table1": (["lhv", "table1"], ["events", "lhv", "numerics"]),
+    "lhv scale": (["lhv", "scale", "--target", "3"], ["events", "lhv", "numerics"]),
+    "lhv stream": (["lhv", "stream", "--trials", "100"], ["events", "lhv", "numerics"]),
     "mermin-quantum 9": (["mermin-quantum", "--n", "9"], ["events", "numerics", "states"]),
     # n <= 6 reports the enumerated classical bound from lhv
     "mermin-quantum 3": (["mermin-quantum", "--n", "3"], ["events", "lhv", "numerics", "states"]),
     "source state": (["source", "state"], ["events", "numerics", "source", "states"]),
+    "source filter": (["source", "filter"], ["events", "numerics", "source", "states"]),
     "source stream": (["source", "stream", "--trials", "100"], ["events", "numerics", "source"]),
     "source audit quantum": (["source", "audit", "--trials", "100"],
                              ["events", "numerics", "source", "states"]),
