@@ -13,11 +13,13 @@ Both the hidden-variable simulators and the quantum samplers emit
 :class:`EventTable`; downstream coincidence analysis is therefore identical
 for every model. A table stores each field as one small-integer
 (trials, parties) array, so million-trial runs stay cheap, and its CSV
-codec works on whole arrays: the writer looks each row up in a table of
-pre-rendered rows, and the reader tokenizes the body with array compares,
-one block of bytes at a time (:mod:`etbell._csvbody`). It keeps each column
-of a block in the narrowest integer type that holds its values, checks the
-(trial, party) grid, then places the blocks into the table one by one and
+codec works on whole arrays. The writer renders a block of trials as bytes:
+each cell gathers a pre-rendered row suffix by an integer code, after its
+trial number (the block's high digits, then a row of a low-digit table), and
+a mask drops the pad bytes. The reader tokenizes the body with array
+compares, one block of bytes at a time (:mod:`etbell._csvbody`), keeps each
+column of a block in the narrowest integer type that holds its values, checks
+the (trial, party) grid, then places the blocks into the table one by one and
 lets each go once placed, so a read peaks at about 12 bytes per CSV row.
 """
 
@@ -34,8 +36,8 @@ import numpy as np
 from .numerics import open_replacing
 
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
-# Trials rendered per write, so the writer's memory does not grow with the table.
-CSV_CHUNK_TRIALS = 4096
+# Bytes of padded rows the writer renders per block, so its memory does not grow with the table.
+CSV_BLOCK_BYTES = 2**18
 # Bytes of the CSV body tokenized per block (see etbell._csvbody).
 CSV_CHUNK_ROWS = 2**16
 # Bin codes are at most int16, so a table holds at most this many labels.
@@ -157,31 +159,49 @@ class EventTable:
         ends and csv's minimal quoting of bin labels.
 
         ``csv.writer`` renders each distinct row suffix
-        ``party,setting,bin,sign,selected`` once; every cell then picks its
-        suffix by an integer code and gets its trial number prepended,
-        :data:`CSV_CHUNK_TRIALS` trials at a time. An existing file at
-        ``path`` is replaced, not truncated (:func:`open_replacing`).
+        ``party,setting,bin,sign,selected`` once; the body is then written as
+        bytes, a block of trials at a time: a power of ten of them (at least
+        10) whose rows, padded to the longest, fit in :data:`CSV_BLOCK_BYTES`.
+        An empty table is refused, and an existing file at ``path`` is
+        replaced, not truncated (:func:`open_replacing`).
         """
+        if not len(self):
+            raise ValueError(f"cannot write an empty event table of shape {self.settings.shape}")
         parties, n_labels = self.n_parties, len(self.bin_labels)
         buf = io.StringIO()
         writer = csv.writer(buf)
-        suffixes = []
-        for row in itertools.product(range(parties), (0, 1), self.bin_labels, (1, -1), (0, 1)):
-            buf.seek(0)
-            buf.truncate()
-            writer.writerow(row)
-            suffixes.append(buf.getvalue())
-        suffixes = np.array(suffixes, dtype=object)
         party = np.arange(parties)
         with open_replacing(path, newline="") as fh:
-            csv.writer(fh).writerow(CSV_COLUMNS)
-            for start in range(0, self.n_trials, CSV_CHUNK_TRIALS):
-                rows = slice(start, start + CSV_CHUNK_TRIALS)
+            fh.buffer.write(",".join(CSV_COLUMNS).encode() + b"\r\n")
+            suffixes = []
+            for row in itertools.product(range(parties), (0, 1), self.bin_labels, (1, -1), (0, 1)):
+                buf.seek(0)
+                buf.truncate()
+                writer.writerow(row)
+                suffixes.append(buf.getvalue().encode(fh.encoding))
+            width = np.array([len(s) for s in suffixes])
+            # a row: trial number and comma right-aligned after NUL pad, then suffix and pad, in
+            # 8-byte words; first/low hold block 0's numbers and the low m digits of later ones
+            pre, pad = (-(-k // 8) * 8 for k in (len(f"{self.n_trials - 1},"), width.max()))
+            m = max(1, len(str(CSV_BLOCK_BYTES // (parties * (pre + pad)))) - 1)
+            first, low = (
+                np.frombuffer("".join(f.rjust(pre, "\0") for f in texts).encode(), np.uint64)
+                .reshape(10**m, 1, -1)
+                for texts in ([f"{t}," for t in range(10**m)], [f"{t:0{m}}," for t in range(10**m)])
+            )
+            mask = (np.arange(pre + pad) < pre + width[:, None]).view(np.uint64)
+            table = np.frombuffer(b"".join(bytes(pre) + s.ljust(pad) for s in suffixes), np.uint64)
+            for start in range(0, self.n_trials, 10**m):
+                rows = slice(start, start + 10**m)
                 # the suffix's position in the itertools.product above
                 code = (party * 2 + self.settings[rows]) * n_labels + self.bins[rows]
                 code = code * 4 + (self.signs[rows] < 0) * 2 + self.selected[rows, None]
-                trials = np.array([f"{t}," for t in range(start, start + len(code))], dtype=object)
-                fh.write("".join(np.repeat(trials, parties) + suffixes[code.ravel()]))
+                high = bytes(pre - len(str(start)) - 1) + str(start)[:-m].encode() + bytes(m + 1)
+                trials = (low | np.frombuffer(high, np.uint64) if start else first)[: len(code)]
+                line, keep = table.reshape(mask.shape).take(code, axis=0), mask.take(code, axis=0)
+                line[..., : pre // 8] = trials
+                keep[..., : pre // 8] = (trials.view(np.uint8) != 0).view(np.uint64)
+                fh.buffer.write(line.view(np.uint8)[keep.view(bool)])
 
     @classmethod
     def read_csv(cls, path, bin_labels: tuple[str, ...] | None = None) -> "EventTable":

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,14 @@ def _reference_write_csv(table, path):
                         int(table.selected[trial]),
                     )
                 )
+
+
+def _random_table(trials, parties, labels=("S", "L"), seed=0):
+    """A table with columns drawn from ``seed``, its bin codes over all of ``labels``."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 2, (2, trials, parties))
+    bins = rng.integers(0, len(labels), (trials, parties))
+    return EventTable(cells[0], bins, 1 - 2 * cells[1], rng.integers(0, 2, trials) == 1, labels)
 
 
 def _assert_same_events(again, table):
@@ -122,6 +131,18 @@ def test_csv_round_trip(tmp_path):
     forced = EventTable.read_csv(path, bin_labels=("S", "L"))
     _assert_same_events(forced, table)
     assert (forced.bins == table.bins).all()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+def test_csv_writer_refuses_an_empty_table(tmp_path, shape):
+    # the reader refuses a header-only file, and a (2, 0) table would lose its trial count
+    path = tmp_path / "events.csv"
+    path.write_text("kept")
+    table = EventTable(np.zeros(shape), np.zeros(shape), np.ones(shape), np.ones(shape[0], bool))
+    message = re.escape(f"cannot write an empty event table of shape {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        table.write_csv(path)
+    assert path.read_text() == "kept"
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -311,16 +332,14 @@ def test_csv_rejects_wrong_field_count(tmp_path, row, line):
 
 @st.composite
 def event_tables(draw):
-    trials = draw(st.integers(min_value=1, max_value=6))
+    # up to 12, 120 or 1,200 trials, so that trial numbers cross 10, 100 and 1,000
+    trials = draw(st.sampled_from([12, 120, 1_200]).flatmap(lambda most: st.integers(1, most)))
     parties = draw(st.integers(min_value=1, max_value=4))
     # labels may need CSV quoting: delimiters, quotes, line breaks, empty
     labels = draw(
         st.lists(st.text(alphabet="SLt01 ,\"\n\r", max_size=3), min_size=1, max_size=4, unique=True)
     )
-    grid = st.lists(st.integers(0, 2**30), min_size=trials * parties, max_size=trials * parties)
-    cells = [np.array(draw(grid)).reshape(trials, parties) for _ in range(3)]
-    flags = draw(st.lists(st.booleans(), min_size=trials, max_size=trials))
-    return EventTable(cells[0] % 2, cells[1] % len(labels), 1 - 2 * (cells[2] % 2), flags, labels)
+    return _random_table(trials, parties, labels, seed=draw(st.integers(0, 2**32 - 1)))
 
 
 @given(table=event_tables())
@@ -357,6 +376,53 @@ def test_csv_writer_matches_reference_on_seeded_streams(tmp_path, make):
         for name in ("events.csv", "reference.csv")
     ]
     assert digests[0] == digests[1]
+
+
+def _assert_writes_as_reference(tmp_path, table):
+    table.write_csv(tmp_path / "events.csv")
+    _reference_write_csv(table, tmp_path / "reference.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("parties", [1, 3])
+@pytest.mark.parametrize(
+    "trials", [1, 9, 10, 11, 999, 1_000, 1_001, 9_999, 10_000, 10_001, 100_001]
+)
+def test_csv_writer_matches_reference_across_digits_and_blocks(tmp_path, trials, parties):
+    # trial numbers of each width, and tables that end on either side of a
+    # block edge: a block is 10,000 trials of one party or 1,000 of three
+    _assert_writes_as_reference(tmp_path, _random_table(trials, parties, seed=trials))
+
+
+@pytest.mark.parametrize("parties", range(1, 9))
+def test_csv_writer_matches_reference_for_each_party_count(tmp_path, parties):
+    _assert_writes_as_reference(tmp_path, _random_table(2_001, parties, seed=parties))
+
+
+def test_csv_writer_matches_reference_on_labels_to_quote_and_encode(tmp_path):
+    labels = ("", ",", '"', "\r", "\n", 'a"b,c\r\nd', "\x00", "S\x00", "é", "Ω", "S")
+    _assert_writes_as_reference(tmp_path, _random_table(2_001, 3, labels, seed=1))
+
+
+@pytest.mark.parametrize("n_labels", [129, 2**15])
+def test_csv_writer_matches_reference_with_wide_bin_codes(tmp_path, n_labels):
+    # int16 bin codes; the suffix codes of party 1 run past 2**16 at 2**15 labels
+    table = _random_table(1_001, 2, tuple(f"b{k}" for k in range(n_labels)), seed=n_labels)
+    assert table.bins.dtype == np.int16
+    _assert_writes_as_reference(tmp_path, table)
+
+
+def test_csv_write_memory_does_not_grow_with_the_table(tmp_path):
+    peaks = []
+    for trials in (20_000, 200_000):
+        table = source_event_stream(trials, seed=7)
+        tracemalloc.start()
+        try:
+            table.write_csv(tmp_path / "events.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 500_000
 
 
 def test_csv_error_names_physical_line(tmp_path):
