@@ -13,20 +13,21 @@ Both the hidden-variable simulators and the quantum samplers emit
 :class:`EventTable`; downstream coincidence analysis is therefore identical
 for every model. A table stores each field as one small-integer
 (trials, parties) array, so million-trial runs stay cheap, and its CSV
-codec works on whole arrays. The writer renders a block of trials as bytes:
-each cell gathers a pre-rendered row suffix by an integer code, after its
-trial number (the block's high digits, then a row of a low-digit table), and
-a mask drops the pad bytes. The reader tokenizes the body with array
-compares, one block of bytes at a time (:mod:`etbell._csvbody`), keeps each
-column of a block in the narrowest integer type that holds its values, checks
-the (trial, party) grid, then places the blocks into the table one by one and
-lets each go once placed, so a read peaks at about 12 bytes per CSV row.
+codec works on whole arrays. The CSV format is strict: the reader takes only
+what the writer writes, and a bin label is at most 7 UTF-8 bytes without
+``,``, ``"``, CR or LF, so it is written as it stands. The writer renders a
+block of trials as bytes: each cell gathers a pre-rendered row suffix by an
+integer code, after its trial number (the block's high digits, then a row of
+a low-digit table), and a mask drops the pad bytes. The reader tokenizes the
+body with array compares, one block of bytes at a time
+(:mod:`etbell._csvbody`), keeps each column of a block in the narrowest
+integer type that holds its values, checks the (trial, party) grid, then
+places the blocks into the table one by one and lets each go once placed, so
+a read peaks at about 12 bytes per CSV row.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import InitVar, dataclass, fields
 from fractions import Fraction
@@ -36,10 +37,11 @@ import numpy as np
 from .numerics import open_replacing
 
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
+_CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
 # Bytes of padded rows the writer renders per block, so its memory does not grow with the table.
 CSV_BLOCK_BYTES = 2**18
-# Bytes of the CSV body tokenized per block (see etbell._csvbody).
-CSV_CHUNK_ROWS = 2**16
+# Bytes of the CSV body the reader tokenizes per block (see etbell._csvbody).
+CSV_READ_BYTES = 2**16
 # Bin codes are at most int16, so a table holds at most this many labels.
 _MAX_BIN_LABELS = 2**15
 
@@ -124,7 +126,7 @@ class EventTable:
             raise ValueError("signs must be +1 or -1")
         if len(self.bin_labels) > _MAX_BIN_LABELS:
             raise ValueError(f"at most {_MAX_BIN_LABELS} bin labels, got {len(self.bin_labels)}")
-        _LabelCodes(self.bin_labels)  # distinct strings
+        _LabelCodes(self.bin_labels)  # distinct labels the CSV codec takes
         if bins.size and not (0 <= bins.min() and bins.max() < len(self.bin_labels)):
             raise ValueError("bin code outside bin_labels")
         copy = not _adopt
@@ -154,31 +156,25 @@ class EventTable:
         return float(self.selected.mean())
 
     def write_csv(self, path) -> None:
-        """Write the CSV wire format: the :data:`CSV_COLUMNS` header, then one
-        row per (trial, party) cell in trial-major order, with ``\\r\\n`` line
-        ends and csv's minimal quoting of bin labels.
+        """Write the CSV wire format in UTF-8: the :data:`CSV_COLUMNS` header,
+        then one row per (trial, party) cell in trial-major order, every line
+        ended by ``\\r\\n``, each bin label as it stands.
 
-        ``csv.writer`` renders each distinct row suffix
-        ``party,setting,bin,sign,selected`` once; the body is then written as
-        bytes, a block of trials at a time: a power of ten of them (at least
-        10) whose rows, padded to the longest, fit in :data:`CSV_BLOCK_BYTES`.
+        Each distinct row suffix ``party,setting,bin,sign,selected`` is
+        rendered once; the body is then written as bytes, a block of trials at
+        a time: a power of ten of them (at least 10) whose rows, padded to the
+        longest, fit in :data:`CSV_BLOCK_BYTES`.
         An empty table is refused, and an existing file at ``path`` is
         replaced, not truncated (:func:`open_replacing`).
         """
         if not len(self):
             raise ValueError(f"cannot write an empty event table of shape {self.settings.shape}")
         parties, n_labels = self.n_parties, len(self.bin_labels)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
         party = np.arange(parties)
-        with open_replacing(path, newline="") as fh:
-            fh.buffer.write(",".join(CSV_COLUMNS).encode() + b"\r\n")
-            suffixes = []
-            for row in itertools.product(range(parties), (0, 1), self.bin_labels, (1, -1), (0, 1)):
-                buf.seek(0)
-                buf.truncate()
-                writer.writerow(row)
-                suffixes.append(buf.getvalue().encode(fh.encoding))
+        rows = itertools.product(range(parties), (0, 1), self.bin_labels, (1, -1), (0, 1))
+        suffixes = [f"{','.join(map(str, row))}\r\n".encode() for row in rows]
+        with open_replacing(path) as fh:
+            fh.buffer.write(_CSV_HEADER)
             width = np.array([len(s) for s in suffixes])
             # a row: trial number and comma right-aligned after NUL pad, then suffix and pad, in
             # 8-byte words; first/low hold block 0's numbers and the low m digits of later ones
@@ -205,29 +201,23 @@ class EventTable:
 
     @classmethod
     def read_csv(cls, path, bin_labels: tuple[str, ...] | None = None) -> "EventTable":
-        """Read the CSV wire format. Every row must have one integer field per
-        column but ``bin``, every ``(trial, party)`` cell of the grid must
-        appear exactly once, and the parties of one trial must agree on
-        ``selected``; a violation names the first offending line or cell.
-        Blank lines are skipped. Without ``bin_labels`` the labels are taken
-        in order of first appearance. The body is tokenized and narrowed
-        :data:`CSV_CHUNK_ROWS` bytes at a time; the grid is checked before
-        any chunk is placed."""
-        from ._csvbody import body_columns, first_malformed_line
+        """Read the CSV wire format only as :meth:`write_csv` writes it: each
+        record, the last too, ends in ``\\r\\n`` and holds a ``-?[0-9]+`` int64
+        field per column but ``bin``. Any other form (a blank line, another line
+        end, quoting, padding) is refused, naming the first bad line. Every
+        ``(trial, party)`` cell must appear exactly once, and the parties of one
+        trial must agree on ``selected``; a violation names the first offending
+        cell. Without ``bin_labels`` the labels are taken in order of first
+        appearance. The body is tokenized and narrowed :data:`CSV_READ_BYTES`
+        bytes at a time; the grid is checked before any chunk is placed."""
+        from ._csvbody import body_columns
 
         codes = _LabelCodes(bin_labels or ())
         n_known = len(codes)
-        with open(path, newline="") as fh:
-            header, encoding = fh.readline(), fh.encoding
-        if tuple(next(csv.reader([header]), ())) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header in {path}")
-        chunks = []
         with open(path, "rb") as fh:
-            fh.seek(len(header))  # the header matched, so it is ASCII: a byte per character
-            try:
-                chunks.extend(body_columns(fh, codes, encoding, CSV_CHUNK_ROWS))
-            except ValueError:
-                raise first_malformed_line(path) from None
+            if fh.read(len(_CSV_HEADER)) != _CSV_HEADER:
+                raise ValueError(f"unexpected CSV header in {path}")
+            chunks = list(body_columns(fh, codes, CSV_READ_BYTES))
         if not chunks:
             raise ValueError("event CSV contains no rows")
         for trial, party, *_ in chunks:
@@ -300,15 +290,23 @@ def _check_grid(chunks, shape) -> None:
 
 class _LabelCodes(dict):
     """Bin label -> code, from distinct string ``labels``; an unseen label gets the next code,
-    so the labels met in a file are coded in order of first appearance."""
+    so the labels met in a file are coded in order of first appearance. A label is one the
+    CSV writer writes as it stands and the reader keys exactly by its first 7 bytes."""
 
     def __init__(self, labels=()):
         for label in labels:
-            if not isinstance(label, str):
-                raise ValueError(f"bin label {label!r} is not a string")
-            if label in self:
-                raise ValueError(f"duplicate bin label {label!r}")
             self[label] = len(self)
+
+    def __setitem__(self, label, code):
+        if not isinstance(label, str):
+            raise ValueError(f"bin label {label!r} is not a string")
+        if label in self:
+            raise ValueError(f"duplicate bin label {label!r}")
+        if len(label.encode()) > 7:
+            raise ValueError(f"bin label {label!r} is longer than 7 UTF-8 bytes")
+        if any(c in label for c in ',"\r\n'):
+            raise ValueError(f"bin label {label!r} holds ',', '\"', CR or LF")
+        super().__setitem__(label, code)
 
     def __missing__(self, label: str) -> int:
         self[label] = code = len(self)

@@ -111,7 +111,7 @@ def json_real(value, field: str) -> float:
     return float(value)
 
 
-def open_replacing(path, newline=None):
+def open_replacing(path):
     """Open ``path`` for writing text, replacing an existing regular file
     instead of truncating it.
 
@@ -123,7 +123,7 @@ def open_replacing(path, newline=None):
     """
     if os.path.isfile(path) and not os.path.islink(path):
         os.unlink(path)
-    return open(path, "w", newline=newline)
+    return open(path, "w")
 
 
 def matrix_from_json(data: dict) -> np.ndarray:

@@ -266,7 +266,7 @@ def test_event_table_rejects_out_of_range_values(settings, bins, signs):
 
 def _write_events(path, rows):
     lines = [",".join(CSV_COLUMNS), *(",".join(map(str, row)) for row in rows)]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", newline="\r\n")
 
 
 @pytest.mark.parametrize(
@@ -325,7 +325,7 @@ def test_csv_unknown_bin_label_is_the_first_in_the_file(tmp_path):
 )
 def test_csv_rejects_wrong_field_count(tmp_path, row, line):
     path = tmp_path / "events.csv"
-    path.write_text(f"{','.join(CSV_COLUMNS)}\n0,0,0,S,1,1\n{row}\n")
+    path.write_text(f"{','.join(CSV_COLUMNS)}\n0,0,0,S,1,1\n{row}\n", newline="\r\n")
     with pytest.raises(ValueError, match=f"line {line}"):
         EventTable.read_csv(path)
 
@@ -335,10 +335,12 @@ def event_tables(draw):
     # up to 12, 120 or 1,200 trials, so that trial numbers cross 10, 100 and 1,000
     trials = draw(st.sampled_from([12, 120, 1_200]).flatmap(lambda most: st.integers(1, most)))
     parties = draw(st.integers(min_value=1, max_value=4))
-    # labels may need CSV quoting: delimiters, quotes, line breaks, empty
-    labels = draw(
-        st.lists(st.text(alphabet="SLt01 ,\"\n\r", max_size=3), min_size=1, max_size=4, unique=True)
+    # every kind of label the codec takes: empty, NUL, multibyte, exactly 7 UTF-8 bytes
+    label = st.one_of(
+        st.text(alphabet="SLt01 #\x00\u00e9\u03a9", max_size=3),
+        st.sampled_from(["abcdefg", "\u03a9\u03a9\u03a9S", "t0\x00\u00e9\u00e9"]),
     )
+    labels = draw(st.lists(label, min_size=1, max_size=4, unique=True))
     return _random_table(trials, parties, labels, seed=draw(st.integers(0, 2**32 - 1)))
 
 
@@ -400,7 +402,12 @@ def test_csv_writer_matches_reference_for_each_party_count(tmp_path, parties):
 
 
 def test_csv_writer_matches_reference_on_labels_to_quote_and_encode(tmp_path):
-    labels = ("", ",", '"', "\r", "\n", 'a"b,c\r\nd', "\x00", "S\x00", "é", "Ω", "S")
+    # labels csv.writer would quote are refused, so the writer never quotes;
+    # the others are written as they stand, in UTF-8
+    for label in (",", '"', "\r", "\n", 'a"b,c\r\n'):
+        with pytest.raises(ValueError, match=re.escape(f"bin label {label!r} holds")):
+            EventTable([[0]], [[0]], [[1]], [True], (label,))
+    labels = ("", "\x00", "S\x00", "é", "Ω", " S", "#x", "abcdefg", "ΩΩΩS", "S")
     _assert_writes_as_reference(tmp_path, _random_table(2_001, 3, labels, seed=1))
 
 
@@ -426,23 +433,28 @@ def test_csv_write_memory_does_not_grow_with_the_table(tmp_path):
 
 
 def test_csv_error_names_physical_line(tmp_path):
-    # header, row, blank line, a row whose quoted label spans two lines,
-    # then a short row on line 6 (csv.reader's line_num)
+    # header, four rows, then a short row on line 6
     path = tmp_path / "events.csv"
-    body = '0,0,0,S,1,1\r\n\r\n0,1,0,"a\r\nb",1,1\r\n0,2,0,S\r\n'
+    body = "0,0,0,S,1,1\r\n0,1,0,é,1,1\r\n0,2,0,,1,1\r\n0,3,0,S,1,1\r\n0,4,0,S\r\n"
     path.write_bytes((",".join(CSV_COLUMNS) + "\r\n" + body).encode())
     with pytest.raises(ValueError, match="^line 6: 4 fields, expected 6$"):
         EventTable.read_csv(path)
 
 
-@pytest.mark.parametrize("field", ["1.0", "x", "", "1_0", str(2**63)])
+@pytest.mark.parametrize(
+    "field",
+    # padded, '+'-signed, quoted, CR-ended, 20-digit and out-of-range integers too
+    ["1.0", "x", "", "1_0", str(2**63), " 1", "1 ", "+1", '"1"', "1\r", "1" * 20,
+     str(-(2**63) - 1)],
+)
 @pytest.mark.parametrize("column", [0, 4])
 def test_csv_rejects_non_integer_field_with_line(tmp_path, field, column):
     row = ["1", "0", "0", "S", "1", "1"]
     row[column] = field
     path = tmp_path / "events.csv"
-    path.write_text(f"{','.join(CSV_COLUMNS)}\n0,0,0,S,1,1\n\n{','.join(row)}\n")
-    message = f"^line 4: {CSV_COLUMNS[column]} {field!r} is not a 64-bit integer$"
+    text = f"{','.join(CSV_COLUMNS)}\r\n0,0,0,S,1,1\r\n0,1,0,S,1,1\r\n{','.join(row)}\r\n"
+    path.write_bytes(text.encode())
+    message = f"^{re.escape(f'line 4: {CSV_COLUMNS[column]} {field!r}')} is not a 64-bit integer$"
     with pytest.raises(ValueError, match=message):
         EventTable.read_csv(path)
 
@@ -450,26 +462,22 @@ def test_csv_rejects_non_integer_field_with_line(tmp_path, field, column):
 @pytest.mark.parametrize(
     "body, labels, table",
     [
-        # LF ends, no final line end, bare CR ends: one 1 x 2 table
-        ("0,0,0,S,1,1\n0,1,1,L,-1,1\n", ("S", "L"), ([[0, 1]], [[0, 1]], [[1, -1]], [True])),
-        ("0,0,0,S,1,1\r\n0,1,1,L,-1,1", ("S", "L"), ([[0, 1]], [[0, 1]], [[1, -1]], [True])),
-        ("0,0,0,S,1,1\r0,1,1,L,-1,1\r", ("S", "L"), ([[0, 1]], [[0, 1]], [[1, -1]], [True])),
-        # integers padded with blanks, signed, quoted and with leading zeros
-        (' 0 ,+0,"0",S,01,00\n', ("S",), ([[0]], [[0]], [[1]], [False])),
-        ('0,0,1,"S,\r\nx",-1,1\n', ("S,\r\nx",), ([[1]], [[0]], [[-1]], [True])),
-        # a quote inside a field is a literal one, and text after a closing quote is kept
-        ('0,0,0,a"b,1,1\n0,1,0,"a"b,1,1\n', ('a"b', "ab"), ([[0, 0]], [[0, 1]], [[1, 1]], [True])),
+        ("0,0,0,S,1,1\r\n0,1,1,L,-1,1\r\n", ("S", "L"), ([[0, 1]], [[0, 1]], [[1, -1]], [True])),
+        # leading zeros are digits too
+        ("00,0,0,S,01,00\r\n", ("S",), ([[0]], [[0]], [[1]], [False])),
         # labels are taken as they stand, spaces, NUL and '#' included
         (
-            "0,0,0, S,1,1\n0,1,0,\u00e9,1,1\n1,0,0,S\x00,1,0\n1,1,0,#x,1,0\n2,0,0,,1,1\n2,1,0, S,1,1\n",
+            "0,0,0, S,1,1\r\n0,1,0,\u00e9,1,1\r\n1,0,0,S\x00,1,0\r\n1,1,0,#x,1,0\r\n"
+            "2,0,0,,1,1\r\n2,1,0, S,1,1\r\n",
             (" S", "\u00e9", "S\x00", "#x", ""),
             ([[0, 0]] * 3, [[0, 1], [2, 3], [4, 0]], [[1, 1]] * 3, [True, False, True]),
         ),
     ],
+    ids=["crlf", "leading-zeros", "labels-as-they-stand"],
 )
 def test_csv_reader_accepts(tmp_path, body, labels, table):
     path = tmp_path / "events.csv"
-    path.write_text(",".join(CSV_COLUMNS) + "\n" + body, newline="")
+    path.write_bytes((",".join(CSV_COLUMNS) + "\r\n" + body).encode())
     got = EventTable.read_csv(path)
     assert got.bin_labels == labels
     for name, want in zip(("settings", "bins", "signs", "selected"), table):
@@ -478,39 +486,82 @@ def test_csv_reader_accepts(tmp_path, body, labels, table):
         assert column.dtype == (bool if name == "selected" else np.int8)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # LF or bare CR line ends, and a last record without its CRLF
+        ("0,0,0,S,1,1\n0,1,1,L,-1,1\n", "line 2: record does not end in \\r\\n"),
+        ("0,0,0,S,1,1\r\n0,1,1,L,-1,1\n", "line 3: record does not end in \\r\\n"),
+        ("0,0,0,S,1,1\r0,1,1,L,-1,1\r", "line 2: record does not end in \\r\\n"),
+        ("0,0,0,S,1,1\r\n0,1,1,L,-1,1", "line 3: record does not end in \\r\\n"),
+        # blank lines
+        ("0,0,0,S,1,1\r\n\r\n0,1,1,L,-1,1\r\n", "line 3: 1 fields, expected 6"),
+        # quoted labels, and labels holding a quote, a CR or over 7 bytes
+        ('0,0,1,"S,\r\nx",-1,1\r\n', "line 2: 5 fields, expected 6"),
+        ('0,0,0,S,1,1\r\n0,1,0,"S",1,1\r\n', "line 3: bin label '\"S\"' holds"),
+        ('0,0,0,a"b,1,1\r\n', "line 2: bin label 'a\"b' holds"),
+        ("0,0,0,S,1,1\r\n0,1,0,a\rb,1,1\r\n", "line 3: bin label 'a\\rb' holds"),
+        ("0,0,0,abcdefgh,1,1\r\n", "line 2: bin label 'abcdefgh' is longer than 7 UTF-8 bytes"),
+        ("0,0,0,éééé,1,1\r\n", "line 2: bin label 'éééé' is longer than 7 UTF-8 bytes"),
+        # a label that is no UTF-8 (a lone 0xff byte)
+        ("0,0,0,S\udcff,1,1\r\n", "line 2: 'utf-8' codec can't decode byte 0xff"),
+        # the first bad line is named, and in it the bin label before the integers
+        ("0,0,0,S,1,1\r\n0,1,0,a\"b,1,1\r\n0,2,x,S,1,1\r\n", "line 3: bin label"),
+        ("0,0,0,S,1,1\r\n0,1,x,a\"b,1,1\r\n", "line 3: bin label"),
+        ("0,0,0,S,1,1\r\n0,1,x,S,1,1\r\n0,2,0,a\"b,1,1\r\n", "line 3: setting 'x'"),
+        ("0,0,0,S,1,1\r\n0,1,0,S,1\r\n0,2,0,a\"b,1,1\r\n", "line 3: 5 fields"),
+        ("0,0,0,S,1,1\r\n0,1,0,a\"b,1,1\r\n0,2,0,S,1\r\n", "line 3: bin label"),
+    ],
+    ids=[
+        "lf-ends", "lf-last", "bare-cr-ends", "no-final-crlf", "blank-line",
+        "quoted-label-with-crlf", "quoted-label", "quote-in-label", "cr-in-label", "8-byte-label",
+        "8-byte-multibyte-label", "no-utf8-label", "label-line-first", "label-before-integer",
+        "integer-line-first", "field-count-line-first", "label-line-before-field-count",
+    ],
+)
+def test_csv_reader_rejects(tmp_path, body, message):
+    path = tmp_path / "events.csv"
+    path.write_bytes((",".join(CSV_COLUMNS) + "\r\n" + body).encode(errors="surrogateescape"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        EventTable.read_csv(path)
+
+
 @given(raw=st.lists(st.text('"a,\r\n', max_size=6), min_size=1, max_size=3))
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @example(raw=['"a"""', 'a"', '"a,"a'])
-def test_csv_reader_splits_quoted_labels_as_csv_reader(tmp_path, raw):
-    # each text stands in the bin field of one row as it is, unquoted by no writer
-    body = "".join(f"0,{p},0,{text},1,1\n" for p, text in enumerate(raw))
+def test_csv_reader_refuses_quoted_or_split_labels(tmp_path, raw):
+    # each text stands in the bin field of one row as it is; a text that is
+    # no label the writer writes (one with a quote, a comma, a CR or an LF)
+    # is refused on the line its row starts
+    rows = [f"0,{p},0,{text},1,1\r\n" for p, text in enumerate(raw)]
     path = tmp_path / "events.csv"
-    path.write_text(",".join(CSV_COLUMNS) + "\n" + body, newline="")
-    rows = [row for row in csv.reader(io.StringIO(body, newline="")) if row]
-    others = [["0", str(p), "0", "1", "1"] for p in range(len(rows))]
-    if [row[:3] + row[4:] for row in rows] == others:
-        labels = [row[3] for row in rows]
-        got = EventTable.read_csv(path)
-        assert [got.bin_labels[b] for b in got.bins[0]] == labels
-    else:
-        with pytest.raises(ValueError):
+    path.write_bytes((",".join(CSV_COLUMNS) + "\r\n" + "".join(rows)).encode())
+    bad = [k for k, text in enumerate(raw) if set(text) & set('",\r\n')]
+    if bad:
+        line = 2 + "".join(rows[: bad[0]]).count("\n")
+        with pytest.raises(ValueError, match=f"^line {line}: "):
             EventTable.read_csv(path)
+    else:
+        got = EventTable.read_csv(path)
+        assert [got.bin_labels[b] for b in got.bins[0]] == raw
 
 
 def test_csv_reader_rejects_blank_filled_line(tmp_path):
     path = tmp_path / "events.csv"
-    path.write_text(",".join(CSV_COLUMNS) + "\n0,0,0,S,1,1\n \n", newline="")
+    path.write_bytes((",".join(CSV_COLUMNS) + "\r\n0,0,0,S,1,1\r\n \r\n").encode())
     with pytest.raises(ValueError, match="^line 3: 1 fields, expected 6$"):
         EventTable.read_csv(path)
 
 
 @pytest.mark.parametrize("body", ["", "\r\n", "\n\n"])
 def test_csv_header_only_has_no_rows(tmp_path, body):
+    # a blank line after the header is no row either, and is refused
     path = tmp_path / "events.csv"
-    path.write_text(",".join(CSV_COLUMNS) + "\n" + body)
-    with pytest.raises(ValueError, match="^event CSV contains no rows$"):
+    path.write_bytes((",".join(CSV_COLUMNS) + "\r\n" + body).encode())
+    message = "line 2: 1 fields, expected 6" if body else "event CSV contains no rows"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         EventTable.read_csv(path)
 
 
@@ -536,21 +587,16 @@ def test_csv_rejects_duplicate_given_bin_labels(tmp_path):
 @pytest.fixture(params=[2, 3])
 def small_chunks(request, monkeypatch):
     """Tokenize the CSV body in blocks of 2 or 3 bytes, so that block ends
-    fall inside quoted multi-line labels, between CR and LF and inside digit
-    runs."""
-    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", request.param)
+    fall inside labels, between CR and LF and inside digit runs."""
+    monkeypatch.setattr(events, "CSV_READ_BYTES", request.param)
 
 
-def _csv_text(rows, blank_after=()):
-    """``rows`` under the header as ``csv.writer`` quotes them, with a blank
-    line after each row whose index is in ``blank_after``."""
+def _csv_text(rows):
+    """``rows`` under the header as ``csv.writer`` writes them."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
-    for k, row in enumerate(rows):
-        writer.writerow(row)
-        if k in blank_after:
-            buf.write("\r\n")
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -564,8 +610,8 @@ def _grid_rows(*changes):
 
 
 def test_csv_round_trip_across_chunks(tmp_path, small_chunks):
-    # multi-line quoted labels on both sides of every chunk boundary
-    labels = ("S", "a\r\nb", 'q,"x"\ny')
+    # multibyte and 7-byte labels on both sides of every chunk boundary
+    labels = ("S", "\u00e9\x00", "abcdefg")
     table = EventTable(
         [[0, 1], [1, 1], [0, 0]], [[1, 2], [1, 0], [2, 1]], [[1, -1], [-1, -1], [1, 1]],
         [True, False, True], labels,
@@ -575,12 +621,6 @@ def test_csv_round_trip_across_chunks(tmp_path, small_chunks):
     again = EventTable.read_csv(path, bin_labels=labels)
     for column in ("settings", "bins", "signs", "selected"):
         assert (getattr(again, column) == getattr(table, column)).all()
-    rows = [
-        [t, p, int(table.settings[t, p]), labels[table.bins[t, p]], int(table.signs[t, p]),
-         int(table.selected[t])]
-        for t in range(3) for p in range(2)
-    ]
-    path.write_text(_csv_text(rows, blank_after={0, 1, 3, 4}), newline="")
     _assert_same_events(EventTable.read_csv(path), table)
 
 
@@ -589,7 +629,7 @@ def test_csv_round_trip_across_chunks(tmp_path, small_chunks):
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 def test_csv_round_trip_property_in_two_row_chunks(tmp_path, monkeypatch, table):
-    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", 2)  # bytes per block
+    monkeypatch.setattr(events, "CSV_READ_BYTES", 2)
     path = tmp_path / "events.csv"
     table.write_csv(path)
     again = EventTable.read_csv(path, bin_labels=table.bin_labels)
@@ -603,11 +643,13 @@ def test_csv_round_trip_property_in_two_row_chunks(tmp_path, monkeypatch, table)
         ("2,0,0,S", "^line 8: 4 fields, expected 6$"),
         ("2,0,x,S,1,1", "^line 8: setting 'x' is not a 64-bit integer$"),
         ("2,0,0,S,1,1.5", "^line 8: selected '1.5' is not a 64-bit integer$"),
+        ("2,0,0,S,1,1\n", "^line 8: record does not end in \\\\r\\\\n$"),
+        ("2,0,0,abcdefg\u00e9,1,1", "^line 8: bin label 'abcdefg\u00e9' is longer than 7"),
     ],
 )
 def test_csv_error_in_later_chunk_names_physical_line(tmp_path, small_chunks, bad, message):
-    # the second row's label spans lines 3-4 and line 5 is blank
-    body = f'0,0,0,S,1,1\r\n0,1,0,"a\r\nb",1,1\r\n\r\n1,0,0,S,1,1\r\n1,1,0,S,1,1\r\n{bad}\r\n'
+    body = "0,0,0,S,1,1\r\n0,1,0,abcdefg,1,1\r\n0,2,0,\u00e9,1,1\r\n"
+    body += f"1,0,0,S,1,1\r\n1,1,0,S,1,1\r\n1,2,0,S,1,1\r\n{bad}\r\n"
     path = tmp_path / "events.csv"
     path.write_bytes((",".join(CSV_COLUMNS) + "\r\n" + body).encode())
     with pytest.raises(ValueError, match=message):
@@ -661,6 +703,11 @@ def test_csv_out_of_range_value_in_later_chunk(tmp_path, small_chunks, changes, 
             [[t, p, 0, "S", 1, 1] for t, p in [(0, 0), (0, 1), (0, 2), (0, 3), (2**62, 0)]],
             "^missing event for trial 1, party 0$",
         ),
+        # the lowest int64, decoded exactly
+        (
+            _grid_rows((4, "trial", -(2**63))),
+            "^negative index in trial -9223372036854775808, party 0$",
+        ),
     ],
 )
 def test_csv_bad_cell_in_later_chunk(tmp_path, small_chunks, rows, message):
@@ -687,16 +734,11 @@ def test_csv_read_memory_per_row(tmp_path):
 
 @pytest.mark.parametrize("block", [2**16, 97])
 def test_csv_reads_many_distinct_labels(tmp_path, monkeypatch, block):
-    # thousands of short labels, and longer ones that share their first 7 bytes,
-    # their last ones, all but a NUL or the digest of their pieces, coded in
-    # order of first appearance
-    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", block)  # bytes per block
+    # thousands of short labels, and ones that differ only in a NUL or their
+    # last of 7 bytes, coded in order of first appearance
+    monkeypatch.setattr(events, "CSV_READ_BYTES", block)
     labels = [f"L{k}" for k in range(3000)] + [
-        "", "\x00", "abcdefg", "abcdefg\x00", "abcdefgh", "abcdefgh" * 2, "abcdefgh" * 2 + "i",
-        "x" * 200, "x" * 199 + "y", "y" + "x" * 199, 'q,"u"\r\nx' * 3,
-        # the same digest: one with a head 7 above the other's, and one tail piece 1 below;
-        # one tail piece 1,000,010 above the other's and the next 7 below
-        "aaaaaaazzzzzzc", "aaaaaahzzzzzzb", "hhhhhhhpppp000qqqqqqz", "hhhhhhhpppp?TGqqqqqqs",
+        "", "\x00", "\x00\x00", "abcdef", "abcdef\x00", "abcdefg", "abcdefh", "\u03a9\u03a9\u03a9S",
     ]
     bins = np.random.default_rng(5).integers(0, len(labels), (4000, 2))
     table = EventTable(
@@ -710,33 +752,33 @@ def test_csv_reads_many_distinct_labels(tmp_path, monkeypatch, block):
     assert (np.array(got.bin_labels)[got.bins] == np.array(labels)[bins]).all()
 
 
-def test_csv_read_memory_with_a_long_label(tmp_path):
-    # a 20,000-byte label among short ones costs about 16 bytes per byte of
-    # it in a block; a matrix of 7-byte label pieces by rows would take 90 MB
-    bins = (np.random.default_rng(3).random((5000, 2)) < 0.01).astype(np.int8)
-    table = EventTable(
-        np.zeros_like(bins), bins, np.ones_like(bins), np.ones(5000, bool), ("S", "x" * 20_000)
+def test_event_table_refuses_a_long_label(tmp_path):
+    # a label is keyed by its first 7 bytes, so a 20,000-byte one is refused
+    # before it is written or read
+    long = "x" * 20_000
+    with pytest.raises(ValueError, match=f"^bin label '{long}' is longer than 7 UTF-8 bytes$"):
+        EventTable([[0, 1]], [[0, 1]], [[1, 1]], [True], ("S", long))
+    _write_events(tmp_path / "events.csv", [(0, 0, 0, "S", 1, 1), (0, 1, 0, long, 1, 1)])
+    with pytest.raises(ValueError, match=f"^line 3: bin label '{long}' is longer than 7"):
+        EventTable.read_csv(tmp_path / "events.csv")
+
+
+@given(
+    label=st.one_of(
+        st.tuples(st.text(max_size=3), st.sampled_from(',"\r\n'), st.text(max_size=3)).map(
+            "".join
+        ),
+        st.text(min_size=8),
     )
+)
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(label="\u00e9" * 4)
+def test_labels_the_writer_cannot_write_are_refused(tmp_path, label):
+    # a separator, quote or line break, or over 7 UTF-8 bytes
+    message = f"^{re.escape(f'bin label {label!r}')} (holds|is longer than 7 UTF-8 bytes)"
+    with pytest.raises(ValueError, match=message):
+        EventTable([[0]], [[0]], [[1]], [True], ("S", label))
     path = tmp_path / "events.csv"
-    table.write_csv(path)
-    tracemalloc.start()
-    try:
-        got = EventTable.read_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (got.bins == bins).all() and got.bin_labels == table.bin_labels
-    assert peak <= 4_000_000
-
-
-def test_csv_label_lookup_checks_the_piece_count(tmp_path, monkeypatch):
-    # "aaaaaaa\x00" has the digest of "haaaaaa" (its head plus 7 times its tail
-    # piece), and its tail piece is the one stored where "haaaaaa" has none
-    monkeypatch.setattr(events, "CSV_CHUNK_ROWS", 2)  # bytes per block: a row a block
-    labels = ("haaaaaa", "zzzzzzz\x00", "aaaaaaa\x00")
-    table = EventTable([[0, 0], [0, 0]], [[0, 1], [2, 2]], [[1, 1], [1, 1]], [True, True], labels)
-    path = tmp_path / "events.csv"
-    table.write_csv(path)
-    got = EventTable.read_csv(path)
-    assert got.bin_labels == labels
-    assert got.bins.tolist() == [[0, 1], [2, 2]]
+    _write_events(path, [(0, 0, 0, "S", 1, 1)])
+    with pytest.raises(ValueError, match=message):
+        EventTable.read_csv(path, bin_labels=("S", label))

@@ -119,6 +119,16 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(set(etbell.__all__) - used) == sorted(UNCALLED_EXPORTS)
 
 
+def test_events_codec_imports_neither_csv_nor_re():
+    # the events CSV has one strict form; a csv dialect or regex reader is a second one
+    for name in ("events.py", "_csvbody.py"):
+        tree = ast.parse((SRC / "etbell" / name).read_text(), name)
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not {m.split(".")[0] for m in imported if m} & {"csv", "re"}, name
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from etbell import *", namespace)
