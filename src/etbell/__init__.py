@@ -29,7 +29,8 @@ _EXPORTS = {
     "events": "EventTable all_equal mermin_estimate",
     "lhv": "PostselectedCorrelations StrategyEnsemble "
     "evaluate_postselected event_stream max_mu_setting_dependent max_mu_setting_independent "
-    "mermin_classical_bound saturating_model scaled_model",
+    "saturating_model scaled_model",
+    "mermin": "mermin_classical_bound",
     "numerics": "DEFAULT_TOL is_unitary",
     "optics": "InterferometerNetwork OpticalElement beam_splitter compose dft_unitary "
     "generation_cascade phase_shifter qutrit_analyzer reck_decompose",

@@ -1,13 +1,6 @@
-"""Shared event plumbing: the n-party Mermin polynomial, columnar event
-tables, the CSV wire format, and empirical postselected-correlation
-estimates.
-
-:func:`mermin_coefficients` is the one statement of the Mermin polynomial:
-every term list in the package (quantum correlators, local-model ensembles,
-event streams) iterates its setting strings in the order it returns them,
-and :func:`mermin_mu` turns the terms into ``mu``. For three parties the
-terms are ``<A0 B0 C1>, <A0 B1 C0>, <A1 B0 C0>, <A1 B1 C1>`` and
-``mu = |t1 + t2 + t3 - t4|``; for two it is the CHSH combination.
+"""Shared event plumbing: columnar event tables, the CSV wire format, and
+empirical postselected-correlation estimates over the terms of the Mermin
+polynomial (:mod:`etbell.mermin`).
 
 Both the hidden-variable simulators and the quantum samplers emit
 :class:`EventTable`; downstream coincidence analysis is therefore identical
@@ -30,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
+from .mermin import mermin_coefficients, mermin_mu
 from .numerics import open_replacing
 
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
@@ -44,45 +37,6 @@ CSV_BLOCK_BYTES = 2**18
 CSV_READ_BYTES = 2**16
 # Bin codes are at most int16, so a table holds at most this many labels.
 _MAX_BIN_LABELS = 2**15
-
-
-def mermin_coefficients(n: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact coefficients of the n-party Mermin polynomial.
-
-    Built by the recursion ``M_k = (M_{k-1} (B0 + B1) + M'_{k-1} (B0 - B1))/2``
-    where the primed polynomial swaps every setting index; the base case is
-    the single setting-0 observable. The returned map sends a setting string
-    ``s in {0,1}^n`` to the coefficient of the product observable
-    ``O_{1,s_1} x ... x O_{n,s_n}``. The whole functional is scaled by 2 at
-    evaluation time (:func:`mermin_mu`), so n=3 has coefficients ``+-1/2``
-    and n=2 is the CHSH combination.
-    """
-    if n < 1:
-        raise ValueError("need at least one party")
-    coeffs: dict[tuple[int, ...], Fraction] = {(0,): Fraction(1)}
-    for _ in range(n - 1):
-        support = set(coeffs) | {tuple(1 - x for x in s) for s in coeffs}
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for s in sorted(support):
-            c = coeffs.get(s, Fraction(0))
-            cp = coeffs.get(tuple(1 - x for x in s), Fraction(0))
-            plus = (c + cp) / 2
-            minus = (c - cp) / 2
-            if plus:
-                nxt[s + (0,)] = plus
-            if minus:
-                nxt[s + (1,)] = minus
-        coeffs = nxt
-    return coeffs
-
-
-def mermin_mu(coeffs, terms):
-    """``mu = |2 sum_s c_s t_s|`` over ``terms`` in the order of ``coeffs``
-    (a :func:`mermin_coefficients` map), or ``None`` when any term is
-    undefined. Fraction terms give an exact Fraction."""
-    if any(t is None for t in terms):
-        return None
-    return abs(2 * sum(c * t for c, t in zip(coeffs.values(), terms)))
 
 
 def all_equal(bins) -> np.ndarray:
@@ -302,7 +256,11 @@ class _LabelCodes(dict):
             raise ValueError(f"bin label {label!r} is not a string")
         if label in self:
             raise ValueError(f"duplicate bin label {label!r}")
-        if len(label.encode()) > 7:
+        try:
+            encoded = label.encode()
+        except UnicodeEncodeError:  # a lone surrogate
+            raise ValueError(f"bin label {label!r} is not valid UTF-8 text") from None
+        if len(encoded) > 7:
             raise ValueError(f"bin label {label!r} is longer than 7 UTF-8 bytes")
         if any(c in label for c in ',"\r\n'):
             raise ValueError(f"bin label {label!r} holds ',', '\"', CR or LF")

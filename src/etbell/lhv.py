@@ -9,7 +9,7 @@ weights and conditional correlations stay exact :class:`fractions.Fraction`
 values whenever the input weights are rational, so the headline numbers
 come out exact rather than merely within tolerance.
 :func:`evaluate_postselected` and :func:`event_stream` take any party count,
-with the terms of :func:`~etbell.events.mermin_coefficients`; the searches
+with the terms of :func:`~etbell.mermin.mermin_coefficients`; the searches
 and the saturating model below are three-party:
 
 * with the bare all-bins-equal coincidence rule, instructions whose bin may
@@ -30,7 +30,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .events import EventTable, all_equal, mermin_coefficients, mermin_mu
+from .events import EventTable, all_equal
+# imported here too, so that etbell.lhv.mermin_classical_bound keeps resolving
+from .mermin import mermin_classical_bound, mermin_coefficients, mermin_mu
 from .numerics import is_integer, json_fields, json_real, seeded_rng, trial_count
 
 BINS = ("S", "L")
@@ -323,19 +325,6 @@ def scaled_model(target) -> StrategyEnsemble:
         np.concatenate([base.signs, flipped]),
         tuple(w * w_keep for w in base.weights) + tuple(w * w_flip for w in base.weights),
     )
-
-
-def mermin_classical_bound(n: int) -> Fraction:
-    """Deterministic (no-postselection) bound of the scaled Mermin
-    polynomial, recomputed by exhaustive enumeration of the 4^n local sign
-    assignments rather than assumed."""
-    coeffs = mermin_coefficients(n)
-    terms = np.array(list(coeffs))
-    denom = math.lcm(*(c.denominator for c in coeffs.values()))
-    numerators = np.array([int(c * denom) for c in coeffs.values()])
-    assignments = 1 - 2 * np.indices((2,) * (2 * n), dtype=np.int8).reshape(2 * n, -1).T.reshape(-1, n, 2)
-    products = assignments[:, np.arange(n), terms].prod(axis=-1)
-    return Fraction(2 * int(np.abs(products @ numerators).max()), denom)
 
 
 def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTable:

@@ -7,6 +7,8 @@ discipline, unitarity checks), with the strict JSON field readers and the
 one file writer (:func:`open_replacing`) every output goes through.
 
 Matrices returned here are read-only and safe to share across threads.
+numpy is imported by the functions that build or read arrays, so the rest
+of this module runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default tolerance for unitarity checks. Every matrix in this package
 #: comes from closed-form entries, far from conditioning limits, so a fixed
@@ -25,6 +29,8 @@ DEFAULT_TOL = 1e-10
 
 def as_matrix(values) -> np.ndarray:
     """Return ``values`` as a read-only, finite, 2-d complex array."""
+    import numpy as np
+
     m = np.array(values, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {m.shape}")
@@ -36,6 +42,8 @@ def as_matrix(values) -> np.ndarray:
 
 def unitarity_defect(m) -> float:
     """Largest entry of ``|m^dag m - I|``; zero for an exact unitary."""
+    import numpy as np
+
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("unitarity is defined for square matrices only")
@@ -88,6 +96,8 @@ def trial_count(value) -> int:
 
 def seeded_rng(seed) -> np.random.Generator:
     """numpy Generator for a non-negative integer seed."""
+    import numpy as np
+
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(int(seed))
@@ -128,6 +138,8 @@ def open_replacing(path):
 
 def matrix_from_json(data: dict) -> np.ndarray:
     """Strict inverse of :func:`matrix_to_json`."""
+    import numpy as np
+
     json_fields(data, "matrix", ("rows", "cols", "entries"))
     rows = json_dim(data["rows"], "rows")
     cols = json_dim(data["cols"], "cols")

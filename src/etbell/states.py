@@ -1,9 +1,18 @@
 """Multiparty entangled states, expectation values, and Mermin functionals.
 
 Time-bin qubits use the basis labels ``S`` (short, level 1) and ``L`` (long,
-level 2); n-level systems use ``1..n``. :func:`mermin_n` evaluates the
-n-party Mermin polynomial of :func:`~etbell.events.mermin_coefficients` with
-dichotomic settings; for three parties it is
+level 2); n-level systems use ``1..n``. A :class:`MultiPartyState` is held
+on its support: the basis tuples with a nonzero amplitude, in flat C order,
+each with its amplitude. The GHZ state and ``(sum_i |i...i>)/sqrt(n)`` have
+2 and n of them, and the dense amplitude vector is built only when asked
+for.
+
+:func:`correlators` sums ``E[s] = sum_{l,m} conj(c_l) c_m prod_p
+O_{p,s_p}[x_lp, x_mp]`` over support pairs ``(l, m)``, for every setting
+string ``s``, in plain Python: a Mermin test on the GHZ state needs no
+numpy. :func:`mermin_n` evaluates the n-party Mermin polynomial of
+:func:`~etbell.mermin.mermin_coefficients` with dichotomic settings; for
+three parties it is
 ``mu = |<A0 B0 C1> + <A0 B1 C0> + <A1 B0 C0> - <A1 B1 C1>|``, and on the GHZ
 state with ``(A0, A1) = (sigma_y, sigma_x)`` per party it reaches the
 algebraic maximum 4.
@@ -13,18 +22,21 @@ photon per party propagates through that party's network, and only joint
 arrival-bin outcomes passing the coincidence rule are kept. The kept cells
 come from each party's network column alone, so preparation costs about the
 output state, never the tensor over all joint outcomes.
+
+numpy is imported by the functions that build or read dense arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
-from dataclasses import InitVar, dataclass
+import numbers
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import optics  # executed only when prepare_postselected composes a network
-from .events import EventTable, mermin_coefficients, mermin_mu
+from . import events, optics  # each executed only by the functions that use it
+from .mermin import mermin_coefficients, mermin_mu
 from .numerics import (
     as_matrix,
     is_integer,
@@ -35,9 +47,12 @@ from .numerics import (
     trial_count,
 )
 
-PAULI_X = as_matrix(((0, 1), (1, 0)))
-PAULI_Y = as_matrix(((0, -1j), (1j, 0)))
-PAULI_Z = as_matrix(((1, 0), (0, -1)))
+if TYPE_CHECKING:
+    import numpy as np
+
+PAULI_X = ((0, 1), (1, 0))
+PAULI_Y = ((0, -1j), (1j, 0))
+PAULI_Z = ((1, 0), (0, -1))
 
 QUBIT_LABELS = ("S", "L")
 
@@ -46,32 +61,38 @@ def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(str(k + 1) for k in range(dim))
 
 
-@dataclass(frozen=True, eq=False)
 class MultiPartyState:
-    """Normalized amplitude vector over a labeled multi-party product basis."""
+    """Normalized state over a labeled multi-party product basis.
 
-    dims: tuple[int, ...]
-    amplitudes: np.ndarray
-    level_labels: tuple[tuple[str, ...], ...] = ()
-    # Take a complex vector over without a copy and make it read-only: only
-    # for a fresh array the package built for the state.
-    _adopt: InitVar[bool] = False
+    ``MultiPartyState(dims, amplitudes, level_labels)`` takes a dense
+    amplitude vector. The state holds its :attr:`support`, the nonzero
+    amplitudes as ``(levels, amplitude)`` pairs in flat C order, and its
+    dense :attr:`amplitudes`; whichever it was not built from is computed on
+    first use and kept. The state is immutable.
+    """
 
-    def __post_init__(self, _adopt=False):
-        if not all(is_integer(d) for d in self.dims):
-            raise ValueError(f"dims must be integers, got {tuple(self.dims)!r}")
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, dims, amplitudes, level_labels=(), _adopt=False, _support=None):
+        """Only for a normalized state the package built: ``_adopt`` takes a
+        fresh complex vector over without a copy, and ``_support`` (with
+        ``amplitudes`` None) gives the ``(levels, complex)`` pairs instead."""
+        if not all(is_integer(d) for d in dims):
+            raise ValueError(f"dims must be integers, got {tuple(dims)!r}")
+        dims = tuple(int(d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("each party needs at least one level")
-        amps = (np.asarray if _adopt else np.array)(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != math.prod(dims):
-            raise ValueError("amplitude count must equal the product of dims")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"state must be normalized (norm {norm})")
-        labels = tuple(tuple(lv) for lv in self.level_labels) or tuple(
+        if _support is None:
+            import numpy as np
+
+            amplitudes = (np.asarray if _adopt else np.array)(amplitudes, dtype=complex).reshape(-1)
+            if amplitudes.size != math.prod(dims):
+                raise ValueError("amplitude count must equal the product of dims")
+            if not np.isfinite(amplitudes).all():
+                raise ValueError("amplitudes must be finite")
+            norm = np.linalg.norm(amplitudes)
+            if abs(norm - 1.0) > 1e-8:
+                raise ValueError(f"state must be normalized (norm {norm})")
+            amplitudes.setflags(write=False)
+        labels = tuple(tuple(lv) for lv in level_labels) or tuple(
             _default_labels(d) for d in dims
         )
         if len(labels) != len(dims) or any(
@@ -80,38 +101,58 @@ class MultiPartyState:
             raise ValueError("level labels must match dims party by party")
         if any(len(set(lv)) != len(lv) for lv in labels):
             raise ValueError("level labels must be distinct within each party")
-        amps.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "level_labels", labels)
+        vars(self).update(dims=dims, level_labels=labels, _amplitudes=amplitudes, _support=_support)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable state")
 
     @property
     def n_parties(self) -> int:
         return len(self.dims)
 
+    @property
+    def support(self) -> tuple[tuple[tuple[int, ...], complex], ...]:
+        """``(levels, amplitude)`` for every nonzero amplitude, in flat C
+        order, with each amplitude a Python complex."""
+        if self._support is None:
+            import numpy as np
+
+            cells = self._amplitudes.nonzero()[0]
+            levels = zip(*(axis.tolist() for axis in np.unravel_index(cells, self.dims)))
+            vars(self)["_support"] = tuple(zip(levels, self._amplitudes[cells].tolist()))
+        return self._support
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The read-only complex128 amplitude vector over the dense C-order
+        layout."""
+        if self._amplitudes is None:
+            import numpy as np
+
+            levels, amps = zip(*self._support)
+            dense = np.zeros(math.prod(self.dims), dtype=complex)
+            dense[np.ravel_multi_index(tuple(zip(*levels)), self.dims)] = amps
+            dense.setflags(write=False)
+            vars(self)["_amplitudes"] = dense
+        return self._amplitudes
+
     def tensor_view(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
-
-    def basis_index(self, levels: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(levels, self.dims))
 
     def amplitude(self, labels: tuple[str, ...]) -> complex:
         levels = tuple(
             self.level_labels[p].index(lab) for p, lab in enumerate(labels)
         )
-        return complex(self.amplitudes[self.basis_index(levels)])
+        return dict(self.support).get(levels, 0j)
 
     def iter_amplitudes(self):
         """Yield ``(per-party label tuple, amplitude)`` for nonzero entries."""
-        for levels in itertools.product(*(range(d) for d in self.dims)):
-            amp = self.amplitudes[self.basis_index(levels)]
-            if amp != 0:
-                labels = tuple(
-                    self.level_labels[p][lv] for p, lv in enumerate(levels)
-                )
-                yield labels, complex(amp)
+        for levels, amp in self.support:
+            yield tuple(self.level_labels[p][lv] for p, lv in enumerate(levels)), amp
 
     def allclose(self, other: "MultiPartyState", tol: float = 1e-12) -> bool:
+        import numpy as np
+
         return (
             self.dims == other.dims
             and float(np.abs(self.amplitudes - other.amplitudes).max()) <= tol
@@ -122,20 +163,31 @@ def ghz_state(n: int) -> MultiPartyState:
     """(|S...S> + |L...L>)/sqrt(2) over n time-bin qubits."""
     if n < 2:
         raise ValueError("GHZ state needs at least two parties")
-    return _diagonal_state((2,) * n, np.ones(2), (QUBIT_LABELS,) * n)[0]
+    return _uniform_diagonal_state((2,) * n, 2, (QUBIT_LABELS,) * n)
 
 
 def qunit_state(n: int) -> MultiPartyState:
     """(sum_i |i...i>)/sqrt(n) over n parties with n levels each."""
     if n < 2:
         raise ValueError("qunit state needs at least two parties")
-    return _diagonal_state((n,) * n, np.ones(n), (_default_labels(n),) * n)[0]
+    return _uniform_diagonal_state((n,) * n, n, (_default_labels(n),) * n)
+
+
+def _uniform_diagonal_state(dims, k, level_labels) -> MultiPartyState:
+    """``(sum_{i<k} |i...i>)/sqrt(k)`` on its support. Its weight over the
+    dense layout is exactly ``k``, so the amplitudes carry the bytes of
+    :func:`_diagonal_state` on ``k`` ones."""
+    amp = complex(1.0 / math.sqrt(k))
+    support = tuple(((i,) * len(dims), amp) for i in range(k))
+    return MultiPartyState(dims, None, level_labels, _support=support)
 
 
 def _diagonal_state(dims, diagonal, level_labels):
     """``(state, weight)``: ``diagonal[i]`` on ``|i...i>`` renormalized, and its
     squared norm, summed over the dense layout in ``np.sum``'s order so the
     bytes match renormalizing a dense kept tensor. Raises if the weight is zero."""
+    import numpy as np
+
     amps = np.zeros(math.prod(dims), dtype=complex)
     # |i...i> sits at i times the sum of the C-order strides
     cells = np.arange(len(diagonal)) * sum(math.prod(dims[p + 1 :]) for p in range(len(dims)))
@@ -148,21 +200,29 @@ def _diagonal_state(dims, diagonal, level_labels):
     return MultiPartyState(dims, amps, level_labels, _adopt=True), weight
 
 
-#: Largest setting-by-level tensor the correlator kernel builds: 2**24
-#: complex entries (256 MB), the size of the dense 12-qubit operator.
+#: Largest correlator workload: 2**24 entries, the size of the dense
+#: 12-qubit operator, both as the setting-by-level tensor the event sampler
+#: builds (256 MB) and as the setting-by-pair terms of the support-pair sum.
 MAX_CORRELATOR_ENTRIES = 2**24
 
 
-def check_correlator_size(settings, dims) -> None:
+def check_correlator_size(settings, dims, support=None) -> None:
     """Raise ``ValueError`` if the correlators of ``settings[p]`` observables
-    on each party ``p`` of dimension ``dims[p]`` need a setting-by-level
-    tensor above :data:`MAX_CORRELATOR_ENTRIES`. It takes only the sizes, so
-    a caller can check before it builds the state."""
+    on each party ``p`` of dimension ``dims[p]`` need more than
+    :data:`MAX_CORRELATOR_ENTRIES` entries: as a setting-by-level tensor or,
+    for a state of ``support`` nonzero amplitudes, as the ``support**2``
+    pair terms of every setting string. It takes only the sizes, so a caller
+    can check before it builds the state."""
     entries = math.prod(settings) * math.prod(dims)
     if entries > MAX_CORRELATOR_ENTRIES:
         raise ValueError(
             f"correlator tensor of {entries} entries exceeds the limit of "
             f"{MAX_CORRELATOR_ENTRIES} ({len(dims)} parties)"
+        )
+    if support is not None and math.prod(settings) * support**2 > MAX_CORRELATOR_ENTRIES:
+        raise ValueError(
+            f"correlator sum of {math.prod(settings) * support**2} pair terms exceeds the limit "
+            f"of {MAX_CORRELATOR_ENTRIES} ({support} nonzero amplitudes, {len(dims)} parties)"
         )
 
 
@@ -175,6 +235,8 @@ def _apply_stacks(state: MultiPartyState, stacks) -> np.ndarray:
     the result would exceed :data:`MAX_CORRELATOR_ENTRIES`
     (:func:`check_correlator_size`).
     """
+    import numpy as np
+
     n = state.n_parties
     if len(stacks) != n:
         raise ValueError("need exactly one operator stack per party")
@@ -189,49 +251,114 @@ def _apply_stacks(state: MultiPartyState, stacks) -> np.ndarray:
     return psi
 
 
+def _matrix_rows(values) -> tuple[tuple[complex, ...], ...]:
+    """``values`` (nested sequences or a numpy array) as the rows of a
+    matrix of finite Python complex numbers."""
+    try:
+        rows = tuple(tuple(row) for row in values)
+    except TypeError:  # not a sequence of sequences
+        rows = ()
+    if (
+        not rows
+        or not rows[0]
+        or len({len(row) for row in rows}) != 1
+        or not all(isinstance(z, numbers.Complex) for row in rows for z in row)
+    ):
+        raise ValueError("expected a matrix of numbers")
+    rows = tuple(tuple(complex(z) for z in row) for row in rows)
+    if not all(cmath.isfinite(z) for row in rows for z in row):
+        raise ValueError("matrix entries must be finite")
+    return rows
+
+
+def _is_hermitian(rows, tol: float) -> bool:
+    d = len(rows)
+    return len(rows[0]) == d and all(
+        abs(rows[i][j] - rows[j][i].conjugate()) <= tol for i in range(d) for j in range(d)
+    )
+
+
+def _observable_stacks(state: MultiPartyState, stacks, tol: float):
+    """``stacks[p]``, party ``p``'s Hermitian observables, as matrix rows,
+    each checked against the party's dimension."""
+    stacks = [[_matrix_rows(o) for o in stack] for stack in stacks]
+    if len(stacks) != state.n_parties:
+        raise ValueError("need exactly one operator stack per party")
+    for stack, d in zip(stacks, state.dims):
+        if not stack:
+            raise ValueError("each party needs at least one observable")
+        for rows in stack:
+            if not _is_hermitian(rows, tol):
+                raise ValueError("observables must be square Hermitian matrices")
+            if len(rows) != d:
+                raise ValueError(f"operator shape {(len(rows),) * 2} does not match dim {d}")
+    return stacks
+
+
+def _support_correlators(state: MultiPartyState, stacks, tol: float) -> list[float]:
+    """``E[s]`` for every setting string ``s`` of the checked ``stacks``, in
+    C order, summed over support pairs ``(l, m)`` in order.
+
+    A pair's term is built party by party over the setting strings, in the
+    dense contraction's order: ``c_m``, times each party's
+    ``O_{p,s_p}[x_lp, x_mp]``, times ``conj(c_l)``. Raises before any term
+    when the work exceeds :data:`MAX_CORRELATOR_ENTRIES`
+    (:func:`check_correlator_size`).
+    """
+    support = state.support
+    check_correlator_size([len(stack) for stack in stacks], state.dims, len(support))
+    values = None
+    for levels_l, c_l in support:
+        bra = c_l.conjugate()
+        for levels_m, c_m in support:
+            terms = [c_m]
+            for stack, i, j in zip(stacks, levels_l, levels_m):
+                factors = [rows[i][j] for rows in stack]
+                terms = [t * f for t in terms for f in factors]
+            terms = [t * bra for t in terms]
+            values = terms if values is None else [v + t for v, t in zip(values, terms)]
+    worst = max(abs(v.imag) for v in values)
+    if worst > tol:
+        raise ArithmeticError(f"expectation has imaginary part {worst}")
+    return [v.real for v in values]
+
+
 def correlators(state: MultiPartyState, stacks, tol: float = 1e-12) -> np.ndarray:
     """All correlators ``E[s_1..s_n] = <psi| O_{1,s_1} x ... x O_{n,s_n} |psi>``.
 
     ``stacks[p]`` lists party ``p``'s Hermitian observables; the result is a
-    real array of shape ``(len(stacks[0]), ..., len(stacks[n-1]))``.
+    real numpy array of shape ``(len(stacks[0]), ..., len(stacks[n-1]))``.
     """
-    stacks = [np.stack([as_matrix(o) for o in stack]) for stack in stacks]
-    for stack in stacks:
-        if stack.shape[1] != stack.shape[2] or (
-            float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max()) > tol
-        ):
-            raise ValueError("observables must be square Hermitian matrices")
-    n = state.n_parties
-    applied = _apply_stacks(state, stacks)
-    values = np.tensordot(applied, state.tensor_view().conj(), axes=(range(n, 2 * n), range(n)))
-    worst = float(np.abs(values.imag).max())
-    if worst > tol:
-        raise ArithmeticError(f"expectation has imaginary part {worst}")
-    return values.real
+    import numpy as np
+
+    stacks = _observable_stacks(state, stacks, tol)
+    shape = [len(stack) for stack in stacks]
+    return np.array(_support_correlators(state, stacks, tol)).reshape(shape)
 
 
 def expectation(state: MultiPartyState, observables, tol: float = 1e-12) -> float:
     """<psi| O_1 x ... x O_n |psi> for Hermitian per-party observables."""
-    return float(correlators(state, [[o] for o in observables], tol).reshape(-1)[0])
+    stacks = _observable_stacks(state, [[o] for o in observables], tol)
+    return _support_correlators(state, stacks, tol)[0]
 
 
 def is_dichotomic(observable, tol: float = 1e-12) -> bool:
-    """Hermitian with spectrum {+1, -1} (both eigenvalues present)."""
-    o = as_matrix(observable)
-    if o.shape[0] != o.shape[1]:
+    """Hermitian with spectrum {+1, -1} (both eigenvalues present): within
+    ``tol``, ``O = O^dag``, ``O O = I`` and ``|tr O| <= d - 2``."""
+    o = _matrix_rows(observable)
+    if not _is_hermitian(o, tol):
         return False
-    if float(np.abs(o - o.conj().T).max()) > tol:
-        return False
-    eigs = np.linalg.eigvalsh(o)
-    return (
-        bool(np.all(np.abs(np.abs(eigs) - 1.0) <= tol))
-        and eigs.min() < 0 < eigs.max()
-    )
+    d = len(o)
+    for i in range(d):
+        for j in range(d):
+            if abs(sum(o[i][k] * o[k][j] for k in range(d)) - (i == j)) > tol:
+                return False
+    return abs(sum(o[i][i] for i in range(d))) <= d - 2 + tol
 
 
 @dataclass(frozen=True)
 class MerminResult:
-    """Mermin terms, in :func:`~etbell.events.mermin_coefficients` order,
+    """Mermin terms, in :func:`~etbell.mermin.mermin_coefficients` order,
     and ``mu``."""
 
     terms: tuple[float, ...]
@@ -245,7 +372,7 @@ def standard_settings(n: int = 3):
 
 def mermin_n(state: MultiPartyState, settings=None, tol: float = 1e-12) -> MerminResult:
     """The scaled n-party Mermin polynomial on ``state``: one correlator per
-    coefficient and ``mu`` by :func:`~etbell.events.mermin_mu`.
+    coefficient and ``mu`` by :func:`~etbell.mermin.mermin_mu`.
 
     ``settings`` gives each party its pair of dichotomic observables;
     defaults to (sigma_y, sigma_x) everywhere.
@@ -258,9 +385,11 @@ def mermin_n(state: MultiPartyState, settings=None, tol: float = 1e-12) -> Mermi
         for obs in pair:
             if not is_dichotomic(obs, tol):
                 raise ValueError("Mermin settings must be dichotomic (+1/-1)")
-    values = correlators(state, settings, tol)
+    stacks = _observable_stacks(state, settings, tol)
+    values = _support_correlators(state, stacks, tol)
     coeffs = mermin_coefficients(n)
-    terms = tuple(float(values[s]) for s in coeffs)
+    by_string = dict(zip(itertools.product(*(range(len(stack)) for stack in stacks)), values))
+    terms = tuple(by_string[s] for s in coeffs)
     return MerminResult(terms, mermin_mu(coeffs, terms))
 
 
@@ -282,7 +411,7 @@ def stabilizer_expectations(state: MultiPartyState) -> tuple[float, ...]:
 
 def equatorial_observable(theta: float) -> np.ndarray:
     """cos(theta) sigma_y + sin(theta) sigma_x; theta=0 is the y setting."""
-    return as_matrix(math.cos(theta) * PAULI_Y + math.sin(theta) * PAULI_X)
+    return as_matrix(math.cos(theta) * as_matrix(PAULI_Y) + math.sin(theta) * as_matrix(PAULI_X))
 
 
 def rotated_settings(offsets):
@@ -299,6 +428,8 @@ def joint_outcome_distribution(state: MultiPartyState, analyzers) -> np.ndarray:
     Row ``k`` of an analyzer is the bra of outcome ``k``, so the result has
     shape ``dims`` and sums to 1 for unitary analyzers.
     """
+    import numpy as np
+
     psi = _apply_stacks(state, [as_matrix(m)[None] for m in analyzers])
     return np.abs(psi.reshape(state.dims)) ** 2
 
@@ -310,6 +441,8 @@ def postselect_coincident(joint: np.ndarray, level_labels):
     Returns ``(state, kept_weight)``, the weight being the squared norm of
     the kept amplitudes. Raises if nothing survives.
     """
+    import numpy as np
+
     # the all-equal cells are the diagonal (i, ..., i) for i < min(shape)
     diagonal = (np.arange(min(joint.shape)),) * joint.ndim
     return _diagonal_state(joint.shape, joint[diagonal], level_labels)
@@ -331,6 +464,8 @@ def prepare_postselected(networks, emission_amplitudes=None, input_mode: int = 0
 
     Returns ``(state, selection_probability)``. Raises if nothing survives.
     """
+    import numpy as np
+
     nets = list(networks)
     if not nets:
         raise ValueError("networks must name at least one party network")
@@ -383,7 +518,7 @@ def sample_measurement_events(
     trials: int = 1000,
     seed: int = 0,
     bin_labels: tuple[str, str] = ("t0", "t1"),
-) -> EventTable:
+) -> events.EventTable:
     """Simulate measurement rounds on qubits with setting-independent bins.
 
     Every trial draws uniform settings, samples the outcome signs from the
@@ -391,6 +526,8 @@ def sample_measurement_events(
     with one common random time bin; every trial is a coincidence, so the
     selection is independent of the settings by construction.
     """
+    import numpy as np
+
     trials = trial_count(trials)
     n = state.n_parties
     if any(d != 2 for d in state.dims):
@@ -425,7 +562,7 @@ def sample_measurement_events(
     for p in range(n):  # party p's level is bit n-1-p; level 0 is sign -1
         signs[:, p] = 2 * ((outcome_flat >> (n - 1 - p)) & 1) - 1
     bins = np.repeat(common_bins[:, None], n, axis=1)
-    return EventTable(
+    return events.EventTable(
         settings=setting_arr,
         bins=bins,
         signs=signs,
@@ -456,6 +593,8 @@ def state_to_json(state: MultiPartyState) -> dict:
 
 def state_from_json(data: dict) -> MultiPartyState:
     """Strict inverse of :func:`state_to_json`."""
+    import numpy as np
+
     json_fields(data, "state", ("dims", "level_labels", "amplitudes"))
     if not isinstance(data["dims"], list) or not data["dims"]:
         raise ValueError(f"dims must be a non-empty list, got {data['dims']!r}")

@@ -570,6 +570,9 @@ def test_csv_header_only_has_no_rows(tmp_path, body):
     [
         (("S", "S"), "^duplicate bin label 'S'$"),
         (("S", 1), "^bin label 1 is not a string$"),
+        # a lone surrogate has no UTF-8 form, so the writer could not write it
+        (("S", "\ud800"), "^bin label '\\\\ud800' is not valid UTF-8 text$"),
+        (("a\udfffb",), "^bin label 'a\\\\udfffb' is not valid UTF-8 text$"),
     ],
 )
 def test_event_table_rejects_bad_bin_labels(labels, message):

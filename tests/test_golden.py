@@ -33,6 +33,9 @@ COMMANDS = {
         f"mermin-quantum {n}": (("mermin-quantum", "--n", str(n)), ())
         for n in range(3, 10)
     },
+    "mermin-quantum 3 --sweep 36": (
+        ("mermin-quantum", "--n", "3", "--sweep", "36", "--sweep-out", "sweep.csv"), ("sweep.csv",)
+    ),
     "lhv stream --out": (("lhv", "stream", *STREAM, "--out", "lhv.csv"), ("lhv.csv",)),
     "source stream --out": (("source", "stream", *STREAM, "--out", "source.csv"), ("source.csv",)),
 }
@@ -82,6 +85,11 @@ DIGESTS = {
     },
     "mermin-quantum 9": {
         "stdout": "871e08f9bbe74623a20a883b82deff74c4160b8339c3150eed22ddc74abebab0",
+    },
+    # the phase sweep's settings are numpy matrices, rotated with numpy arithmetic
+    "mermin-quantum 3 --sweep 36": {
+        "stdout": "e0d197299dd6edc878b425042a9ffc9f86763f1be58309e89165544c3639658f",
+        "sweep.csv": "3316a22eee918de24ca3387e3b40d4d00f100995a8464826d9a768e988ef75b0",
     },
     "lhv stream --out": {
         "stdout": "e74abb38a5dbfd5167a2961768f3b8659e199ff04ca46b541bc61fb116dcec0c",

@@ -19,7 +19,7 @@ from etbell.optics import dft_unitary
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-SUBMODULES = ["events", "lhv", "numerics", "optics", "source", "states"]
+SUBMODULES = ["events", "lhv", "mermin", "numerics", "optics", "source", "states"]
 
 # A lazily bound module keeps a ModuleType subclass until its code runs.
 EXECUTED = (
@@ -94,7 +94,10 @@ def test_every_public_name_resolves_to_its_defining_module():
 
 
 # The n-qunit state waits on a command that Bell-tests it (ROADMAP item 3).
-UNCALLED_EXPORTS = {"qunit_state"}
+# ``correlators`` is the kernel's array form; the package's own Mermin paths
+# take the kernel's flat values without numpy, and the qunit functional
+# (ROADMAP item 4) is its planned caller.
+UNCALLED_EXPORTS = {"correlators", "qunit_state"}
 
 
 def _used_names(path):
@@ -144,20 +147,23 @@ COMMANDS = {
     "network verify matrix": (["network", "verify", "--in", "u.json"], ["numerics"]),
     "network verify mesh": (["network", "verify", "--in", "mesh.json"], ["numerics", "optics"]),
     "network cascade": (["network", "cascade", "--n", "4"], ["numerics", "optics"]),
-    "lhv search": (["lhv", "search", "--selection", "dependent"], ["events", "lhv", "numerics"]),
-    "lhv table1": (["lhv", "table1"], ["events", "lhv", "numerics"]),
-    "lhv scale": (["lhv", "scale", "--target", "3"], ["events", "lhv", "numerics"]),
-    "lhv stream": (["lhv", "stream", "--trials", "100"], ["events", "lhv", "numerics"]),
-    "mermin-quantum 9": (["mermin-quantum", "--n", "9"], ["events", "numerics", "states"]),
-    # n <= 6 reports the enumerated classical bound from lhv
-    "mermin-quantum 3": (["mermin-quantum", "--n", "3"], ["events", "lhv", "numerics", "states"]),
-    "source state": (["source", "state"], ["events", "numerics", "source", "states"]),
-    "source filter": (["source", "filter"], ["events", "numerics", "source", "states"]),
-    "source stream": (["source", "stream", "--trials", "100"], ["events", "numerics", "source"]),
+    "lhv search": (["lhv", "search", "--selection", "dependent"],
+                   ["events", "lhv", "mermin", "numerics"]),
+    "lhv table1": (["lhv", "table1"], ["events", "lhv", "mermin", "numerics"]),
+    "lhv scale": (["lhv", "scale", "--target", "3"], ["events", "lhv", "mermin", "numerics"]),
+    "lhv stream": (["lhv", "stream", "--trials", "100"], ["events", "lhv", "mermin", "numerics"]),
+    # the quantum Mermin test needs neither the event tables nor the local models,
+    # at n <= 6 either, where the report carries the classical bound
+    "mermin-quantum 9": (["mermin-quantum", "--n", "9"], ["mermin", "numerics", "states"]),
+    "mermin-quantum 3": (["mermin-quantum", "--n", "3"], ["mermin", "numerics", "states"]),
+    "source state": (["source", "state"], ["events", "mermin", "numerics", "source", "states"]),
+    "source filter": (["source", "filter"], ["events", "mermin", "numerics", "source", "states"]),
+    "source stream": (["source", "stream", "--trials", "100"],
+                      ["events", "mermin", "numerics", "source"]),
     "source audit quantum": (["source", "audit", "--trials", "100"],
-                             ["events", "numerics", "source", "states"]),
+                             ["events", "mermin", "numerics", "source", "states"]),
     "source audit table1": (["source", "audit", "--model", "table1", "--trials", "100"],
-                            ["events", "lhv", "numerics", "source"]),
+                            ["events", "lhv", "mermin", "numerics", "source"]),
 }
 
 
@@ -177,3 +183,18 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
         cwd=tmp_path,
     )
     assert got == [0, ["cli", *executed]]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_mermin_quantum_runs_without_numpy(n):
+    # the GHZ state on its support, the pair-sum correlators and the exact
+    # classical bound are plain Python
+    got = _run(
+        "import io, json, sys\n"
+        "from etbell import cli\n"
+        "out = io.StringIO()\n"
+        "status = cli.main(sys.argv[1:], stdout=out)\n"
+        "print(json.dumps([status, 'numpy' in sys.modules, json.loads(out.getvalue())['n_parties']]))",
+        "mermin-quantum", "--n", str(n),
+    )
+    assert got == [0, False, n]

@@ -144,7 +144,31 @@ def test_is_dichotomic():
     assert is_dichotomic(PAULI_Z)
     assert is_dichotomic(equatorial_observable(0.7))
     assert not is_dichotomic(np.eye(2))
-    assert not is_dichotomic(2 * PAULI_X)
+    assert not is_dichotomic(2 * np.array(PAULI_X))
+    assert not is_dichotomic(-np.eye(2))
+    assert not is_dichotomic([[1]])
+    assert is_dichotomic(np.diag([1, -1, 1]))
+    assert not is_dichotomic(np.diag([1, 1, 1]))
+    assert not is_dichotomic([[1, 1], [0, -1]])  # squares to I, spectrum +-1, not Hermitian
+    assert not is_dichotomic(PAULI_X * 2)  # tuple repetition: a 4 x 2 matrix
+    assert is_dichotomic((1 + 1e-14) * np.array(PAULI_Z))
+    assert not is_dichotomic((1 + 1e-10) * np.array(PAULI_Z))
+
+
+@pytest.mark.parametrize(
+    "value", [[1, 0], [[1, 0], [0]], [], [[]], np.ones((2, 2, 2)), [["1", "0"], ["0", "1"]]],
+    ids=["vector", "ragged", "empty", "empty-row", "3-d", "strings"],
+)
+def test_observables_must_be_matrices_of_numbers(value):
+    with pytest.raises(ValueError, match="expected a matrix of numbers"):
+        is_dichotomic(value)
+    with pytest.raises(ValueError, match="expected a matrix of numbers"):
+        expectation(ghz_state(2), [value, PAULI_X])
+
+
+def test_observables_must_be_finite():
+    with pytest.raises(ValueError, match="finite"):
+        expectation(ghz_state(2), [[[math.nan, 0], [0, 1]], PAULI_X])
 
 
 def test_mermin3_ghz_reaches_four():
@@ -699,3 +723,77 @@ def test_correlator_guard_limit_is_inclusive(monkeypatch):
     assert abs(mermin_n(ghz_state(5)).mu) < 1e-10  # 2^5 settings x 2^5 levels
     with pytest.raises(ValueError, match="exceeds"):
         mermin_n(ghz_state(6))
+
+
+def test_correlator_guard_refuses_a_dense_twelve_qubit_state(monkeypatch):
+    # 4096 nonzero amplitudes make 2^24 support pairs per setting string:
+    # refused before the pair loop, as the state's 2^12 setting strings would
+    # take hours there
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started past the size guard")
+
+    state = MultiPartyState((2,) * 12, random_state_vector(2**12, seed=12))
+    monkeypatch.setattr(states_module, "mermin_coefficients", forbidden)
+    with pytest.raises(ValueError, match="^correlator sum of 68719476736 pair terms exceeds"):
+        mermin_n(state)
+    with pytest.raises(ValueError, match="4096 nonzero amplitudes, 12 parties"):
+        correlators(state, standard_settings(12))
+
+
+def test_correlator_pair_guard_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(states_module, "MAX_CORRELATOR_ENTRIES", 2**10)
+    four = MultiPartyState((2,) * 4, random_state_vector(16, seed=4))
+    # 16^2 pairs per setting string: four strings make 1024 terms, the limit
+    # itself; the 2^4 levels pass the tensor limit throughout
+    assert abs(expectation(four, [PAULI_X] * 4)) <= 1
+    assert correlators(four, [[PAULI_X, PAULI_Y]] * 2 + [[PAULI_X]] * 2).shape == (2, 2, 1, 1)
+    with pytest.raises(ValueError, match="^correlator sum of 2048 pair terms exceeds"):
+        correlators(four, [[PAULI_X, PAULI_Y]] * 3 + [[PAULI_X]])
+
+
+def _dense_correlators(state, stacks, lead=0):
+    """The dense kernel the support-pair sum replaced: per-party operator
+    stacks applied to the state tensor by ``tensordot``, then contracted
+    with the conjugate state.
+
+    ``lead > 0`` takes the first ``lead`` parties' settings one string at a
+    time, to cut the peak memory. That changes the products BLAS is handed,
+    and with them the last bit of inexact entries, so it is used only where
+    every product and sum is exact (Pauli settings on GHZ states).
+    """
+    shape = [len(stack) for stack in stacks]
+    out = np.empty(shape)
+    n = state.n_parties
+    for prefix in itertools.product(*(range(k) for k in shape[:lead])):
+        part = [[stack[k]] for stack, k in zip(stacks, prefix)] + list(stacks[lead:])
+        psi = state.tensor_view()
+        for p, stack in enumerate(part):
+            stack = np.stack([np.array(o, dtype=complex) for o in stack])
+            psi = np.moveaxis(np.tensordot(stack, psi, axes=([2], [2 * p])), (0, 1), (p, 2 * p + 1))
+        values = np.tensordot(psi, state.tensor_view().conj(), axes=(range(n, 2 * n), range(n)))
+        out[prefix] = values.real.reshape(shape[lead:])
+    return out
+
+
+@pytest.mark.parametrize("spec", ["yx", "xy", "xx", "yy"])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_correlators_on_ghz_are_the_dense_kernels_bits(n, spec):
+    # every pinned report comes from these values, signs of zero included
+    pauli = {"x": PAULI_X, "y": PAULI_Y}
+    stacks = [(pauli[spec[0]], pauli[spec[1]])] * n
+    state = ghz_state(n)
+    # whole, the dense 12-qubit case peaks at 0.5 GB; in quarters at 0.16 GB
+    want = _dense_correlators(state, stacks, lead=2 if n == 12 else 0)
+    assert correlators(state, stacks).tobytes() == want.tobytes()
+
+
+def test_correlators_on_rotated_settings_are_the_dense_kernels_bits():
+    state = ghz_state(3)
+    for k in range(405):  # the phase sweep's points at --sweep 405
+        stacks = rotated_settings((2 * math.pi * k / 405, 0.0, 0.0))
+        assert correlators(state, stacks).tobytes() == _dense_correlators(state, stacks).tobytes()
+    rng = np.random.default_rng(2009)
+    for n in rng.integers(2, 9, size=100):
+        state = ghz_state(int(n))
+        stacks = rotated_settings(rng.uniform(-math.pi, math.pi, size=n))
+        assert correlators(state, stacks).tobytes() == _dense_correlators(state, stacks).tobytes()
