@@ -33,8 +33,8 @@ tolerance.
 
 Importing this module loads no numpy and executes no etbell submodule, so
 ``--version``, ``--help`` and usage errors exit before either loads.
-``mermin-quantum`` without ``--sweep`` loads no numpy at all: its GHZ state,
-correlators and classical bound are plain Python.
+``mermin-quantum`` without ``--sweep`` and ``lhv table1|search|scale`` load
+no numpy: their states, strategies and exact weights are plain Python.
 """
 
 from __future__ import annotations

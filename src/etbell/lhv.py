@@ -3,8 +3,8 @@ Mermin test.
 
 A strategy gives each party, for each of its two settings, an arrival bin
 (``S`` or ``L``) and a detector sign: the party's instruction. An ensemble holds its strategies as
-two small-integer arrays, ``bins[k, p, s]`` (codes into :data:`BINS`) and
-``signs[k, p, s]`` (+1 or -1), and mixes them with nonnegative weights;
+two tables of plain ints, ``bin_table[k][p][s]`` (codes into :data:`BINS`) and
+``sign_table[k][p][s]`` (+1 or -1), and mixes them with nonnegative weights;
 weights and conditional correlations stay exact :class:`fractions.Fraction`
 values whenever the input weights are rational, so the headline numbers
 come out exact rather than merely within tolerance.
@@ -18,19 +18,20 @@ and the saturating model below are three-party:
   caps every mixture at the classical bound ``mu = 2``.
 
 The gap between those two numbers is the postselection loophole this
-package is built to exhibit.
+package is built to exhibit. Only :func:`event_stream` imports numpy.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .events import EventTable, all_equal
+from . import events  # executed only by event_stream
 # imported here too, so that etbell.lhv.mermin_classical_bound keeps resolving
 from .mermin import mermin_classical_bound, mermin_coefficients, mermin_mu
 from .numerics import is_integer, json_fields, json_real, seeded_rng, trial_count
@@ -46,37 +47,65 @@ def _exact(weight) -> bool:
     return isinstance(weight, Fraction) or is_integer(weight)
 
 
-@dataclass(frozen=True, eq=False)
+def _strategy_table(name: str, table, strategies: int, allowed) -> tuple:
+    """``table`` as nested int tuples of shape (strategies, parties, 2) with
+    entries in ``allowed``. An array is read through its ``tolist``, so a
+    numpy array is taken without importing numpy."""
+    table = table.tolist() if hasattr(table, "tolist") else table
+    try:
+        rows = tuple(tuple(map(tuple, row)) for row in table)
+    except TypeError:  # an entry where a list belongs
+        rows = ()
+    cells = list(itertools.chain.from_iterable(rows))
+    entries = list(itertools.chain.from_iterable(cells))
+    odd = set(map(type, entries)) != {int}  # numpy integers, or no integers
+    bad = [x for x in entries if not is_integer(x)] if odd else []  # a bool, float or str is no code
+    if bad:
+        raise ValueError(f"{name} must be an integer array, got {bad[0]!r}")
+    parties, settings = set(map(len, rows)), set(map(len, cells))
+    if len(rows) != strategies or len(parties) != 1 or settings != {2}:
+        ragged = len(parties) != 1 or len(settings) != 1
+        got = "ragged or empty lists" if ragged else (len(rows), *parties, *settings)
+        raise ValueError(f"{name} must have shape ({strategies}, parties, 2), got {got}")
+    if not set(entries) <= set(allowed):
+        raise ValueError(f"{name} must take values in {set(allowed)}")
+    return tuple(tuple((int(a), int(b)) for a, b in row) for row in rows) if odd else rows
+
+
+def _frozen_int8(table):
+    import numpy as np
+
+    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(table))
+    array = np.fromiter(entries, dtype=np.int8).reshape(len(table), -1, 2)
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class StrategyEnsemble:
     """Weighted mixture of joint deterministic strategies.
 
-    ``bins`` and ``signs`` have shape (strategies, parties, settings = 2):
+    ``StrategyEnsemble(bins, signs, weights)`` takes two tables of shape
+    (strategies, parties, settings = 2), as nested lists or integer arrays:
     strategy ``k`` puts party ``p`` under setting ``s`` in bin
-    ``BINS[bins[k, p, s]]`` with detector sign ``signs[k, p, s]``. Both are
-    stored as read-only int8 arrays. ``weights[k]`` is the weight of
-    strategy ``k``; rational weights make every derived quantity exact.
+    ``BINS[bins[k][p][s]]`` with detector sign ``signs[k][p][s]``. They are
+    held as nested int tuples, :attr:`bin_table` and :attr:`sign_table`;
+    :attr:`bins` and :attr:`signs` are read-only int8 arrays built from them
+    on first use. ``weights[k]`` is the weight of strategy ``k``; rational
+    weights make every derived quantity exact.
     """
 
-    bins: np.ndarray
-    signs: np.ndarray
+    bin_table: tuple[tuple[tuple[int, int], ...], ...]
+    sign_table: tuple[tuple[tuple[int, int], ...], ...]
     weights: tuple[Fraction | float, ...]
 
-    def __post_init__(self):
-        weights = tuple(self.weights)
+    def __init__(self, bins, signs, weights):
+        weights = tuple(weights)
         if not weights:
             raise ValueError("ensemble cannot be empty")
-        for name, allowed in (("bins", (0, 1)), ("signs", SIGNS)):
-            table = np.asarray(getattr(self, name))
-            if table.dtype.kind not in "iu":  # not bool, float or str
-                raise ValueError(f"{name} must be an integer array, got dtype {table.dtype}")
-            if table.ndim != 3 or table.shape[0] != len(weights) or 0 in table.shape or table.shape[2] != 2:
-                raise ValueError(f"{name} must have shape ({len(weights)}, parties, 2), got {table.shape}")
-            if not np.isin(table, allowed).all():
-                raise ValueError(f"{name} must take values in {set(allowed)}")
-            table = table.astype(np.int8)
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
-        if self.bins.shape != self.signs.shape:
+        object.__setattr__(self, "bin_table", _strategy_table("bins", bins, len(weights), (0, 1)))
+        object.__setattr__(self, "sign_table", _strategy_table("signs", signs, len(weights), SIGNS))
+        if self.n_parties != len(self.sign_table[0]):
             raise ValueError("bins and signs must share one shape")
         for w in weights:
             if isinstance(w, bool):
@@ -85,17 +114,18 @@ class StrategyEnsemble:
                 raise ValueError(f"weights must be finite real numbers, got {w!r}")
         if any(weight < 0 for weight in weights):
             raise ValueError("weights must be nonnegative")
-        total = sum(weights)
-        if all(_exact(w) for w in weights):
-            if total != 1:
-                raise ValueError(f"weights must sum to 1, got {total}")
-        elif abs(total - 1.0) > 1e-12:
+        (total,) = _weighted_sum(weights, [(1,) * len(weights)])
+        tolerance = 0 if all(_exact(w) for w in weights) else 1e-12  # exact weights sum exactly
+        if abs(total - 1) > tolerance:
             raise ValueError(f"weights must sum to 1, got {total}")
         object.__setattr__(self, "weights", weights)
 
+    bins = functools.cached_property(lambda self: _frozen_int8(self.bin_table))
+    signs = functools.cached_property(lambda self: _frozen_int8(self.sign_table))
+
     @property
     def n_parties(self) -> int:
-        return self.bins.shape[1]
+        return len(self.bin_table[0])
 
     @property
     def size(self) -> int:
@@ -126,27 +156,35 @@ class PostselectedCorrelations:
         return tuple(k for k, t in enumerate(self.terms) if t is None)
 
 
-def combo_outcomes(bins, signs, combos) -> np.ndarray:
+def combo_outcomes(bins, signs, combos) -> tuple[tuple[int, ...], ...]:
     """Outcome of each strategy of (strategies, parties, settings) bin and
-    sign tables under each setting combination, shape (strategies, combos):
-    its sign product where :func:`all_equal` selects its bins, else 0."""
-    combos = np.asarray(combos)
-    parties = np.arange(combos.shape[1])
-    selected = all_equal(bins[:, parties, combos])
-    return np.where(selected, signs[:, parties, combos].prod(axis=-1), 0)
+    sign tables under each setting combination, as (strategies, combos)
+    nested tuples: its sign product where all its bins agree (the rule of
+    :func:`~etbell.events.all_equal`), else 0."""
+    coincident = {(code,) * len(combos[0]) for code in range(len(BINS))}
+    # columns[p][s]: party p's entry under setting s, strategy by strategy
+    bin_columns = [tuple(zip(*party)) for party in zip(*bins)]
+    sign_columns = [tuple(zip(*party)) for party in zip(*signs)]
+    outcomes = []
+    for combo in combos:
+        picked_bins = zip(*(column[c] for column, c in zip(bin_columns, combo)))
+        picked_signs = zip(*(column[c] for column, c in zip(sign_columns, combo)))
+        outcomes.append([math.prod(s) if b in coincident else 0 for b, s in zip(picked_bins, picked_signs)])
+    return tuple(zip(*outcomes))
 
 
-def _weighted_sum(ensemble: StrategyEnsemble, values: np.ndarray) -> list:
-    """Sum over strategies of weight times ``values[strategy, ...]``, as
-    nested lists. When every weight is exact the sums are taken on integer
-    numerators over the weights' common denominator and come out as
-    Fractions; otherwise they are float64 sums."""
-    weights = ensemble.weights
+def _weighted_sum(weights, columns) -> list:
+    """Sum over strategies of weight times ``column[strategy]``, per column.
+    When every weight is exact the sums are taken on integer numerators
+    over the weights' common denominator and come out as Fractions;
+    otherwise they are correctly rounded float sums, which do not depend
+    on the strategies' order."""
     if all(_exact(w) for w in weights):
-        denom = math.lcm(*(Fraction(w).denominator for w in weights))
-        numerators = np.array([int(w * denom) for w in weights], dtype=object)
-        return (np.tensordot(numerators, values, axes=1) * Fraction(1, denom)).tolist()
-    return np.tensordot(np.array(weights, dtype=np.float64), values, axes=1).tolist()
+        denom = math.lcm(*(w.denominator for w in weights))
+        numerators = [int(w.numerator) * (denom // int(w.denominator)) for w in weights]
+        return [Fraction(sum(map(operator.mul, numerators, column)), denom) for column in columns]
+    weights = [float(w) for w in weights]
+    return [math.fsum(map(operator.mul, weights, column)) for column in columns]
 
 
 def evaluate_postselected(ensemble: StrategyEnsemble) -> PostselectedCorrelations:
@@ -158,9 +196,10 @@ def evaluate_postselected(ensemble: StrategyEnsemble) -> PostselectedCorrelation
     rational ensemble weights.
     """
     coeffs = mermin_coefficients(ensemble.n_parties)
-    outcomes = combo_outcomes(ensemble.bins, ensemble.signs, tuple(coeffs))
-    selected = _weighted_sum(ensemble, outcomes != 0)
-    product = _weighted_sum(ensemble, outcomes)
+    outcomes = combo_outcomes(ensemble.bin_table, ensemble.sign_table, tuple(coeffs))
+    columns = list(zip(*outcomes))
+    sums = _weighted_sum(ensemble.weights, [[o != 0 for o in column] for column in columns] + columns)
+    selected, product = sums[: len(columns)], sums[len(columns) :]
     terms = tuple(p / w if w > 0 else None for p, w in zip(product, selected))
     return PostselectedCorrelations(
         terms=terms,
@@ -184,20 +223,20 @@ def saturating_model() -> StrategyEnsemble:
     quarter of the weight survives selection and every single-party outcome
     S+, S-, L+, L- has probability 1/4.
     """
-    coeffs = mermin_coefficients(3)
-    combos = np.array(list(coeffs))
-    term_signs = np.array([int(2 * c) for c in coeffs.values()])
-    k, c0, c1, o0, o1, other = np.indices((len(combos), 2, 2, 2, 2, 4)).reshape(6, -1)
-    s0, s1 = 1 - 2 * c0, 1 - 2 * c1
-    at_combo = combos[k][..., None] == np.arange(2)  # (rows, parties, settings)
-    long_ = np.ones_like(other)
-    bins = np.where(at_combo, 0, np.stack([long_, long_, other // 2], axis=-1)[..., None])
-    signs = np.where(
-        at_combo,
-        np.stack([s0, s1, term_signs[k] * s0 * s1], axis=-1)[..., None],
-        1 - 2 * np.stack([o0, o1, other % 2], axis=-1)[..., None],
-    )
-    return _uniform(np.concatenate([bins, 1 - bins]), np.concatenate([signs, signs]))
+    bins, signs = [], []
+    combos = [(combo, int(2 * c)) for combo, c in mermin_coefficients(3).items()]
+    rows = itertools.product(combos, SIGNS, SIGNS, SIGNS, SIGNS, itertools.product((0, 1), SIGNS))
+    for (combo, c), s0, s1, o0, o1, other in rows:
+        # each party's (bins, signs): S with sign a at the combination's setting, b and g at the other
+        parties = [
+            ((0, b), (a, g)) if setting == 0 else ((b, 0), (g, a))
+            for setting, a, (b, g) in zip(combo, (s0, s1, c * s0 * s1), ((1, o0), (1, o1), other))
+        ]
+        bin_row, sign_row = zip(*parties)
+        bins.append(bin_row)
+        signs.append(sign_row)
+    mirrors = [tuple((1 - b0, 1 - b1) for b0, b1 in row) for row in bins]
+    return _uniform(bins + mirrors, signs + signs)
 
 
 def marginal_distribution(ensemble: StrategyEnsemble):
@@ -206,15 +245,15 @@ def marginal_distribution(ensemble: StrategyEnsemble):
     A token is listed when some strategy of the ensemble produces it, even
     with zero weight.
     """
-    produced = (2 * ensemble.bins + (ensemble.signs < 0))[..., None] == np.arange(len(TOKENS))
-    totals = _weighted_sum(ensemble, produced)
-    present = produced.any(axis=0)
+    cells = [(p, s) for p in range(ensemble.n_parties) for s in (0, 1)]
+    strategies = list(zip(ensemble.bin_table, ensemble.sign_table))
+    produced = [[2 * b[p][s] + (g[p][s] < 0) for b, g in strategies] for p, s in cells]
+    totals = _weighted_sum(
+        ensemble.weights, [[x == t for x in column] for column in produced for t in range(len(TOKENS))]
+    )
     return {
-        (p, s): {
-            token: totals[p][s][t] for t, token in enumerate(TOKENS) if present[p, s, t]
-        }
-        for p in range(ensemble.n_parties)
-        for s in (0, 1)
+        cell: {token: totals[len(TOKENS) * i + t] for t, token in enumerate(TOKENS) if t in column}
+        for i, (cell, column) in enumerate(zip(cells, produced))
     }
 
 
@@ -226,24 +265,22 @@ class SearchResult:
     strategies_examined: int
 
 
-def _instructions() -> tuple[np.ndarray, np.ndarray]:
-    """The 16 per-party instructions as (16, settings) bin and sign tables,
-    in lexicographic (bin0, sign0, bin1, sign1) order, sign code
-    ``c -> 1 - 2c``."""
-    b0, c0, b1, c1 = np.indices((2, 2, 2, 2)).reshape(4, -1)
-    return np.stack([b0, b1], axis=-1), 1 - 2 * np.stack([c0, c1], axis=-1)
+def _instructions() -> list:
+    """The 16 per-party instructions as ((bin0, bin1), (sign0, sign1)) pairs,
+    in lexicographic (bin0, sign0, bin1, sign1) order, sign + before -."""
+    return [((b0, b1), (s0, s1)) for b0, s0, b1, s1 in itertools.product((0, 1), SIGNS, (0, 1), SIGNS)]
 
 
-def _joint_strategies(bins, signs):
-    """Every three-party strategy built from one party's instruction table,
-    in ``itertools.product(table, repeat=3)`` order, as (strategies, 3, 2)
-    bin and sign tables, with its outcomes under the three-party Mermin
-    combinations and their term signs ``2 c_s = +-1``."""
-    idx = np.indices((len(bins),) * 3).reshape(3, -1).T
-    bins, signs = bins[idx], signs[idx]
+def _joint_strategies(instructions):
+    """Every three-party strategy built from one party's instruction list,
+    in ``itertools.product(instructions, repeat=3)`` order, as bin and sign
+    tables, with its outcomes under the three-party Mermin combinations and
+    their term signs ``2 c_s = +-1``."""
+    bins = list(itertools.product([b for b, _ in instructions], repeat=3))
+    signs = list(itertools.product([s for _, s in instructions], repeat=3))
     coeffs = mermin_coefficients(3)
     outcomes = combo_outcomes(bins, signs, tuple(coeffs))
-    return bins, signs, outcomes, np.array([int(2 * c) for c in coeffs.values()])
+    return bins, signs, outcomes, [int(2 * c) for c in coeffs.values()]
 
 
 def max_mu_setting_dependent() -> SearchResult:
@@ -255,15 +292,15 @@ def max_mu_setting_dependent() -> SearchResult:
     each setting combination, the first strategy selected exclusively there
     with the designated sign, which drives mu to exactly 4.
     """
-    bins, signs, outcomes, term_signs = _joint_strategies(*_instructions())
-    exclusive = np.count_nonzero(outcomes, axis=1) == 1
+    bins, signs, outcomes, term_signs = _joint_strategies(_instructions())
+    exclusive = [row.count(0) == len(row) - 1 for row in outcomes]
     witnesses = []
     for k, target in enumerate(term_signs):
-        match = exclusive & (outcomes[:, k] == target)
-        if not match.any():
+        match = [j for j, row in enumerate(outcomes) if exclusive[j] and row[k] == target]
+        if not match:
             raise RuntimeError("no exclusive strategy for a Mermin combination")
-        witnesses.append(match.argmax())
-    witness = _uniform(bins[witnesses], signs[witnesses])
+        witnesses.append(match[0])
+    witness = _uniform([bins[j] for j in witnesses], [signs[j] for j in witnesses])
     correlations = evaluate_postselected(witness)
     return SearchResult(
         mu_max=Fraction(correlations.mu),
@@ -276,23 +313,21 @@ def max_mu_setting_dependent() -> SearchResult:
 def max_mu_setting_independent() -> SearchResult:
     """Exhaustive maximum of postselected mu over fixed-bin instructions.
 
-    With setting-independent bins (``bins[..., 0] == bins[..., 1]``) a
+    With setting-independent bins (``bins[k][p][0] == bins[k][p][1]``) a
     strategy is selected for all four combinations or none, so every
     mixture's mu is a weighted average of single-strategy values and the
     maximum over the 8^3 joint strategies is the maximum over all
     ensembles. The witness is the first maximizer.
     """
-    bins, signs = _instructions()
-    fixed = bins[:, 0] == bins[:, 1]
-    bins, signs, outcomes, term_signs = _joint_strategies(bins[fixed], signs[fixed])
-    selected = outcomes.any(axis=1)
-    if not selected.any():
+    fixed = [(b, s) for b, s in _instructions() if b[0] == b[1]]
+    bins, signs, outcomes, term_signs = _joint_strategies(fixed)
+    mu = [abs(sum(map(operator.mul, row, term_signs))) if any(row) else -1 for row in outcomes]
+    best = mu.index(max(mu))
+    if mu[best] < 0:
         raise RuntimeError("no fixed-bin strategy is ever selected")
-    mu = np.where(selected, np.abs(outcomes @ term_signs), -1)
-    best = int(mu.argmax())
     witness = _uniform(bins[best : best + 1], signs[best : best + 1])
     return SearchResult(
-        mu_max=Fraction(int(mu[best])),
+        mu_max=Fraction(mu[best]),
         witness=witness,
         correlations=evaluate_postselected(witness),
         strategies_examined=len(outcomes),
@@ -315,19 +350,18 @@ def scaled_model(target) -> StrategyEnsemble:
     if t is None or not 0 <= t <= 4:
         raise ValueError(f"target must be a finite number in [0, 4], got {target}")
     base = saturating_model()
-    flipped = base.signs.copy()
-    flipped[:, 0] *= -1
+    flipped = tuple(((-s0, -s1), *rest) for (s0, s1), *rest in base.sign_table)
     p = t / 4
     w_keep = (1 + p) / 2
     w_flip = (1 - p) / 2
     return StrategyEnsemble(
-        np.concatenate([base.bins, base.bins]),
-        np.concatenate([base.signs, flipped]),
+        base.bin_table * 2,
+        base.sign_table + flipped,
         tuple(w * w_keep for w in base.weights) + tuple(w * w_flip for w in base.weights),
     )
 
 
-def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTable:
+def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> events.EventTable:
     """Seeded Monte-Carlo stream of measurement events from an ensemble.
 
     ``schedule`` is either a trial count (settings drawn uniformly) or an
@@ -335,6 +369,8 @@ def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTa
     identical streams; empirical postselected correlations converge to
     :func:`evaluate_postselected` at the usual 1/sqrt(trials) rate.
     """
+    import numpy as np
+
     rng = seeded_rng(seed)
     n = ensemble.n_parties
     if np.isscalar(schedule):
@@ -355,16 +391,16 @@ def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> EventTa
     party_idx = np.arange(n)[None, :]
     bins = ensemble.bins[picks[:, None], party_idx, settings]
     signs = ensemble.signs[picks[:, None], party_idx, settings]
-    return EventTable(settings, bins, signs, all_equal(bins), BINS, _adopt=True)
+    return events.EventTable(settings, bins, signs, events.all_equal(bins), BINS, _adopt=True)
 
 
 def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:
     """JSON form: an exact weight (Fraction or int) as a fraction string, a
     float as a number."""
-    strategies = zip(np.array(BINS)[ensemble.bins].tolist(), ensemble.signs.tolist(), ensemble.weights)
+    strategies = zip(ensemble.bin_table, ensemble.sign_table, ensemble.weights)
     entries = [
         {
-            "parties": [{"bins": b, "signs": s} for b, s in zip(bins, signs)],
+            "parties": [{"bins": [BINS[c] for c in b], "signs": list(s)} for b, s in zip(bins, signs)],
             "weight": str(weight) if _exact(weight) else weight,
         }
         for bins, signs, weight in strategies
@@ -411,4 +447,4 @@ def ensemble_from_json(data: dict) -> StrategyEnsemble:
                 raise ValueError(f"entries[{k}].weight {raw!r} is not a fraction") from None
         else:
             weights.append(json_real(raw, f"entries[{k}].weight"))
-    return StrategyEnsemble(np.array(bins, dtype=np.int8), np.array(signs, dtype=np.int8), tuple(weights))
+    return StrategyEnsemble(bins, signs, tuple(weights))

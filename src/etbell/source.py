@@ -139,9 +139,9 @@ def counterfactual_selection_dependence(ensemble: lhv.StrategyEnsemble) -> bool:
     """Exact loophole check: is some positive-weight strategy selected under
     some setting combinations and rejected under others?"""
     combos = list(itertools.product((0, 1), repeat=ensemble.n_parties))
-    live = np.array([w > 0 for w in ensemble.weights])
-    selected = lhv.combo_outcomes(ensemble.bins[live], ensemble.signs[live], combos) != 0
-    return bool((selected.any(axis=1) & ~selected.all(axis=1)).any())
+    # selection depends on the bins alone, so one live strategy per bin pattern will do
+    live = {b: s for b, s, w in zip(ensemble.bin_table, ensemble.sign_table, ensemble.weights) if w > 0}
+    return any(any(row) and 0 in row for row in lhv.combo_outcomes(list(live), list(live.values()), combos))
 
 
 def locality_audit(

@@ -132,6 +132,15 @@ def test_events_codec_imports_neither_csv_nor_re():
         assert not {m.split(".")[0] for m in imported if m} & {"csv", "re"}, name
 
 
+def test_lhv_imports_no_numpy_at_module_level():
+    # the exact local-model paths are plain Python; event_stream imports numpy itself
+    tree = ast.parse((SRC / "etbell" / "lhv.py").read_text(), "lhv.py")
+    executed = [node for stmt in tree.body if not isinstance(stmt, ast.FunctionDef) for node in ast.walk(stmt)]
+    imported = {alias.name for node in executed if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in executed if isinstance(node, ast.ImportFrom)}
+    assert "numpy" not in {m.split(".")[0] for m in imported if m}
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from etbell import *", namespace)
@@ -147,10 +156,10 @@ COMMANDS = {
     "network verify matrix": (["network", "verify", "--in", "u.json"], ["numerics"]),
     "network verify mesh": (["network", "verify", "--in", "mesh.json"], ["numerics", "optics"]),
     "network cascade": (["network", "cascade", "--n", "4"], ["numerics", "optics"]),
-    "lhv search": (["lhv", "search", "--selection", "dependent"],
-                   ["events", "lhv", "mermin", "numerics"]),
-    "lhv table1": (["lhv", "table1"], ["events", "lhv", "mermin", "numerics"]),
-    "lhv scale": (["lhv", "scale", "--target", "3"], ["events", "lhv", "mermin", "numerics"]),
+    # the exact local-model commands need no event tables
+    "lhv search": (["lhv", "search", "--selection", "dependent"], ["lhv", "mermin", "numerics"]),
+    "lhv table1": (["lhv", "table1"], ["lhv", "mermin", "numerics"]),
+    "lhv scale": (["lhv", "scale", "--target", "3"], ["lhv", "mermin", "numerics"]),
     "lhv stream": (["lhv", "stream", "--trials", "100"], ["events", "lhv", "mermin", "numerics"]),
     # the quantum Mermin test needs neither the event tables nor the local models,
     # at n <= 6 either, where the report carries the classical bound
@@ -198,3 +207,25 @@ def test_mermin_quantum_runs_without_numpy(n):
         "mermin-quantum", "--n", str(n),
     )
     assert got == [0, False, n]
+
+
+LHV_EXACT = {
+    "table1": ["lhv", "table1"],
+    "search dependent": ["lhv", "search", "--selection", "dependent"],
+    "search independent": ["lhv", "search", "--selection", "independent"],
+    "scale": ["lhv", "scale", "--target", "2.828427"],
+}
+
+
+@pytest.mark.parametrize("argv", LHV_EXACT.values(), ids=LHV_EXACT)
+def test_lhv_exact_commands_run_without_numpy(argv):
+    # the strategies are int tuples and the weights Fractions
+    got = _run(
+        "import io, json, sys\n"
+        "from etbell import cli\n"
+        "out = io.StringIO()\n"
+        "status = cli.main(sys.argv[1:], stdout=out)\n"
+        "print(json.dumps([status, 'numpy' in sys.modules, json.loads(out.getvalue())['passed']]))",
+        *argv,
+    )
+    assert got == [0, False, True]

@@ -61,7 +61,8 @@ def _single(*instructions):
 def _profiles(strategies):
     """Per-combination outcome of each joint strategy under the three-party
     Mermin combinations: its sign product where selected, 0 where rejected."""
-    return combo_outcomes(*_table(strategies), MERMIN3)
+    bins, signs = _table(strategies)
+    return np.array(combo_outcomes(bins.tolist(), signs.tolist(), MERMIN3))
 
 
 def _mu(profiles):
@@ -71,11 +72,9 @@ def _mu(profiles):
 
 def test_instruction_enumerations():
     # The search witnesses are the first matches in this order.
-    bins, signs = _instructions()
-    fixed = bins[:, 0] == bins[:, 1]
-    for mask, want in ((slice(None), INSTRUCTIONS), (fixed, FIXED_BIN)):
-        got = [(tuple(b), tuple(s)) for b, s in zip(bins[mask].tolist(), signs[mask].tolist())]
-        assert got == want
+    instructions = _instructions()
+    assert instructions == INSTRUCTIONS
+    assert [instr for instr in instructions if instr[0][0] == instr[0][1]] == FIXED_BIN
 
 
 def test_instruction_validation():
@@ -86,12 +85,24 @@ def test_instruction_validation():
     for bad_signs in (signs + 1, 0 * signs, signs.astype(bool), signs.astype(np.float64)):
         with pytest.raises(ValueError, match="^signs must"):
             StrategyEnsemble(bins, bad_signs, (1,))
+    # a bool is not an integer code, in a list as in an array
+    with pytest.raises(ValueError, match="^bins must be an integer array"):
+        StrategyEnsemble([[[True, 1]]], [[[1, -1]]], (1,))
+    with pytest.raises(ValueError, match="^signs must be an integer array"):
+        StrategyEnsemble([[[0, 1]]], [[[True, -1]]], (1,))
     with pytest.raises(ValueError, match="share one shape"):
         StrategyEnsemble(bins, signs[:, :2], (1,))
     with pytest.raises(ValueError, match=r"^bins must have shape \(2, parties, 2\), got \(1, 3, 2\)$"):
         StrategyEnsemble(bins, signs, (Fraction(1, 2),) * 2)
     with pytest.raises(ValueError, match=r"^bins must have shape"):
         StrategyEnsemble(bins[:, :0], signs[:, :0], (1,))
+    # a ragged table is refused by name, with uneven party or setting counts
+    half = (Fraction(1, 2),) * 2
+    for bad_bins in ([[[0, 1]], [[0, 1], [1, 0]]], [[[0, 1]], [[1]]]):
+        with pytest.raises(ValueError, match=r"^bins must have shape \(2, parties, 2\), got ragged"):
+            StrategyEnsemble(bad_bins, [[[1, 1]]] * 2, half)
+    with pytest.raises(ValueError, match=r"^signs must have shape \(2, parties, 2\), got ragged"):
+        StrategyEnsemble([[[0, 1]]] * 2, [[[1, -1]], [[1, 1, 1]]], half)
 
 
 def test_ensemble_validation():
@@ -342,8 +353,6 @@ def test_instruction_rejects_coerced_fields(bins, signs):
     party = {"bins": bins if isinstance(bins, str) else list(bins), "signs": list(signs)}
     with pytest.raises(ValueError, match=rf"^entries\[0\]\.parties\[0\]\.{field} must"):
         ensemble_from_json({"entries": [{"parties": [party], "weight": "1"}]})
-    if True in signs:
-        return  # numpy reads (True, -1) as the integers (1, -1); only JSON keeps the bool
     codes = bins if isinstance(bins, str) else [[[BINS.index(b) for b in bins]]]
     with pytest.raises(ValueError, match=f"^{field} must be an integer array"):
         StrategyEnsemble(codes, [[signs]], (1,))
@@ -358,6 +367,14 @@ def test_instruction_accepts_numpy_integer_signs():
         assert not ensemble.bins.flags.writeable and not ensemble.signs.flags.writeable
         assert ensemble.signs.tolist() == [[[1, -1]]]
         assert ensemble_to_json(ensemble)["entries"][0]["parties"] == [{"bins": ["S", "L"], "signs": [1, -1]}]
+
+
+def test_numpy_integer_weights_beside_large_denominators():
+    # a numpy integer weight must not narrow the common denominator to int64
+    weights = (np.int64(0), Fraction(2**70 - 1, 2**70), Fraction(1, 2**70))
+    ensemble = StrategyEnsemble([[[0, 0]]] * 3, [[[1, 1]]] * 3, weights)
+    assert evaluate_postselected(ensemble).selected_fractions == (1,)
+    assert marginal_distribution(ensemble)[(0, 0)] == {"S+": 1}
 
 
 def test_ensemble_rejects_bool_weights():
@@ -455,8 +472,8 @@ def test_random_ensembles_respect_bounds(ensemble):
 
 
 # Per-strategy loops written out one scalar at a time: the reference the
-# array form of evaluate_postselected, marginal_distribution and
-# counterfactual_selection_dependence is checked against.
+# column sums of evaluate_postselected, marginal_distribution and
+# counterfactual_selection_dependence are checked against.
 def _coincide(bins):
     return all(b == bins[0] for b in bins[1:])
 
@@ -553,6 +570,28 @@ def test_marginals_and_counterfactual_match_per_strategy_loop(ensemble):
         assert got[cell].keys() == dist.keys()
         assert all(_same(got[cell][token], weight, exact) for token, weight in dist.items())
     assert counterfactual_selection_dependence(ensemble) is _oracle_counterfactual(ensemble)
+
+
+@st.composite
+def float_weighted_ensembles(draw):
+    """1-40 strategies with uneven float weights, whose float sums depend
+    on the order of addition unless they are correctly rounded."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(min_value=1, max_value=40))
+    bins, signs = draw(_tables(k, n))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    return StrategyEnsemble(bins, signs, tuple(w / math.fsum(weights) for w in weights))
+
+
+@given(ensemble=float_weighted_ensembles(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_float_weight_sums_do_not_depend_on_strategy_order(ensemble, data):
+    order = data.draw(st.permutations(range(ensemble.size)))
+    permuted = StrategyEnsemble(
+        ensemble.bins[list(order)], ensemble.signs[list(order)], [ensemble.weights[k] for k in order]
+    )
+    assert repr(evaluate_postselected(permuted)) == repr(evaluate_postselected(ensemble))
+    assert repr(marginal_distribution(permuted)) == repr(marginal_distribution(ensemble))
 
 
 @given(ensemble=weighted_ensembles(parties=st.integers(1, 4), int_weights=True))
