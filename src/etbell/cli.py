@@ -53,16 +53,6 @@ from . import __version__, events, lhv, mermin, numerics, optics, source, states
 def _encode(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    np = sys.modules.get("numpy")  # a numpy object implies numpy is loaded
-    if np is not None:
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"cannot serialize {type(obj)!r}")

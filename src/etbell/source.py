@@ -26,11 +26,8 @@ TIME_BINS = ("t0", "t1")
 def four_photon_state() -> states.MultiPartyState:
     """State of two independently emitted pairs over the two pump bins:
     equal amplitudes 1/2 on t0t0t0t0, t1t1t1t1, t0t0t1t1, and t1t1t0t0."""
-    dims = (2, 2, 2, 2)
-    amps = np.zeros(16, dtype=complex)
-    for pattern in ((0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0)):
-        amps[np.ravel_multi_index(pattern, dims)] = 0.5
-    return states.MultiPartyState(dims, amps, ((TIME_BINS),) * 4)
+    patterns = ((0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0))
+    return states.MultiPartyState((2,) * 4, [(p, 0.5) for p in patterns], (TIME_BINS,) * 4)
 
 
 def coincidence_filter(state: states.MultiPartyState):
@@ -39,7 +36,7 @@ def coincidence_filter(state: states.MultiPartyState):
     Returns ``(filtered_state, keep_probability)`` where the probability is
     the squared norm of the projected amplitudes. Idempotent.
     """
-    return states.postselect_coincident(state.tensor_view(), state.level_labels)
+    return states.postselect_coincident(state)
 
 
 def source_event_stream(trials: int, seed: int = 0) -> EventTable:

@@ -1,11 +1,11 @@
 """Multiparty entangled states, expectation values, and Mermin functionals.
 
 Time-bin qubits use the basis labels ``S`` (short, level 1) and ``L`` (long,
-level 2); n-level systems use ``1..n``. A :class:`MultiPartyState` is held
-on its support: the basis tuples with a nonzero amplitude, in flat C order,
-each with its amplitude. The GHZ state and ``(sum_i |i...i>)/sqrt(n)`` have
-2 and n of them, and the dense amplitude vector is built only when asked
-for.
+level 2); n-level systems use ``1..n``. A :class:`MultiPartyState` is built
+from and holds only its support: the basis tuples with a nonzero amplitude,
+in flat C order, each with its amplitude. The GHZ state and
+``(sum_i |i...i>)/sqrt(n)`` have 2 and n of them. Every computation here
+works on the support; the dense amplitude vector is built only when read.
 
 :func:`correlators` sums ``E[s] = sum_{l,m} conj(c_l) c_m prod_p
 O_{p,s_p}[x_lp, x_mp]`` over support pairs ``(l, m)``, for every setting
@@ -62,46 +62,52 @@ def _default_labels(dim: int) -> tuple[str, ...]:
 
 
 class MultiPartyState:
-    """Normalized state over a labeled multi-party product basis.
+    """Normalized state over a labeled multi-party product basis, held on its
+    support.
 
-    ``MultiPartyState(dims, amplitudes, level_labels)`` takes a dense
-    amplitude vector. The state holds its :attr:`support`, the nonzero
-    amplitudes as ``(levels, amplitude)`` pairs in flat C order, and its
-    dense :attr:`amplitudes`; whichever it was not built from is computed on
-    first use and kept. The state is immutable.
+    ``MultiPartyState(dims, support, level_labels)`` takes ``(levels,
+    amplitude)`` pairs, one per basis tuple, with ``levels[p]`` party
+    ``p``'s level index. Zero amplitudes are dropped and the rest kept as
+    :attr:`support`, in flat C order, each amplitude a Python complex. The
+    dense :attr:`amplitudes` vector is built from it on first use. The
+    state is immutable.
     """
 
-    def __init__(self, dims, amplitudes, level_labels=(), _adopt=False, _support=None):
-        """Only for a normalized state the package built: ``_adopt`` takes a
-        fresh complex vector over without a copy, and ``_support`` (with
-        ``amplitudes`` None) gives the ``(levels, complex)`` pairs instead."""
+    def __init__(self, dims, support, level_labels=()):
         if not all(is_integer(d) for d in dims):
             raise ValueError(f"dims must be integers, got {tuple(dims)!r}")
         dims = tuple(int(d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("each party needs at least one level")
-        if _support is None:
-            import numpy as np
-
-            amplitudes = (np.asarray if _adopt else np.array)(amplitudes, dtype=complex).reshape(-1)
-            if amplitudes.size != math.prod(dims):
-                raise ValueError("amplitude count must equal the product of dims")
-            if not np.isfinite(amplitudes).all():
-                raise ValueError("amplitudes must be finite")
-            norm = np.linalg.norm(amplitudes)
-            if abs(norm - 1.0) > 1e-8:
-                raise ValueError(f"state must be normalized (norm {norm})")
-            amplitudes.setflags(write=False)
-        labels = tuple(tuple(lv) for lv in level_labels) or tuple(
-            _default_labels(d) for d in dims
-        )
-        if len(labels) != len(dims) or any(
-            len(lv) != d for lv, d in zip(labels, dims)
-        ):
+        labels = tuple(tuple(lv) for lv in level_labels) or tuple(_default_labels(d) for d in dims)
+        if len(labels) != len(dims) or any(len(lv) != d for lv, d in zip(labels, dims)):
             raise ValueError("level labels must match dims party by party")
         if any(len(set(lv)) != len(lv) for lv in labels):
             raise ValueError("level labels must be distinct within each party")
-        vars(self).update(dims=dims, level_labels=labels, _amplitudes=amplitudes, _support=_support)
+        entries = {}
+        for k, entry in enumerate(support):
+            try:
+                levels, amp = entry
+                levels = tuple(levels)
+            except (TypeError, ValueError):
+                raise ValueError(f"support[{k}] must be a (levels, amplitude) pair, got {entry!r}") from None
+            if len(levels) != len(dims):
+                raise ValueError(f"support[{k}]: levels {levels!r} do not name {len(dims)} parties")
+            if not all(is_integer(lv) and 0 <= lv < d for lv, d in zip(levels, dims)):
+                raise ValueError(f"support[{k}]: levels {levels!r} are not level indices of dims {dims}")
+            levels = tuple(int(lv) for lv in levels)
+            if levels in entries:
+                raise ValueError(f"support[{k}]: levels {levels!r} are repeated")
+            if not isinstance(amp, numbers.Complex) or isinstance(amp, bool):
+                raise ValueError(f"support[{k}]: amplitude {amp!r} is not a number")
+            entries[levels] = amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise ValueError(f"support[{k}]: amplitude {amp!r} is not finite")
+        norm = math.sqrt(math.fsum(abs(amp) ** 2 for amp in entries.values()))
+        if abs(norm - 1.0) > 1e-8:
+            raise ValueError(f"state must be normalized (norm {norm})")
+        support = tuple((lv, amp) for lv, amp in sorted(entries.items()) if amp != 0)
+        vars(self).update(dims=dims, level_labels=labels, support=support, _amplitudes=None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable state")
@@ -111,52 +117,37 @@ class MultiPartyState:
         return len(self.dims)
 
     @property
-    def support(self) -> tuple[tuple[tuple[int, ...], complex], ...]:
-        """``(levels, amplitude)`` for every nonzero amplitude, in flat C
-        order, with each amplitude a Python complex."""
-        if self._support is None:
-            import numpy as np
-
-            cells = self._amplitudes.nonzero()[0]
-            levels = zip(*(axis.tolist() for axis in np.unravel_index(cells, self.dims)))
-            vars(self)["_support"] = tuple(zip(levels, self._amplitudes[cells].tolist()))
-        return self._support
-
-    @property
     def amplitudes(self) -> np.ndarray:
         """The read-only complex128 amplitude vector over the dense C-order
         layout."""
         if self._amplitudes is None:
             import numpy as np
 
-            levels, amps = zip(*self._support)
+            levels, amps = zip(*self.support)
             dense = np.zeros(math.prod(self.dims), dtype=complex)
             dense[np.ravel_multi_index(tuple(zip(*levels)), self.dims)] = amps
             dense.setflags(write=False)
             vars(self)["_amplitudes"] = dense
         return self._amplitudes
 
-    def tensor_view(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.dims)
-
     def amplitude(self, labels: tuple[str, ...]) -> complex:
-        levels = tuple(
-            self.level_labels[p].index(lab) for p, lab in enumerate(labels)
-        )
+        """The amplitude of the basis tuple with one level label per party."""
+        labels = tuple(labels)
+        n = self.n_parties
+        if len(labels) < n:
+            raise ValueError(f"no level label for party {len(labels)} of {n} in {labels!r}")
+        if len(labels) > n:
+            raise ValueError(f"level label {labels[n]!r} for party {n}, but the state has {n} parties")
+        for p, (lab, names) in enumerate(zip(labels, self.level_labels)):
+            if lab not in names:
+                raise ValueError(f"party {p} has no level labelled {lab!r} (levels {names!r})")
+        levels = tuple(names.index(lab) for lab, names in zip(labels, self.level_labels))
         return dict(self.support).get(levels, 0j)
 
     def iter_amplitudes(self):
         """Yield ``(per-party label tuple, amplitude)`` for nonzero entries."""
         for levels, amp in self.support:
             yield tuple(self.level_labels[p][lv] for p, lv in enumerate(levels)), amp
-
-    def allclose(self, other: "MultiPartyState", tol: float = 1e-12) -> bool:
-        import numpy as np
-
-        return (
-            self.dims == other.dims
-            and float(np.abs(self.amplitudes - other.amplitudes).max()) <= tol
-        )
 
 
 def ghz_state(n: int) -> MultiPartyState:
@@ -177,9 +168,7 @@ def _uniform_diagonal_state(dims, k, level_labels) -> MultiPartyState:
     """``(sum_{i<k} |i...i>)/sqrt(k)`` on its support. Its weight over the
     dense layout is exactly ``k``, so the amplitudes carry the bytes of
     :func:`_diagonal_state` on ``k`` ones."""
-    amp = complex(1.0 / math.sqrt(k))
-    support = tuple(((i,) * len(dims), amp) for i in range(k))
-    return MultiPartyState(dims, None, level_labels, _support=support)
+    return MultiPartyState(dims, [((i,) * len(dims), 1.0 / math.sqrt(k)) for i in range(k)], level_labels)
 
 
 def _diagonal_state(dims, diagonal, level_labels):
@@ -188,29 +177,30 @@ def _diagonal_state(dims, diagonal, level_labels):
     bytes match renormalizing a dense kept tensor. Raises if the weight is zero."""
     import numpy as np
 
-    amps = np.zeros(math.prod(dims), dtype=complex)
+    diagonal = np.asarray(diagonal, dtype=complex)
     # |i...i> sits at i times the sum of the C-order strides
-    cells = np.arange(len(diagonal)) * sum(math.prod(dims[p + 1 :]) for p in range(len(dims)))
-    amps[cells] = diagonal
-    weight = np.abs(amps)
-    weight = float(np.sum(np.square(weight, out=weight)))
+    cells = np.arange(diagonal.size) * sum(math.prod(dims[p + 1 :]) for p in range(len(dims)))
+    squares = np.zeros(math.prod(dims))
+    squares[cells] = np.abs(diagonal) ** 2
+    weight = float(np.sum(squares))
     if weight <= 0.0:
         raise ValueError("postselection empty")
-    amps[cells] = diagonal / math.sqrt(weight)
-    return MultiPartyState(dims, amps, level_labels, _adopt=True), weight
+    amps = (diagonal / math.sqrt(weight)).tolist()
+    return MultiPartyState(dims, [((i,) * len(dims), a) for i, a in enumerate(amps)], level_labels), weight
 
 
 #: Largest correlator workload: 2**24 entries, the size of the dense
-#: 12-qubit operator, both as the setting-by-level tensor the event sampler
-#: builds (256 MB) and as the setting-by-pair terms of the support-pair sum.
+#: 12-qubit operator, both as the setting-by-outcome amplitude table the
+#: event sampler builds (256 MB) and as the setting-by-pair terms of the
+#: support-pair sum.
 MAX_CORRELATOR_ENTRIES = 2**24
 
 
 def check_correlator_size(settings, dims, support=None) -> None:
     """Raise ``ValueError`` if the correlators of ``settings[p]`` observables
     on each party ``p`` of dimension ``dims[p]`` need more than
-    :data:`MAX_CORRELATOR_ENTRIES` entries: as a setting-by-level tensor or,
-    for a state of ``support`` nonzero amplitudes, as the ``support**2``
+    :data:`MAX_CORRELATOR_ENTRIES` entries: as a setting-by-outcome table
+    or, for a state of ``support`` nonzero amplitudes, as the ``support**2``
     pair terms of every setting string. It takes only the sizes, so a caller
     can check before it builds the state."""
     entries = math.prod(settings) * math.prod(dims)
@@ -224,31 +214,6 @@ def check_correlator_size(settings, dims, support=None) -> None:
             f"correlator sum of {math.prod(settings) * support**2} pair terms exceeds the limit "
             f"of {MAX_CORRELATOR_ENTRIES} ({support} nonzero amplitudes, {len(dims)} parties)"
         )
-
-
-def _apply_stacks(state: MultiPartyState, stacks) -> np.ndarray:
-    """Apply per-party operator stacks to the state, one axis at a time.
-
-    ``stacks[p]`` has shape ``(k_p, d_p, d_p)``. The result has shape
-    ``(k_1..k_n, d_1..d_n)``; entry ``[s, :]`` is the state tensor of
-    ``(O_{1,s_1} x ... x O_{n,s_n}) |psi>``. Raises before allocating when
-    the result would exceed :data:`MAX_CORRELATOR_ENTRIES`
-    (:func:`check_correlator_size`).
-    """
-    import numpy as np
-
-    n = state.n_parties
-    if len(stacks) != n:
-        raise ValueError("need exactly one operator stack per party")
-    for stack, d in zip(stacks, state.dims):
-        if stack.shape[1:] != (d, d):
-            raise ValueError(f"operator shape {stack.shape[1:]} does not match dim {d}")
-    check_correlator_size([len(stack) for stack in stacks], state.dims)
-    psi = state.tensor_view()
-    for p, stack in enumerate(stacks):
-        # setting axes 0..p-1 lead, so party p's level axis sits at p + p
-        psi = np.moveaxis(np.tensordot(stack, psi, axes=([2], [2 * p])), (0, 1), (p, 2 * p + 1))
-    return psi
 
 
 def _matrix_rows(values) -> tuple[tuple[complex, ...], ...]:
@@ -422,30 +387,16 @@ def rotated_settings(offsets):
     )
 
 
-def joint_outcome_distribution(state: MultiPartyState, analyzers) -> np.ndarray:
-    """Probability tensor for measuring each party with its analyzer matrix.
-
-    Row ``k`` of an analyzer is the bra of outcome ``k``, so the result has
-    shape ``dims`` and sums to 1 for unitary analyzers.
-    """
-    import numpy as np
-
-    psi = _apply_stacks(state, [as_matrix(m)[None] for m in analyzers])
-    return np.abs(psi.reshape(state.dims)) ** 2
-
-
-def postselect_coincident(joint: np.ndarray, level_labels):
-    """Keep the outcomes of a joint amplitude tensor whose per-party levels
-    pass :func:`etbell.events.all_equal`, and renormalize.
+def postselect_coincident(state: MultiPartyState):
+    """Keep the support entries of ``state`` whose per-party levels are all
+    equal, and renormalize.
 
     Returns ``(state, kept_weight)``, the weight being the squared norm of
     the kept amplitudes. Raises if nothing survives.
     """
-    import numpy as np
-
-    # the all-equal cells are the diagonal (i, ..., i) for i < min(shape)
-    diagonal = (np.arange(min(joint.shape)),) * joint.ndim
-    return _diagonal_state(joint.shape, joint[diagonal], level_labels)
+    amps = dict(state.support)  # the all-equal tuples are (i, ..., i) for i < min(dims)
+    diagonal = [amps.get((i,) * state.n_parties, 0j) for i in range(min(state.dims))]
+    return _diagonal_state(state.dims, diagonal, state.level_labels)
 
 
 def prepare_postselected(networks, emission_amplitudes=None, input_mode: int = 0):
@@ -525,6 +476,11 @@ def sample_measurement_events(
     quantum distribution for that setting combination, and tags all parties
     with one common random time bin; every trial is a coincidence, so the
     selection is independent of the settings by construction.
+
+    The outcome amplitudes come from the support: ``A[s, o] = sum_x c_x
+    prod_p V_{p,s_p}[o_p, x_p]``, one outer product of per-party analyzer
+    columns per support entry ``(x, c_x)``, where row ``o`` of ``V_{p,k}``
+    is the bra of party ``p``'s outcome ``o`` under setting ``k``.
     """
     import numpy as np
 
@@ -533,6 +489,8 @@ def sample_measurement_events(
     if any(d != 2 for d in state.dims):
         raise ValueError("event sampling is defined for qubit states")
     settings = standard_settings(n) if settings is None else tuple(settings)
+    if len(settings) != n:
+        raise ValueError(f"need one setting pair per party ({n}), got {len(settings)}")
     stacks = []
     for pair in settings:
         if len(pair) != 2:
@@ -542,11 +500,21 @@ def sample_measurement_events(
             obs = as_matrix(obs)
             if not is_dichotomic(obs):
                 raise ValueError("settings must be dichotomic")
+            if obs.shape != (2, 2):
+                raise ValueError(f"operator shape {obs.shape} does not match dim 2")
             _, vecs = np.linalg.eigh(obs)  # ascending: index 0 -> sign -1
             analyzers.append(vecs.conj().T)
         stacks.append(np.stack(analyzers))
+    check_correlator_size([2] * n, state.dims)
+    table = 0
+    for levels, amp in state.support:
+        term = np.array(amp)
+        for stack, x in zip(stacks, levels):
+            term = np.multiply.outer(term, stack[:, :, x])  # appends party p's (setting, outcome) axes
+        table = table + term
+    table = table.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     # row c: outcome CDF under the setting combination with flat index c
-    cdfs = np.cumsum(np.abs(_apply_stacks(state, stacks).reshape(2**n, 2**n)) ** 2, axis=1)
+    cdfs = np.cumsum(np.abs(table.reshape(2**n, 2**n)) ** 2, axis=1)
     rng = seeded_rng(seed)
     setting_arr = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
     uniforms = rng.random(trials)
@@ -592,9 +560,7 @@ def state_to_json(state: MultiPartyState) -> dict:
 
 
 def state_from_json(data: dict) -> MultiPartyState:
-    """Strict inverse of :func:`state_to_json`."""
-    import numpy as np
-
+    """Strict inverse of :func:`state_to_json`; entries may come in any order."""
     json_fields(data, "state", ("dims", "level_labels", "amplitudes"))
     if not isinstance(data["dims"], list) or not data["dims"]:
         raise ValueError(f"dims must be a non-empty list, got {data['dims']!r}")
@@ -609,8 +575,7 @@ def state_from_json(data: dict) -> MultiPartyState:
     if not isinstance(data["amplitudes"], list):
         raise ValueError(f"amplitudes must be a list, got {data['amplitudes']!r}")
     compact = _compact_labels(labels)
-    amps = np.zeros(math.prod(dims), dtype=complex)
-    seen = set()
+    support = {}
     for k, entry in enumerate(data["amplitudes"]):
         field = f"amplitudes[{k}]"
         if not isinstance(entry, list) or len(entry) != 3 or not isinstance(entry[0], str):
@@ -623,11 +588,8 @@ def state_from_json(data: dict) -> MultiPartyState:
             )
         if any(lab not in labels[p] for p, lab in enumerate(parts)):
             raise ValueError(f"{field}: basis label {label_string!r} has an unknown level label")
-        if parts in seen:
-            raise ValueError(f"{field}: basis label {label_string!r} is repeated")
-        seen.add(parts)
         levels = tuple(labels[p].index(lab) for p, lab in enumerate(parts))
-        amps[np.ravel_multi_index(levels, dims)] = complex(
-            json_real(entry[1], field), json_real(entry[2], field)
-        )
-    return MultiPartyState(dims, amps, labels)
+        if levels in support:
+            raise ValueError(f"{field}: basis label {label_string!r} is repeated")
+        support[levels] = complex(json_real(entry[1], field), json_real(entry[2], field))
+    return MultiPartyState(dims, support.items(), labels)

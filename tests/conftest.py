@@ -1,8 +1,11 @@
-"""Shared helpers: seeded random unitaries and independent closed-form
-matrices used as oracles against the optics module."""
+"""Shared helpers: seeded random unitaries, independent closed-form
+matrices used as oracles against the optics module, and dense views of
+states, which hold only their support."""
 
 import numpy as np
 from scipy.stats import unitary_group
+
+from etbell.states import MultiPartyState
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -13,6 +16,25 @@ def random_state_vector(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def dense_state(dims, vector, level_labels=()) -> MultiPartyState:
+    """The state with the dense C-order amplitude ``vector``: its nonzero
+    cells as ``(levels, amplitude)`` support pairs."""
+    vector = np.asarray(vector, dtype=complex).reshape(-1)
+    cells = np.flatnonzero(vector)
+    levels = zip(*(axis.tolist() for axis in np.unravel_index(cells, tuple(dims))))
+    return MultiPartyState(dims, list(zip(levels, vector[cells].tolist())), level_labels)
+
+
+def dense_tensor(state: MultiPartyState) -> np.ndarray:
+    """The amplitudes as an array of shape ``state.dims``."""
+    return state.amplitudes.reshape(state.dims)
+
+
+def states_close(a: MultiPartyState, b: MultiPartyState, tol: float) -> bool:
+    """Same dims, and no dense amplitude differs by more than ``tol``."""
+    return a.dims == b.dims and float(np.abs(a.amplitudes - b.amplitudes).max()) <= tol
 
 
 def splitter_literals(alpha: float, beta: float, gamma: float):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import etbell
-from etbell.cli import build_parser, main
+from etbell.cli import _encode, build_parser, main
 from etbell.lhv import event_stream, saturating_model
 from etbell.numerics import matrix_from_json, matrix_to_json
 from etbell.optics import dft_unitary
@@ -28,6 +28,18 @@ def run_cli(argv):
 def run_json(argv):
     code, text = run_cli(argv)
     return code, json.loads(text)
+
+
+def test_report_encoder_takes_only_fractions_and_complex_numbers():
+    # every report value is a plain JSON type, a Fraction or a complex, so a
+    # numpy object in a report is a defect and fails loudly
+    from fractions import Fraction
+
+    assert _encode(Fraction(-3, 4)) == "-3/4"
+    assert _encode(0.5 - 2j) == [0.5, -2.0]
+    for value in (np.int64(1), np.bool_(True), np.zeros(2)):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _encode(value)
 
 
 def test_mermin_quantum_default():

@@ -23,7 +23,9 @@ from etbell.source import (
     locality_audit,
     source_event_stream,
 )
-from etbell.states import ghz_state, sample_measurement_events
+from etbell.states import MultiPartyState, ghz_state, sample_measurement_events
+
+from conftest import dense_tensor, states_close
 
 
 def test_four_photon_state_amplitudes():
@@ -40,7 +42,7 @@ def test_four_photon_state_amplitudes():
 
 def test_four_photon_pairs_perfectly_time_correlated():
     # marginal probability of the first pair disagreeing is exactly zero
-    probs = np.abs(four_photon_state().tensor_view()) ** 2
+    probs = np.abs(dense_tensor(four_photon_state())) ** 2
     assert probs[0, 1].sum() == 0.0
     assert probs[1, 0].sum() == 0.0
     assert probs[0, 0].sum() == pytest.approx(0.5)
@@ -61,15 +63,11 @@ def test_coincidence_filter_idempotent():
     once, keep1 = coincidence_filter(four_photon_state())
     twice, keep2 = coincidence_filter(once)
     assert abs(keep2 - 1.0) < 1e-12
-    assert twice.allclose(once, tol=1e-15)
+    assert states_close(twice, once, tol=1e-15)
 
 
 def test_coincidence_filter_empty():
-    amps = np.zeros(4, dtype=complex)
-    amps[1] = 1.0  # |t0 t1>
-    from etbell.states import MultiPartyState
-
-    lopsided = MultiPartyState((2, 2), amps, (("t0", "t1"),) * 2)
+    lopsided = MultiPartyState((2, 2), [((0, 1), 1.0)], (("t0", "t1"),) * 2)  # |t0 t1>
     with pytest.raises(ValueError, match="postselection empty"):
         coincidence_filter(lopsided)
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 import etbell.states as states_module
 from etbell.events import all_equal
+from etbell.numerics import as_matrix
 from etbell.optics import (
     InterferometerNetwork,
     beam_splitter,
     compose,
     generation_cascade,
-    analyzer_matrix,
     reck_decompose,
 )
 from etbell.states import (
@@ -28,7 +28,6 @@ from etbell.states import (
     expectation,
     ghz_state,
     is_dichotomic,
-    joint_outcome_distribution,
     mermin3,
     mermin_coefficients,
     mermin_n,
@@ -42,8 +41,9 @@ from etbell.states import (
     state_from_json,
     state_to_json,
 )
+from etbell.source import four_photon_state
 
-from conftest import random_state_vector
+from conftest import dense_state, dense_tensor, random_state_vector, states_close
 
 
 def _flat(settings_pairs):
@@ -51,17 +51,95 @@ def _flat(settings_pairs):
 
 
 def _product_state(n):
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = 1.0
-    return MultiPartyState((2,) * n, amps, (("S", "L"),) * n)
+    return MultiPartyState((2,) * n, [((0,) * n, 1.0)], (("S", "L"),) * n)
 
 
-def test_state_copies_the_callers_amplitudes():
-    # only the package's own constructors hand their fresh arrays over
-    amps = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    state = MultiPartyState((2, 2), amps)
-    assert amps.flags.writeable and not state.amplitudes.flags.writeable
-    assert not np.shares_memory(amps, state.amplitudes)
+def test_state_keeps_its_own_support():
+    # mutating the caller's list, levels or amplitudes later changes nothing
+    r = 1 / math.sqrt(2)
+    levels = [1, 1]
+    support = [([0, 0], r), (levels, r)]
+    state = MultiPartyState((2, 2), support)
+    levels[0] = 0
+    support[0] = ((0, 1), 1.0)
+    support.append(((1, 0), 0.5))
+    assert state.support == (((0, 0), complex(r)), ((1, 1), complex(r)))
+    assert all(type(amp) is complex for _, amp in state.support)
+    assert not state.amplitudes.flags.writeable
+    with pytest.raises(AttributeError, match="immutable"):
+        state.support = ()
+
+
+_R = 1 / math.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        ([((0,), _R), ((1, 1), _R)], r"support\[0\]: levels \(0,\) do not name 2 parties"),
+        ([((0, 0), _R), ((1, 1, 0), _R)], r"support\[1\]: levels \(1, 1, 0\) do not name 2 parties"),
+        ([((0, 2), _R), ((1, 1), _R)], r"support\[0\]: levels \(0, 2\) are not level indices"),
+        ([((0, -1), _R), ((1, 1), _R)], r"support\[0\]: levels \(0, -1\) are not level indices"),
+        ([((0, 1.0), _R), ((1, 1), _R)], r"support\[0\]: levels \(0, 1.0\) are not level indices"),
+        ([((0, True), _R), ((1, 1), _R)], r"support\[0\]: levels \(0, True\) are not level indices"),
+        ([((0, "1"), _R), ((1, 1), _R)], r"support\[0\]: levels \(0, '1'\) are not level indices"),
+        ([((1, 1), _R), ((1, 1), _R)], r"support\[1\]: levels \(1, 1\) are repeated"),
+        ([((0, 0), 1.0), ((1, 1), 0.0), ((1, 1), 0.0)], r"support\[2\]: levels \(1, 1\) are repeated"),
+        ([((0, 0), math.nan), ((1, 1), _R)], r"support\[0\]: amplitude \(nan\+0j\) is not finite"),
+        ([((0, 0), complex(0, math.inf)), ((1, 1), _R)], r"support\[0\]: amplitude infj is not finite"),
+        ([((0, 0), "0.7"), ((1, 1), _R)], r"support\[0\]: amplitude '0.7' is not a number"),
+        ([((0, 0), None), ((1, 1), _R)], r"support\[0\]: amplitude None is not a number"),
+        ([((0, 0), True)], r"support\[0\]: amplitude True is not a number"),
+        ([((0, 0), _R), ((1, 1), 0.5)], r"state must be normalized"),
+        ([], r"state must be normalized \(norm 0.0\)"),
+        ([((0, 0), 0.0)], r"state must be normalized \(norm 0.0\)"),
+        ([1.0, 0.0, 0.0, 0.0], r"support\[0\] must be a \(levels, amplitude\) pair"),
+        ([((0, 0), _R, 0.0)], r"support\[0\] must be a \(levels, amplitude\) pair"),
+        ([(0, 1.0)], r"support\[0\] must be a \(levels, amplitude\) pair"),
+    ],
+    ids=[
+        "levels-short", "levels-long", "level-too-high", "level-negative", "level-float", "level-bool",
+        "level-string", "repeated", "repeated-zero", "nan", "inf", "string", "none", "bool",
+        "unnormalized", "empty", "only-zeros", "dense-vector", "triple", "bare-level",
+    ],
+)
+def test_state_refuses_a_bad_support(support, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        MultiPartyState((2, 2), support)
+
+
+def test_state_drops_zero_amplitudes_and_sorts_its_support():
+    state = MultiPartyState(
+        (2, 3), [((1, 2), -0.6j), ((0, 1), 0j), ((1, 0), -0.0), ((0, 2), np.complex128(0.8))]
+    )
+    assert state.support == (((0, 2), 0.8 + 0j), ((1, 2), -0.6j))
+    assert state.amplitudes.tolist() == [0, 0, 0.8, 0, 0, -0.6j]
+    # numpy integers and floats are numbers too; the stored forms are Python's
+    again = MultiPartyState((np.int64(2), 3), [((np.int64(0), 2), np.float64(0.8)), ((1, 2), -0.6j)])
+    assert again.dims == (2, 3) and again.support == state.support
+    assert all(type(lv) is int for levels, _ in again.support for lv in levels)
+
+
+def test_amplitude_reads_labels_party_by_party():
+    g = ghz_state(3)
+    assert g.amplitude(["S", "S", "S"]) == complex(_R)
+    assert g.amplitude(("S", "L", "S")) == 0j
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (("S", "S"), r"no level label for party 2 of 3 in \('S', 'S'\)"),
+        ((), r"no level label for party 0 of 3"),
+        (("S", "S", "S", "S"), r"level label 'S' for party 3, but the state has 3 parties"),
+        (("S", "X", "S"), r"party 1 has no level labelled 'X'"),
+        (("S", "S", 0), r"party 2 has no level labelled 0"),
+    ],
+    ids=["short", "empty", "long", "unknown", "index"],
+)
+def test_amplitude_refuses_labels_that_name_no_basis_tuple(labels, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ghz_state(3).amplitude(labels)
 
 
 def test_ghz_structure():
@@ -215,7 +293,7 @@ def test_mermin_coefficients_three_party_layout():
 @pytest.mark.parametrize("seed", range(5))
 def test_mermin_n_reduces_to_mermin3(seed):
     rng = np.random.default_rng(seed)
-    state = MultiPartyState((2, 2, 2), random_state_vector(8, seed))
+    state = dense_state((2, 2, 2), random_state_vector(8, seed))
     offsets = rng.uniform(-math.pi, math.pi, size=3)
     settings_pairs = rotated_settings(offsets)
     got = mermin_n(state, settings_pairs)
@@ -278,19 +356,19 @@ def _two_way_splitter():
 def test_state_rejects_repeated_level_labels():
     # a repeated label would make the JSON codec move amplitude between levels
     with pytest.raises(ValueError, match="distinct"):
-        MultiPartyState((2,), [0, 1], (("a", "a"),))
+        MultiPartyState((2,), [((1,), 1.0)], (("a", "a"),))
 
 
 def test_prepare_postselected_ghz_geometry():
     state, prob = prepare_postselected([_two_way_splitter()] * 3)
     assert abs(prob - 0.25) < 1e-12
-    assert state.allclose(ghz_state(3), tol=1e-12)
+    assert states_close(state, ghz_state(3), tol=1e-12)
 
 
 def test_prepare_postselected_qutrit_geometry():
     state, prob = prepare_postselected([generation_cascade(3)] * 3)
     assert abs(prob - 1.0 / 9.0) < 1e-12
-    assert state.allclose(qunit_state(3), tol=1e-12)
+    assert states_close(state, qunit_state(3), tol=1e-12)
 
 
 def test_prepare_postselected_trivial_networks():
@@ -458,28 +536,6 @@ def test_qunit_state_amplitude_bytes(n):
     assert np.array_equal(np.flatnonzero(amps.view(np.int64)) // 2, cells)
     assert amps[cells].tobytes() == np.full(n, 1.0 / math.sqrt(n), dtype=complex).tobytes()
 
-def test_joint_outcome_distribution_normalized_and_symmetric():
-    n = 3
-    q = qunit_state(n)
-    analyzer = analyzer_matrix(n, np.zeros(n - 1))
-    dist = joint_outcome_distribution(q, [analyzer] * n)
-    assert abs(dist.sum() - 1.0) < 1e-12
-    for perm in itertools.permutations(range(n)):
-        assert np.abs(np.transpose(dist, perm) - dist).max() < 1e-12
-
-
-def test_measurement_basis_consistency_with_distribution():
-    # Probability of outcome k equals |<k'|psi>|^2 for a single party.
-    n = 3
-    phis = (0.3, -1.1)
-    amps = random_state_vector(n, seed=17)
-    state = MultiPartyState((n,), amps)
-    dist = joint_outcome_distribution(state, [analyzer_matrix(n, phis)])
-    for k, vec in enumerate(analyzer_matrix(n, phis).conj()):
-        want = abs(np.vdot(vec, amps)) ** 2
-        assert abs(dist[k] - want) < 1e-12
-
-
 def test_sample_measurement_events_deterministic_and_saturating():
     table = sample_measurement_events(ghz_state(3), trials=4000, seed=11)
     again = sample_measurement_events(ghz_state(3), trials=4000, seed=11)
@@ -515,53 +571,146 @@ def test_sample_measurement_events_trial_count_must_be_an_integer(trials):
         sample_measurement_events(ghz_state(3), trials=trials, seed=11)
 
 
+def _dense_sample(state, settings, trials, seed):
+    """The dense sampler the support-built table replaced: per-party analyzer
+    stacks applied to the state tensor by ``tensordot``, the outcome CDF of
+    every setting string, then the same draws. Returns settings, signs and
+    bins."""
+    n = state.n_parties
+    stacks = [np.stack([np.linalg.eigh(as_matrix(obs))[1].conj().T for obs in pair]) for pair in settings]
+    psi = dense_tensor(state)
+    for p, stack in enumerate(stacks):
+        psi = np.moveaxis(np.tensordot(stack, psi, axes=([2], [2 * p])), (0, 1), (p, 2 * p + 1))
+    cdfs = np.cumsum(np.abs(psi.reshape(2**n, 2**n)) ** 2, axis=1)
+    rng = np.random.default_rng(seed)
+    setting_arr = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
+    uniforms = rng.random(trials)
+    common_bins = rng.integers(0, 2, size=trials, dtype=np.int8)
+    outcome_flat = np.zeros(trials, dtype=np.int64)
+    combo_flat = np.ravel_multi_index(setting_arr.T, (2,) * n)
+    for combo, cdf in enumerate(cdfs):
+        mask = combo_flat == combo
+        if mask.any():
+            outcome_flat[mask] = np.searchsorted(cdf, uniforms[mask], side="right")
+    np.minimum(outcome_flat, 2**n - 1, out=outcome_flat)
+    signs = np.empty((trials, n), dtype=np.int8)
+    for p in range(n):
+        signs[:, p] = 2 * ((outcome_flat >> (n - 1 - p)) & 1) - 1
+    return setting_arr, signs, np.repeat(common_bins[:, None], n, axis=1)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 101])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sample_measurement_events_match_the_dense_sampler(n, seed):
+    # the two CDF tables may differ in the last bit; the draws may not
+    table = sample_measurement_events(ghz_state(n), trials=20_000, seed=seed)
+    settings, signs, bins = _dense_sample(ghz_state(n), standard_settings(n), 20_000, seed)
+    assert table.settings.tobytes() == settings.tobytes()
+    assert table.signs.tobytes() == signs.tobytes()
+    assert table.bins.tobytes() == bins.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 7, 101])
+def test_sample_measurement_events_match_the_dense_sampler_off_ghz(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    state = dense_state((2,) * n, random_state_vector(2**n, seed))
+    settings_pairs = rotated_settings(rng.uniform(-math.pi, math.pi, size=n))
+    table = sample_measurement_events(state, settings_pairs, trials=20_000, seed=seed)
+    settings, signs, bins = _dense_sample(state, settings_pairs, 20_000, seed)
+    assert table.settings.tobytes() == settings.tobytes()
+    assert table.signs.tobytes() == signs.tobytes()
+    assert table.bins.tobytes() == bins.tobytes()
+
+
+@pytest.mark.parametrize(
+    "settings_pairs, message",
+    [
+        (standard_settings(2), r"need one setting pair per party \(3\), got 2"),
+        (standard_settings(4), r"need one setting pair per party \(3\), got 4"),
+        (standard_settings(2) + ((PAULI_X,),), "need two settings per party"),
+        (standard_settings(2) + ((PAULI_X, np.eye(2)),), "settings must be dichotomic"),
+        (standard_settings(2) + ((PAULI_X, np.diag([1, -1, 1])),), r"operator shape \(3, 3\) does not match dim 2"),
+    ],
+    ids=["too-few", "too-many", "one-setting", "not-dichotomic", "qutrit-observable"],
+)
+def test_sample_measurement_events_refuses_bad_settings(monkeypatch, settings_pairs, message):
+    monkeypatch.setattr(states_module, "seeded_rng", None)  # refused before any draw
+    with pytest.raises(ValueError, match=f"^{message}"):
+        sample_measurement_events(ghz_state(3), settings_pairs, trials=10)
+
+
+def test_sample_measurement_events_refuses_before_allocating(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started past the size guard")
+
+    monkeypatch.setattr(np.multiply, "outer", forbidden)
+    with pytest.raises(ValueError, match="^correlator tensor of 67108864 entries"):
+        sample_measurement_events(ghz_state(13), trials=10)
+    with pytest.raises(ValueError, match="qubit states"):
+        sample_measurement_events(qunit_state(3), trials=10)
+
+
 @given(
     shape=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
 def test_postselect_coincident_matches_all_equal_mask(shape, seed):
-    rng = np.random.default_rng(seed)
-    joint = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    labels = tuple(tuple(str(k) for k in range(d)) for d in shape)
+    state = dense_state(shape, random_state_vector(math.prod(shape), seed), ())
+    joint = dense_tensor(state)
     # reference: the all_equal mask over every cell's index tuple
     kept = np.where(all_equal(np.moveaxis(np.indices(shape), 0, -1)), joint, 0.0)
     weight = float(np.sum(np.abs(kept) ** 2))
-    state, got = postselect_coincident(joint, labels)
+    kept_state, got = postselect_coincident(state)
     assert got == weight
-    assert state.amplitudes.tobytes() == (kept / math.sqrt(weight)).reshape(-1).tobytes()
+    assert kept_state.amplitudes.tobytes() == (kept / math.sqrt(weight)).reshape(-1).tobytes()
+    assert kept_state.level_labels == state.level_labels
 
 
 def test_multiparty_state_validation():
-    with pytest.raises(ValueError):
-        MultiPartyState((2, 2), np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        MultiPartyState((2,), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        MultiPartyState((2,), np.array([1.0, 0.0]), (("a",),))
+    with pytest.raises(ValueError, match="level labels must match dims"):
+        MultiPartyState((2,), [((0,), 1.0)], (("a",),))
+    with pytest.raises(ValueError, match="each party needs at least one level"):
+        MultiPartyState((2, 0), [((0, 0), 1.0)])
 
 
 def test_state_json_round_trip():
     for state in (ghz_state(3), qunit_state(3)):
         again = state_from_json(state_to_json(state))
-        assert again.allclose(state, tol=1e-15)
+        assert states_close(again, state, tol=1e-15)
         assert again.level_labels == state.level_labels
 
 
-def test_state_json_multichar_labels():
-    from etbell.source import four_photon_state
+def test_state_from_json_sorts_entries_given_out_of_order():
+    for state in (ghz_state(3), qunit_state(3), four_photon_state()):
+        data = state_to_json(state)
+        shuffled = {**data, "amplitudes": data["amplitudes"][::-1]}
+        again = state_from_json(shuffled)
+        assert again.support == state.support
+        assert state_to_json(again) == data
 
+
+def test_state_json_drops_zero_amplitudes():
+    data = state_to_json(ghz_state(2))
+    data["amplitudes"].insert(1, ["SL", 0.0, -0.0])
+    again = state_from_json(data)
+    assert again.support == ghz_state(2).support
+    assert state_to_json(again) == state_to_json(ghz_state(2))
+
+
+def test_state_json_multichar_labels():
     state = four_photon_state()
     data = state_to_json(state)
     assert data["amplitudes"][0][0].count("|") == 3
     again = state_from_json(data)
-    assert again.allclose(state, tol=1e-15)
+    assert states_close(again, state, tol=1e-15)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=25, deadline=None)
 def test_mermin3_below_algebraic_bound(seed):
-    state = MultiPartyState((2, 2, 2), random_state_vector(8, seed))
+    state = dense_state((2, 2, 2), random_state_vector(8, seed))
     rng = np.random.default_rng(seed)
     pairs = rotated_settings(rng.uniform(-math.pi, math.pi, size=3))
     result = mermin3(state, *_flat(pairs))
@@ -571,11 +720,11 @@ def test_mermin3_below_algebraic_bound(seed):
 
 
 def test_state_json_single_party_multichar_labels():
-    state = MultiPartyState((11,), np.eye(11)[9])  # default labels "1".."11"
+    state = MultiPartyState((11,), [((9,), 1.0)])  # default labels "1".."11"
     data = state_to_json(state)
     assert data["amplitudes"] == [["10", 1.0, 0.0]]
     again = state_from_json(data)
-    assert again.allclose(state, tol=0.0)
+    assert states_close(again, state, tol=0.0)
     assert again.level_labels == state.level_labels
 
 
@@ -589,7 +738,7 @@ def test_state_json_rejects_wrong_label_count():
 def test_state_rejects_non_integer_dims():
     for dims in ((2.9, 2), (2.0, 2), (True, 2)):
         with pytest.raises(ValueError, match="dims"):
-            MultiPartyState(dims, np.eye(4)[0])
+            MultiPartyState(dims, [((0, 0), 1.0)])
 
 
 def _ghz_json_with(key, value):
@@ -635,7 +784,7 @@ def _labelled_states(draw):
         tuple(draw(st.lists(label, min_size=d, max_size=d, unique=True))) for d in dims
     )
     seed = draw(st.integers(min_value=0, max_value=10**6))
-    return MultiPartyState(tuple(dims), random_state_vector(math.prod(dims), seed), labels)
+    return dense_state(tuple(dims), random_state_vector(math.prod(dims), seed), labels)
 
 
 @given(state=_labelled_states())
@@ -643,7 +792,7 @@ def _labelled_states(draw):
 def test_state_json_round_trip_property(state):
     again = state_from_json(state_to_json(state))
     assert again.level_labels == state.level_labels
-    assert again.allclose(state, tol=0.0)
+    assert states_close(again, state, tol=0.0)
 
 
 def _dense_expectation(state, observables):
@@ -666,7 +815,7 @@ def _states_with_stacks(draw):
     dims = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=2, max_size=4))
     ks = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=len(dims), max_size=len(dims)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    state = MultiPartyState(dims, random_state_vector(math.prod(dims), int(rng.integers(2**31))))
+    state = dense_state(dims, random_state_vector(math.prod(dims), int(rng.integers(2**31))))
     stacks = [[_random_hermitian(rng, d) for _ in range(k)] for d, k in zip(dims, ks)]
     return state, stacks
 
@@ -691,7 +840,7 @@ def test_correlators_match_dense_kron(case):
 @settings(max_examples=40, deadline=None)
 def test_mermin_n_matches_dense_coefficient_sum(n, seed):
     rng = np.random.default_rng(seed)
-    state = MultiPartyState((2,) * n, random_state_vector(2**n, seed))
+    state = dense_state((2,) * n, random_state_vector(2**n, seed))
     settings_pairs = rotated_settings(rng.uniform(-math.pi, math.pi, size=n))
     total = 0.0
     for s, c in mermin_coefficients(n).items():
@@ -732,7 +881,7 @@ def test_correlator_guard_refuses_a_dense_twelve_qubit_state(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started past the size guard")
 
-    state = MultiPartyState((2,) * 12, random_state_vector(2**12, seed=12))
+    state = dense_state((2,) * 12, random_state_vector(2**12, seed=12))
     monkeypatch.setattr(states_module, "mermin_coefficients", forbidden)
     with pytest.raises(ValueError, match="^correlator sum of 68719476736 pair terms exceeds"):
         mermin_n(state)
@@ -742,7 +891,7 @@ def test_correlator_guard_refuses_a_dense_twelve_qubit_state(monkeypatch):
 
 def test_correlator_pair_guard_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(states_module, "MAX_CORRELATOR_ENTRIES", 2**10)
-    four = MultiPartyState((2,) * 4, random_state_vector(16, seed=4))
+    four = dense_state((2,) * 4, random_state_vector(16, seed=4))
     # 16^2 pairs per setting string: four strings make 1024 terms, the limit
     # itself; the 2^4 levels pass the tensor limit throughout
     assert abs(expectation(four, [PAULI_X] * 4)) <= 1
@@ -766,11 +915,11 @@ def _dense_correlators(state, stacks, lead=0):
     n = state.n_parties
     for prefix in itertools.product(*(range(k) for k in shape[:lead])):
         part = [[stack[k]] for stack, k in zip(stacks, prefix)] + list(stacks[lead:])
-        psi = state.tensor_view()
+        psi = dense_tensor(state)
         for p, stack in enumerate(part):
             stack = np.stack([np.array(o, dtype=complex) for o in stack])
             psi = np.moveaxis(np.tensordot(stack, psi, axes=([2], [2 * p])), (0, 1), (p, 2 * p + 1))
-        values = np.tensordot(psi, state.tensor_view().conj(), axes=(range(n, 2 * n), range(n)))
+        values = np.tensordot(psi, dense_tensor(state).conj(), axes=(range(n, 2 * n), range(n)))
         out[prefix] = values.real.reshape(shape[lead:])
     return out
 
