@@ -33,8 +33,8 @@ tolerance.
 
 Importing this module loads no numpy and executes no etbell submodule, so
 ``--version``, ``--help`` and usage errors exit before either loads.
-``mermin-quantum`` without ``--sweep`` and ``lhv table1|search|scale`` load
-no numpy: their states, strategies and exact weights are plain Python.
+``mermin-quantum`` and ``lhv table1|search|scale`` load no numpy: their
+states, settings, strategies and exact weights are plain Python.
 """
 
 from __future__ import annotations
@@ -113,6 +113,8 @@ def cmd_mermin_quantum(args, stdout) -> int:
         raise ValueError(f"--sweep needs at least one point, got {args.sweep}")
     if args.sweep_out is not None and args.sweep is None:
         raise ValueError("--sweep-out needs --sweep")
+    if args.sweep is not None and n != 3:
+        raise ValueError(f"--sweep is a three-party sweep and needs --n 3, got --n {n}")
     settings = _parse_settings(args.settings, n)
     states.check_correlator_size((2,) * n, (2,) * n)  # before the state exists
     state = states.ghz_state(n)

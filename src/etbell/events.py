@@ -12,11 +12,10 @@ what the writer writes, and a bin label is at most 7 UTF-8 bytes without
 block of trials as bytes: each cell gathers a pre-rendered row suffix by an
 integer code, after its trial number (the block's high digits, then a row of
 a low-digit table), and a mask drops the pad bytes. The reader tokenizes the
-body with array compares, one block of bytes at a time
-(:mod:`etbell._csvbody`), keeps each column of a block in the narrowest
-integer type that holds its values, checks the (trial, party) grid, then
-places the blocks into the table one by one and lets each go once placed, so
-a read peaks at about 12 bytes per CSV row.
+body with array compares, a block of bytes at a time (:mod:`etbell._csvbody`),
+keeps each column of a block in the narrowest integer type that holds it and
+checks that record k is cell ``(k // n, k % n)``, then places each block by
+its position, so a read peaks at about 12 bytes per CSV row.
 """
 
 from __future__ import annotations
@@ -158,12 +157,12 @@ class EventTable:
         """Read the CSV wire format only as :meth:`write_csv` writes it: each
         record, the last too, ends in ``\\r\\n`` and holds a ``-?[0-9]+`` int64
         field per column but ``bin``. Any other form (a blank line, another line
-        end, quoting, padding) is refused, naming the first bad line. Every
-        ``(trial, party)`` cell must appear exactly once, and the parties of one
-        trial must agree on ``selected``; a violation names the first offending
-        cell. Without ``bin_labels`` the labels are taken in order of first
-        appearance. The body is tokenized and narrowed :data:`CSV_READ_BYTES`
-        bytes at a time; the grid is checked before any chunk is placed."""
+        end, quoting, padding) is refused, naming the first bad line. With n
+        trial-0 records, record k must be cell ``(k // n, k % n)``: the first
+        record out of that order, or the end of a file that cuts its last trial
+        short, is refused naming its line, the cell expected and the cell found.
+        The parties of one trial must agree on ``selected``. Without
+        ``bin_labels`` the labels are taken in order of first appearance."""
         from ._csvbody import body_columns
 
         codes = _LabelCodes(bin_labels or ())
@@ -174,34 +173,41 @@ class EventTable:
             chunks = list(body_columns(fh, codes, CSV_READ_BYTES))
         if not chunks:
             raise ValueError("event CSV contains no rows")
-        for trial, party, *_ in chunks:
-            k = np.argmax((trial < 0) | (party < 0))  # the first negative index, if any
-            if trial[k] < 0 or party[k] < 0:
-                raise ValueError(f"negative index in trial {trial[k]}, party {party[k]}")
-        shape = tuple(max(int(chunk[k].max()) for chunk in chunks) + 1 for k in (0, 1))
-        _check_grid(chunks, shape)
+        n = max(sum(int(np.count_nonzero(chunk[0] == 0)) for chunk in chunks), 1)
+        rows, found = 0, None  # the records in order so far, and what stands after them
+        for chunk in chunks:  # check each chunk's cells, then let its trial and party go
+            trial, party = chunk[:2]
+            del chunk[:2]
+            t, p = np.divmod(np.arange(rows, rows + len(trial)), n)
+            off = np.flatnonzero((trial != t) | (party != p))
+            if off.size:
+                k = int(off[0])
+                rows, found = rows + k, f"trial {trial[k]}, party {party[k]}"
+                break
+            rows += len(trial)
+        if found or rows % n:  # a record out of order, or a last trial cut short
+            found = found or "the end of the file"
+            raise ValueError(f"line {rows + 2}: expected trial {rows // n}, party {rows % n}, found {found}")
         if bin_labels is None:
             bin_labels = tuple(codes)
         elif len(codes) > n_known:
             raise ValueError(f"bin label {list(codes)[n_known]!r} not in {bin_labels}")
-        if not all(_all_in(chunk[5], 0, 1) for chunk in chunks):
+        if not all(_all_in(chunk[3], 0, 1) for chunk in chunks):
             raise ValueError("selected flags must be 0 or 1")
-        settings, bins, signs = grids = [
-            np.empty(shape, np.result_type(*{chunk[k].dtype for chunk in chunks})) for k in range(2, 5)
+        settings, bins, signs, flags = grids = [
+            np.empty((rows // n, n), np.result_type(*{chunk[k].dtype for chunk in chunks})) for k in range(4)
         ]
-        # per trial: some party selected it, some party rejected it
-        selected, rejected = np.zeros(shape[0], bool), np.zeros(shape[0], bool)
-        while chunks:  # place each chunk, then let it go
-            trial, party, *columns, flags = chunks.pop()
-            cells = np.ravel_multi_index((trial, party), shape)
+        stop = rows
+        while chunks:  # place each chunk by its position, then let it go
+            columns = chunks.pop()
+            start = stop - len(columns[0])
             for out, column in zip(grids, columns):
-                out.ravel()[cells] = column
-            selected[trial[flags == 1]] = True
-            rejected[trial[flags == 0]] = True
-        mixed = np.flatnonzero(selected & rejected)
+                out.ravel()[start:stop] = column
+            stop = start
+        mixed = np.flatnonzero((flags != flags[:, :1]).any(axis=1))
         if mixed.size:
             raise ValueError(f"inconsistent selected flags in trial {mixed[0]}")
-        return cls(settings, bins, signs, selected, bin_labels)
+        return cls(settings, bins, signs, flags[:, 0] == 1, bin_labels, _adopt=True)
 
 
 def _all_in(values, a, b) -> bool:
@@ -214,32 +220,6 @@ def _all_in(values, a, b) -> bool:
         return True
     inside = a <= values.min() and values.max() <= b
     return inside and (b - a == 1 or np.count_nonzero(values) == values.size)
-
-
-def _check_grid(chunks, shape) -> None:
-    """Raise unless each ``(trial, party)`` cell of the ``shape`` grid appears
-    exactly once in ``chunks``: the first duplicate, else the first missing
-    cell in trial-major order."""
-    rows = sum(len(chunk[0]) for chunk in chunks)
-    hit = np.zeros(rows, dtype=bool)
-    # T * P == rows cells, every one hit; only then is every cell index below
-    # rows, so none can wrap in int64
-    if shape[0] * shape[1] == rows:
-        for trial, party, *_ in chunks:
-            hit[np.ravel_multi_index((trial, party), shape)] = True
-    if hit.all():
-        return
-    pairs = np.column_stack([np.concatenate([chunk[k] for chunk in chunks]) for k in (0, 1)])
-    cells, counts = np.unique(pairs, axis=0, return_counts=True)  # sorted trial-major
-    duplicate = np.flatnonzero(counts > 1)
-    if duplicate.size:
-        t, p = cells[duplicate[0]]
-        raise ValueError(f"duplicate event for trial {t}, party {p}")
-    # cells is sorted and unique, so the first gap is the first missing cell
-    grid = np.column_stack(np.divmod(np.arange(len(cells)), shape[1]))
-    gap = np.flatnonzero((cells != grid).any(axis=1))
-    t, p = divmod(int(gap[0]) if gap.size else len(cells), shape[1])
-    raise ValueError(f"missing event for trial {t}, party {p}")
 
 
 class _LabelCodes(dict):

@@ -21,6 +21,8 @@ from .events import EventTable
 from .numerics import seeded_rng, trial_count
 
 TIME_BINS = ("t0", "t1")
+# A chi-square p-value below this marks selection as setting-dependent.
+_SIGNIFICANCE = 1e-3
 
 
 def four_photon_state() -> states.MultiPartyState:
@@ -142,10 +144,7 @@ def counterfactual_selection_dependence(ensemble: lhv.StrategyEnsemble) -> bool:
 
 
 def locality_audit(
-    events: EventTable,
-    *,
-    ensemble: lhv.StrategyEnsemble | None = None,
-    significance: float = 1e-3,
+    events: EventTable, *, ensemble: lhv.StrategyEnsemble | None = None
 ) -> LocalityAuditReport:
     """Test whether selection frequencies depend on the measurement settings.
 
@@ -172,7 +171,7 @@ def locality_audit(
                 counts=tuple(tuple(int(c) for c in row) for row in counts),
                 chi2=chi2,
                 p_value=p_value,
-                dependent=p_value < significance,
+                dependent=p_value < _SIGNIFICANCE,
             )
         )
     joint_chi2, joint_p = _chi2(joint)
@@ -183,6 +182,6 @@ def locality_audit(
         per_party=tuple(per_party),
         joint_chi2=joint_chi2,
         joint_p_value=joint_p,
-        joint_dependent=joint_p < significance,
+        joint_dependent=joint_p < _SIGNIFICANCE,
         counterfactual_dependent=counterfactual,
     )

@@ -37,15 +37,7 @@ from typing import TYPE_CHECKING
 
 from . import events, optics  # each executed only by the functions that use it
 from .mermin import mermin_coefficients, mermin_mu
-from .numerics import (
-    as_matrix,
-    is_integer,
-    json_dim,
-    json_fields,
-    json_real,
-    seeded_rng,
-    trial_count,
-)
+from .numerics import is_integer, json_dim, json_fields, json_real, seeded_rng, trial_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,6 +47,8 @@ PAULI_Y = ((0, -1j), (1j, 0))
 PAULI_Z = ((1, 0), (0, -1))
 
 QUBIT_LABELS = ("S", "L")
+
+_TOL = 1e-12  # of the Hermitian, dichotomic and real-expectation checks
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -236,14 +230,25 @@ def _matrix_rows(values) -> tuple[tuple[complex, ...], ...]:
     return rows
 
 
-def _is_hermitian(rows, tol: float) -> bool:
+def _is_hermitian(rows) -> bool:
     d = len(rows)
     return len(rows[0]) == d and all(
-        abs(rows[i][j] - rows[j][i].conjugate()) <= tol for i in range(d) for j in range(d)
+        abs(rows[i][j] - rows[j][i].conjugate()) <= _TOL for i in range(d) for j in range(d)
     )
 
 
-def _observable_stacks(state: MultiPartyState, stacks, tol: float):
+def _dichotomic_defect(rows) -> str | None:
+    """What keeps the Hermitian matrix ``rows`` from the spectrum {+1, -1}, both
+    eigenvalues present (``O O = I`` and ``|tr O| <= d - 2``), or None."""
+    d = len(rows)
+    if any(abs(sum(rows[i][k] * rows[k][j] for k in range(d)) - (i == j)) > _TOL
+           for i in range(d) for j in range(d)):
+        return "does not square to the identity"
+    trace = sum(rows[i][i] for i in range(d))
+    return f"has the single eigenvalue {1 if trace.real > 0 else -1}" if abs(trace) > d - 2 + _TOL else None
+
+
+def _observable_stacks(state: MultiPartyState, stacks):
     """``stacks[p]``, party ``p``'s Hermitian observables, as matrix rows,
     each checked against the party's dimension."""
     stacks = [[_matrix_rows(o) for o in stack] for stack in stacks]
@@ -253,14 +258,32 @@ def _observable_stacks(state: MultiPartyState, stacks, tol: float):
         if not stack:
             raise ValueError("each party needs at least one observable")
         for rows in stack:
-            if not _is_hermitian(rows, tol):
+            if not _is_hermitian(rows):
                 raise ValueError("observables must be square Hermitian matrices")
             if len(rows) != d:
                 raise ValueError(f"operator shape {(len(rows),) * 2} does not match dim {d}")
     return stacks
 
 
-def _support_correlators(state: MultiPartyState, stacks, tol: float) -> list[float]:
+def _setting_pairs(state: MultiPartyState, settings):
+    """``settings`` (sigma_y, sigma_x everywhere when None) as the checked
+    :func:`_observable_stacks` of one pair of dichotomic observables per party."""
+    n = state.n_parties
+    settings = standard_settings(n) if settings is None else [tuple(pair) for pair in settings]
+    if len(settings) != n:
+        raise ValueError(f"need one setting pair per party ({n}), got {len(settings)}")
+    for p, pair in enumerate(settings):
+        if len(pair) != 2:
+            raise ValueError(f"need two settings per party, party {p} has {len(pair)}")
+    pairs = _observable_stacks(state, settings)
+    for p, k in itertools.product(range(n), (0, 1)):
+        defect = _dichotomic_defect(pairs[p][k])
+        if defect:
+            raise ValueError(f"settings must be dichotomic: party {p} setting {k} {defect}")
+    return pairs
+
+
+def _support_correlators(state: MultiPartyState, stacks) -> list[float]:
     """``E[s]`` for every setting string ``s`` of the checked ``stacks``, in
     C order, summed over support pairs ``(l, m)`` in order.
 
@@ -283,12 +306,12 @@ def _support_correlators(state: MultiPartyState, stacks, tol: float) -> list[flo
             terms = [t * bra for t in terms]
             values = terms if values is None else [v + t for v, t in zip(values, terms)]
     worst = max(abs(v.imag) for v in values)
-    if worst > tol:
+    if worst > _TOL:
         raise ArithmeticError(f"expectation has imaginary part {worst}")
     return [v.real for v in values]
 
 
-def correlators(state: MultiPartyState, stacks, tol: float = 1e-12) -> np.ndarray:
+def correlators(state: MultiPartyState, stacks) -> np.ndarray:
     """All correlators ``E[s_1..s_n] = <psi| O_{1,s_1} x ... x O_{n,s_n} |psi>``.
 
     ``stacks[p]`` lists party ``p``'s Hermitian observables; the result is a
@@ -296,29 +319,22 @@ def correlators(state: MultiPartyState, stacks, tol: float = 1e-12) -> np.ndarra
     """
     import numpy as np
 
-    stacks = _observable_stacks(state, stacks, tol)
+    stacks = _observable_stacks(state, stacks)
     shape = [len(stack) for stack in stacks]
-    return np.array(_support_correlators(state, stacks, tol)).reshape(shape)
+    return np.array(_support_correlators(state, stacks)).reshape(shape)
 
 
-def expectation(state: MultiPartyState, observables, tol: float = 1e-12) -> float:
+def expectation(state: MultiPartyState, observables) -> float:
     """<psi| O_1 x ... x O_n |psi> for Hermitian per-party observables."""
-    stacks = _observable_stacks(state, [[o] for o in observables], tol)
-    return _support_correlators(state, stacks, tol)[0]
+    stacks = _observable_stacks(state, [[o] for o in observables])
+    return _support_correlators(state, stacks)[0]
 
 
-def is_dichotomic(observable, tol: float = 1e-12) -> bool:
+def is_dichotomic(observable) -> bool:
     """Hermitian with spectrum {+1, -1} (both eigenvalues present): within
-    ``tol``, ``O = O^dag``, ``O O = I`` and ``|tr O| <= d - 2``."""
+    1e-12, ``O = O^dag``, ``O O = I`` and ``|tr O| <= d - 2``."""
     o = _matrix_rows(observable)
-    if not _is_hermitian(o, tol):
-        return False
-    d = len(o)
-    for i in range(d):
-        for j in range(d):
-            if abs(sum(o[i][k] * o[k][j] for k in range(d)) - (i == j)) > tol:
-                return False
-    return abs(sum(o[i][i] for i in range(d))) <= d - 2 + tol
+    return _is_hermitian(o) and _dichotomic_defect(o) is None
 
 
 @dataclass(frozen=True)
@@ -335,34 +351,25 @@ def standard_settings(n: int = 3):
     return ((PAULI_Y, PAULI_X),) * n
 
 
-def mermin_n(state: MultiPartyState, settings=None, tol: float = 1e-12) -> MerminResult:
+def mermin_n(state: MultiPartyState, settings=None) -> MerminResult:
     """The scaled n-party Mermin polynomial on ``state``: one correlator per
     coefficient and ``mu`` by :func:`~etbell.mermin.mermin_mu`.
 
     ``settings`` gives each party its pair of dichotomic observables;
     defaults to (sigma_y, sigma_x) everywhere.
     """
-    n = state.n_parties
-    settings = standard_settings(n) if settings is None else tuple(settings)
-    if len(settings) != n:
-        raise ValueError("need one setting pair per party")
-    for pair in settings:
-        for obs in pair:
-            if not is_dichotomic(obs, tol):
-                raise ValueError("Mermin settings must be dichotomic (+1/-1)")
-    stacks = _observable_stacks(state, settings, tol)
-    values = _support_correlators(state, stacks, tol)
-    coeffs = mermin_coefficients(n)
-    by_string = dict(zip(itertools.product(*(range(len(stack)) for stack in stacks)), values))
+    values = _support_correlators(state, _setting_pairs(state, settings))
+    coeffs = mermin_coefficients(state.n_parties)
+    by_string = dict(zip(itertools.product((0, 1), repeat=state.n_parties), values))
     terms = tuple(by_string[s] for s in coeffs)
     return MerminResult(terms, mermin_mu(coeffs, terms))
 
 
-def mermin3(state, a0, a1, b0, b1, c0, c1, tol: float = 1e-12) -> MerminResult:
+def mermin3(state, a0, a1, b0, b1, c0, c1) -> MerminResult:
     """:func:`mermin_n` on a three-party state, settings given one by one."""
     if state.n_parties != 3:
         raise ValueError(f"mermin3 takes a three-party state, got {state.n_parties} parties")
-    return mermin_n(state, ((a0, a1), (b0, b1), (c0, c1)), tol)
+    return mermin_n(state, ((a0, a1), (b0, b1), (c0, c1)))
 
 
 def stabilizer_expectations(state: MultiPartyState) -> tuple[float, ...]:
@@ -374,9 +381,13 @@ def stabilizer_expectations(state: MultiPartyState) -> tuple[float, ...]:
     return tuple(t if c > 0 else -t for c, t in zip(coeffs.values(), terms))
 
 
-def equatorial_observable(theta: float) -> np.ndarray:
-    """cos(theta) sigma_y + sin(theta) sigma_x; theta=0 is the y setting."""
-    return as_matrix(math.cos(theta) * as_matrix(PAULI_Y) + math.sin(theta) * as_matrix(PAULI_X))
+def equatorial_observable(theta: float) -> tuple[tuple[complex, ...], ...]:
+    """cos(theta) sigma_y + sin(theta) sigma_x as rows of Python complex
+    numbers; theta=0 is the y setting."""
+    c, s = math.cos(theta), math.sin(theta)
+    return tuple(
+        tuple(c * complex(y) + s * complex(x) for y, x in zip(*rows)) for rows in zip(PAULI_Y, PAULI_X)
+    )
 
 
 def rotated_settings(offsets):
@@ -464,18 +475,15 @@ def prepare_postselected(networks, emission_amplitudes=None, input_mode: int = 0
 
 
 def sample_measurement_events(
-    state: MultiPartyState,
-    settings=None,
-    trials: int = 1000,
-    seed: int = 0,
-    bin_labels: tuple[str, str] = ("t0", "t1"),
+    state: MultiPartyState, settings=None, trials: int = 1000, seed: int = 0
 ) -> events.EventTable:
     """Simulate measurement rounds on qubits with setting-independent bins.
 
     Every trial draws uniform settings, samples the outcome signs from the
     quantum distribution for that setting combination, and tags all parties
-    with one common random time bin; every trial is a coincidence, so the
-    selection is independent of the settings by construction.
+    with one common random time bin, ``t0`` or ``t1``; every trial is a
+    coincidence, so the selection is independent of the settings by
+    construction.
 
     The outcome amplitudes come from the support: ``A[s, o] = sum_x c_x
     prod_p V_{p,s_p}[o_p, x_p]``, one outer product of per-party analyzer
@@ -488,24 +496,10 @@ def sample_measurement_events(
     n = state.n_parties
     if any(d != 2 for d in state.dims):
         raise ValueError("event sampling is defined for qubit states")
-    settings = standard_settings(n) if settings is None else tuple(settings)
-    if len(settings) != n:
-        raise ValueError(f"need one setting pair per party ({n}), got {len(settings)}")
-    stacks = []
-    for pair in settings:
-        if len(pair) != 2:
-            raise ValueError("need two settings per party")
-        analyzers = []
-        for obs in pair:
-            obs = as_matrix(obs)
-            if not is_dichotomic(obs):
-                raise ValueError("settings must be dichotomic")
-            if obs.shape != (2, 2):
-                raise ValueError(f"operator shape {obs.shape} does not match dim 2")
-            _, vecs = np.linalg.eigh(obs)  # ascending: index 0 -> sign -1
-            analyzers.append(vecs.conj().T)
-        stacks.append(np.stack(analyzers))
+    pairs = _setting_pairs(state, settings)
     check_correlator_size([2] * n, state.dims)
+    # eigh sorts the eigenvalues ascending: row 0 of each analyzer is sign -1
+    stacks = [np.stack([np.linalg.eigh(np.array(rows))[1].conj().T for rows in pair]) for pair in pairs]
     table = 0
     for levels, amp in state.support:
         term = np.array(amp)
@@ -535,7 +529,7 @@ def sample_measurement_events(
         bins=bins,
         signs=signs,
         selected=np.ones(trials, dtype=bool),
-        bin_labels=bin_labels,
+        bin_labels=("t0", "t1"),
         _adopt=True,
     )
 

@@ -303,6 +303,18 @@ def test_mermin_quantum_rejects_empty_sweeps(tmp_path, monkeypatch, capsys, argv
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_mermin_quantum_sweep_needs_three_parties(tmp_path, monkeypatch, capsys, n):
+    # the sweep rotates the first party of GHZ_3; at other n it wrote a
+    # three-party sweep under an n-party report
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(["mermin-quantum", "--n", str(n), "--sweep", "4"])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err == f"error: --sweep is a three-party sweep and needs --n 3, got --n {n}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_identical_seeds_identical_bytes(tmp_path):
     out = tmp_path / "events.csv"
     argv = ["lhv", "stream", "--trials", "5000", "--seed", "123", "--out", str(out)]

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from etbell import events
@@ -275,16 +275,16 @@ def _write_events(path, rows):
         # (1, 0) twice and (1, 1) never: the row count still equals 2 x 2
         (
             [(0, 0, 0, "S", 1, 1), (0, 1, 0, "S", 1, 1), (1, 0, 0, "S", 1, 0), (1, 0, 0, "S", 1, 0)],
-            "duplicate event for trial 1, party 0",
+            "^line 5: expected trial 1, party 1, found trial 1, party 0$",
         ),
         (
             [(0, 0, 0, "S", 1, 1), (0, 1, 0, "S", 1, 1), (1, 0, 0, "S", 1, 0)],
-            "missing event for trial 1, party 1",
+            "^line 5: expected trial 1, party 1, found the end of the file$",
         ),
         # trial -1 would wrap onto the last trial
         (
             [(0, 0, 0, "S", 1, 1), (0, 1, 0, "S", 1, 1), (1, 0, 0, "S", 1, 0), (-1, 1, 0, "S", 1, 0)],
-            "negative index in trial -1, party 1",
+            "^line 5: expected trial 1, party 1, found trial -1, party 1$",
         ),
         (
             [(0, 0, 0, "S", 1, 1), (0, 1, 0, "S", 1, 0)],
@@ -680,42 +680,94 @@ def test_csv_out_of_range_value_in_later_chunk(tmp_path, small_chunks, changes, 
         EventTable.read_csv(path)
 
 
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        (_grid_rows((5, "party", 0)), "^duplicate event for trial 2, party 0$"),
-        (_grid_rows()[:3] + _grid_rows()[4:], "^missing event for trial 1, party 1$"),
-        (_grid_rows()[:5], "^missing event for trial 2, party 1$"),
-        (_grid_rows() + [[3, 1, 0, "S", 1, 1]], "^missing event for trial 3, party 0$"),
-        (_grid_rows((4, "trial", -1)), "^negative index in trial -1, party 0$"),
-        # indices past int8/int32 and below zero in a later chunk
-        (_grid_rows((5, "party", -1)), "^negative index in trial 2, party -1$"),
-        (_grid_rows((4, "trial", -(2**40))), "^negative index in trial -1099511627776, party 0$"),
-        (_grid_rows((5, "trial", 2**40)), "^missing event for trial 2, party 1$"),
-        (
-            _grid_rows((4, "trial", 2**40), (5, "trial", 2**40), (5, "party", 0)),
-            "^duplicate event for trial 1099511627776, party 0$",
-        ),
-        (_grid_rows((5, "party", 300)), "^missing event for trial 0, party 2$"),
-        # trial * parties wraps in int64 (to 2**63, and to 0 = trial 0, party 0)
-        (
-            [[t, p, 0, "S", 1, 1] for t, p in [(0, 0), (0, 1), (2**62, 0)]],
-            "^missing event for trial 1, party 0$",
-        ),
-        (
-            [[t, p, 0, "S", 1, 1] for t, p in [(0, 0), (0, 1), (0, 2), (0, 3), (2**62, 0)]],
-            "^missing event for trial 1, party 0$",
-        ),
-        # the lowest int64, decoded exactly
-        (
-            _grid_rows((4, "trial", -(2**63))),
-            "^negative index in trial -9223372036854775808, party 0$",
-        ),
-    ],
-)
-def test_csv_bad_cell_in_later_chunk(tmp_path, small_chunks, rows, message):
+def _records(*cells):
+    """Rows of the ``(trial, party)`` ``cells`` in the order given."""
+    return [[t, p, 0, "S", 1, 1] for t, p in cells]
+
+
+# cells of the valid 3-trial, 2-party file of _grid_rows, record by record
+GRID = [(t, p) for t in range(3) for p in range(2)]
+
+OUT_OF_ORDER = {
+    "duplicate": (_grid_rows((5, "party", 0)), 7, "trial 2, party 1", "trial 2, party 0"),
+    "skipped-trial": (_records(*GRID[:2], *GRID[4:]), 4, "trial 1, party 0", "trial 2, party 0"),
+    "short-middle-trial": (_records(*GRID[:3], *GRID[4:]), 5, "trial 1, party 1", "trial 2, party 0"),
+    "truncated-last-trial": (_grid_rows()[:5], 7, "trial 2, party 1", "the end of the file"),
+    "one-party-of-a-new-trial": (
+        _grid_rows() + _records((3, 1)), 8, "trial 3, party 0", "trial 3, party 1",
+    ),
+    "swapped-adjacent": (
+        _records(*GRID[:2], GRID[3], GRID[2], *GRID[4:]), 4, "trial 1, party 0", "trial 1, party 1",
+    ),
+    "swapped-first": (_records(GRID[1], GRID[0], *GRID[2:]), 2, "trial 0, party 0", "trial 0, party 1"),
+    "first-is-trial-1": (_records(*GRID[2:]), 2, "trial 0, party 0", "trial 1, party 0"),
+    # indices past int8/int32 and below zero in a later chunk
+    "negative-trial": (_grid_rows((4, "trial", -1)), 6, "trial 2, party 0", "trial -1, party 0"),
+    "negative-party": (_grid_rows((5, "party", -1)), 7, "trial 2, party 1", "trial 2, party -1"),
+    "trial-minus-2**40": (
+        _grid_rows((4, "trial", -(2**40))), 6, "trial 2, party 0", "trial -1099511627776, party 0",
+    ),
+    # the lowest int64, decoded exactly
+    "trial-minus-2**63": (
+        _grid_rows((4, "trial", -(2**63))), 6, "trial 2, party 0",
+        "trial -9223372036854775808, party 0",
+    ),
+    "trial-2**40": (_grid_rows((5, "trial", 2**40)), 7, "trial 2, party 1", "trial 1099511627776, party 1"),
+    "trial-2**40-twice": (
+        _grid_rows((4, "trial", 2**40), (5, "trial", 2**40), (5, "party", 0)), 6, "trial 2, party 0",
+        "trial 1099511627776, party 0",
+    ),
+    "party-300": (_grid_rows((5, "party", 300)), 7, "trial 2, party 1", "trial 2, party 300"),
+    # trial * parties would wrap in int64 (to 2**63, and to 0)
+    "trial-2**62-of-2": (
+        _records(*GRID[:2], (2**62, 0)), 4, "trial 1, party 0", "trial 4611686018427387904, party 0",
+    ),
+    "trial-2**62-of-4": (
+        _records((0, 0), (0, 1), (0, 2), (0, 3), (2**62, 0)), 6, "trial 1, party 0",
+        "trial 4611686018427387904, party 0",
+    ),
+    "one-party-duplicate": (_records((0, 0), (1, 0), (1, 0)), 4, "trial 2, party 0", "trial 1, party 0"),
+    "one-trial-duplicate": (_records((0, 0), (0, 1), (0, 1)), 4, "trial 0, party 2", "trial 0, party 1"),
+}
+
+
+@pytest.mark.parametrize("rows, line, expected, found", OUT_OF_ORDER.values(), ids=OUT_OF_ORDER)
+def test_csv_refuses_the_first_record_out_of_order(tmp_path, small_chunks, rows, line, expected, found):
     path = tmp_path / "events.csv"
     path.write_text(_csv_text(rows), newline="")
+    message = f"^line {line}: expected {expected}, found {found}$"
+    with pytest.raises(ValueError, match=message):
+        EventTable.read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 1), (1, 3), (1, 1)], ids=["one-party", "one-trial", "one-cell"]
+)
+def test_csv_reads_one_party_and_one_trial_files(tmp_path, small_chunks, shape):
+    table = _random_table(*shape, seed=3)
+    path = tmp_path / "events.csv"
+    table.write_csv(path)
+    again = EventTable.read_csv(path, bin_labels=table.bin_labels)
+    for column in ("settings", "bins", "signs", "selected"):
+        assert (getattr(again, column) == getattr(table, column)).all()
+
+
+@given(table=event_tables(), data=st.data())
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_csv_swapping_two_records_is_refused_at_the_first(tmp_path, table, data):
+    assume(len(table) >= 2)
+    records = st.integers(0, len(table) - 1)
+    i, j = sorted(data.draw(st.lists(records, min_size=2, max_size=2, unique=True)))
+    path = tmp_path / "events.csv"
+    table.write_csv(path)
+    header, *records = path.read_bytes().split(b"\r\n")[:-1]
+    records[i], records[j] = records[j], records[i]
+    path.write_bytes(b"".join(r + b"\r\n" for r in (header, *records)))
+    n = table.n_parties
+    expected, found = (f"trial {k // n}, party {k % n}" for k in (i, j))
+    message = f"^line {i + 2}: expected {expected}, found {found}$"
     with pytest.raises(ValueError, match=message):
         EventTable.read_csv(path)
 

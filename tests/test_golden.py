@@ -86,7 +86,7 @@ DIGESTS = {
     "mermin-quantum 9": {
         "stdout": "871e08f9bbe74623a20a883b82deff74c4160b8339c3150eed22ddc74abebab0",
     },
-    # the phase sweep's settings are numpy matrices, rotated with numpy arithmetic
+    # the phase sweep's rotated settings are Python complex rows; the digests fix their bits
     "mermin-quantum 3 --sweep 36": {
         "stdout": "e0d197299dd6edc878b425042a9ffc9f86763f1be58309e89165544c3639658f",
         "sweep.csv": "3316a22eee918de24ca3387e3b40d4d00f100995a8464826d9a768e988ef75b0",

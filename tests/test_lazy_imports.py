@@ -122,6 +122,65 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(set(etbell.__all__) - used) == sorted(UNCALLED_EXPORTS)
 
 
+# Defaulted parameters that callers outside the tests leave unset, each
+# with the ROADMAP item whose code is planned to set it.
+UNSET_DEFAULTS = {
+    "read_csv.bin_labels": "item 3: the audit of recorded streams reads them with known labels",
+    "prepare_postselected.emission_amplitudes": "item 5: multi-bin emission",
+    "prepare_postselected.input_mode": "item 5: multi-bin emission",
+    "sample_measurement_events.settings": "item 2: settings that reach the quantum bound",
+}
+
+
+def _defaulted_parameters(path):
+    """``{function name: [(parameter, position or None), ...]}`` for the
+    defaulted parameters of each public function and public-class method
+    in ``path``; a position counts the arguments a call passes, so it skips
+    ``self`` and ``cls``, and a keyword-only parameter has none."""
+    found = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node, 0)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            defs = [(f, 1) for f in node.body if isinstance(f, ast.FunctionDef)]  # no static methods
+        else:
+            continue
+        for f, skip in defs:
+            if f.name.startswith("_"):
+                continue
+            positional = [*f.args.posonlyargs, *f.args.args]
+            first = len(positional) - len(f.args.defaults)
+            params = [(a.arg, k - skip) for k, a in enumerate(positional) if k >= first]
+            params += [(a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d]
+            found.setdefault(f.name, []).extend(params)
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_outside_the_tests():
+    # a default that no caller changes is a knob nobody turns; counts
+    # keyword, positional, *args and **kwargs arguments of calls by name
+    files = [*(SRC / "etbell").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    calls = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in (SRC / "etbell").glob("*.py"):
+        for name, params in _defaulted_parameters(path).items():
+            for param, position in params if name in calls else ():
+                if not any(
+                    any(kw.arg in (param, None) for kw in call.keywords)
+                    or position is not None
+                    and (position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
+                    for call in calls[name]
+                ):
+                    unset.append(f"{name}.{param}")
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)
+
+
 def test_events_codec_imports_neither_csv_nor_re():
     # the events CSV has one strict form; a csv dialect or regex reader is a second one
     for name in ("events.py", "_csvbody.py"):
@@ -165,6 +224,7 @@ COMMANDS = {
     # at n <= 6 either, where the report carries the classical bound
     "mermin-quantum 9": (["mermin-quantum", "--n", "9"], ["mermin", "numerics", "states"]),
     "mermin-quantum 3": (["mermin-quantum", "--n", "3"], ["mermin", "numerics", "states"]),
+    "mermin-quantum sweep": (["mermin-quantum", "--sweep", "4"], ["mermin", "numerics", "states"]),
     "source state": (["source", "state"], ["events", "mermin", "numerics", "source", "states"]),
     "source filter": (["source", "filter"], ["events", "mermin", "numerics", "source", "states"]),
     "source stream": (["source", "stream", "--trials", "100"],
@@ -207,6 +267,21 @@ def test_mermin_quantum_runs_without_numpy(n):
         "mermin-quantum", "--n", str(n),
     )
     assert got == [0, False, n]
+
+
+def test_mermin_quantum_sweep_runs_without_numpy(tmp_path):
+    # the rotated settings are tuples of Python complex numbers
+    got = _run(
+        "import io, json, sys\n"
+        "from etbell import cli\n"
+        "out = io.StringIO()\n"
+        "status = cli.main(sys.argv[1:], stdout=out)\n"
+        "print(json.dumps([status, 'numpy' in sys.modules, json.loads(out.getvalue())['sweep_csv']]))",
+        "mermin-quantum", "--sweep", "36", "--sweep-out", "sweep.csv",
+        cwd=tmp_path,
+    )
+    assert got == [0, False, "sweep.csv"]
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 37
 
 
 LHV_EXACT = {

@@ -623,21 +623,59 @@ def test_sample_measurement_events_match_the_dense_sampler_off_ghz(seed):
     assert table.bins.tobytes() == bins.tobytes()
 
 
-@pytest.mark.parametrize(
-    "settings_pairs, message",
-    [
-        (standard_settings(2), r"need one setting pair per party \(3\), got 2"),
-        (standard_settings(4), r"need one setting pair per party \(3\), got 4"),
-        (standard_settings(2) + ((PAULI_X,),), "need two settings per party"),
-        (standard_settings(2) + ((PAULI_X, np.eye(2)),), "settings must be dichotomic"),
-        (standard_settings(2) + ((PAULI_X, np.diag([1, -1, 1])),), r"operator shape \(3, 3\) does not match dim 2"),
-    ],
-    ids=["too-few", "too-many", "one-setting", "not-dichotomic", "qutrit-observable"],
-)
+NOT_HERMITIAN = [[1, 1], [0, -1]]  # squares to I, spectrum +-1
+BAD_SETTINGS = {
+    "too-few": (standard_settings(2), r"need one setting pair per party \(3\), got 2"),
+    "too-many": (standard_settings(4), r"need one setting pair per party \(3\), got 4"),
+    "one-setting": (standard_settings(2) + ((PAULI_X,),), "need two settings per party"),
+    "three-settings": (
+        standard_settings(2) + ((PAULI_Y, PAULI_X, PAULI_X),), "need two settings per party, party 2 has 3",
+    ),
+    "first-party-one-setting": (
+        ((PAULI_Y,),) + standard_settings(2), "need two settings per party, party 0 has 1",
+    ),
+    "not-dichotomic": (standard_settings(2) + ((PAULI_X, np.eye(2)),), "settings must be dichotomic"),
+    "identity": (
+        ((PAULI_X, np.eye(2)),) + standard_settings(2),
+        "settings must be dichotomic: party 0 setting 1 has the single eigenvalue 1",
+    ),
+    "doubled": (
+        standard_settings(2) + ((2 * np.array(PAULI_X), PAULI_Y),),
+        "settings must be dichotomic: party 2 setting 0 does not square to the identity",
+    ),
+    "not-hermitian": (
+        standard_settings(2) + ((PAULI_X, NOT_HERMITIAN),), "observables must be square Hermitian matrices",
+    ),
+    "not-square": (
+        standard_settings(2) + ((PAULI_X, [[1, 0, 0], [0, -1, 0]]),),
+        "observables must be square Hermitian matrices",
+    ),
+    "not-finite": (standard_settings(2) + ((PAULI_X, [[math.nan, 0], [0, 1]]),), "matrix entries must be finite"),
+    "not-a-matrix": (standard_settings(2) + ((PAULI_X, [1, 0]),), "expected a matrix of numbers"),
+    "qutrit-observable": (
+        standard_settings(2) + ((PAULI_X, np.diag([1, -1, 1])),), r"operator shape \(3, 3\) does not match dim 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("settings_pairs, message", BAD_SETTINGS.values(), ids=BAD_SETTINGS)
 def test_sample_measurement_events_refuses_bad_settings(monkeypatch, settings_pairs, message):
     monkeypatch.setattr(states_module, "seeded_rng", None)  # refused before any draw
     with pytest.raises(ValueError, match=f"^{message}"):
         sample_measurement_events(ghz_state(3), settings_pairs, trials=10)
+
+
+@pytest.mark.parametrize("settings_pairs, message", BAD_SETTINGS.values(), ids=BAD_SETTINGS)
+def test_mermin_n_refuses_bad_settings(settings_pairs, message):
+    # the same rule and messages as the event sampler: a party with one or
+    # three observables is refused, not read as a missing or ignored setting
+    with pytest.raises(ValueError, match=f"^{message}"):
+        mermin_n(ghz_state(3), settings_pairs)
+
+
+def test_mermin_n_refuses_qubit_settings_on_qutrits():
+    with pytest.raises(ValueError, match=r"^operator shape \(2, 2\) does not match dim 3$"):
+        mermin_n(qunit_state(3))
 
 
 def test_sample_measurement_events_refuses_before_allocating(monkeypatch):
