@@ -116,6 +116,10 @@ def cmd_mermin_quantum(args, stdout) -> int:
     if args.sweep is not None and n != 3:
         raise ValueError(f"--sweep is a three-party sweep and needs --n 3, got --n {n}")
     settings = _parse_settings(args.settings, n)
+    if args.sweep is not None and args.settings.lower() != "yx":
+        raise ValueError(
+            f"--sweep rotates the yx settings and needs --settings yx, got --settings {args.settings}"
+        )
     states.check_correlator_size((2,) * n, (2,) * n)  # before the state exists
     state = states.ghz_state(n)
     result = states.mermin_n(state, settings)

@@ -4,10 +4,11 @@ Mermin test.
 A strategy gives each party, for each of its two settings, an arrival bin
 (``S`` or ``L``) and a detector sign: the party's instruction. An ensemble holds its strategies as
 two tables of plain ints, ``bin_table[k][p][s]`` (codes into :data:`BINS`) and
-``sign_table[k][p][s]`` (+1 or -1), and mixes them with nonnegative weights;
-weights and conditional correlations stay exact :class:`fractions.Fraction`
-values whenever the input weights are rational, so the headline numbers
-come out exact rather than merely within tolerance.
+``sign_table[k][p][s]`` (+1 or -1), and mixes them with nonnegative exact
+weights (Fractions or integers); every value derived from them is an exact
+:class:`fractions.Fraction`, and the JSON form writes each weight as a
+fraction string, so the headline numbers come out exact rather than merely
+within tolerance.
 :func:`evaluate_postselected` and :func:`event_stream` take any party count,
 with the terms of :func:`~etbell.mermin.mermin_coefficients`; the searches
 and the saturating model below are three-party:
@@ -18,15 +19,14 @@ and the saturating model below are three-party:
   caps every mixture at the classical bound ``mu = 2``.
 
 The gap between those two numbers is the postselection loophole this
-package is built to exhibit. Only :func:`event_stream` imports numpy.
+package is built to exhibit. Only :func:`event_stream` imports numpy or
+takes the weights as floats, the probabilities of its draws.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,17 +34,12 @@ from fractions import Fraction
 from . import events  # executed only by event_stream
 # imported here too, so that etbell.lhv.mermin_classical_bound keeps resolving
 from .mermin import mermin_classical_bound, mermin_coefficients, mermin_mu
-from .numerics import is_integer, json_fields, json_real, seeded_rng, trial_count
+from .numerics import is_integer, json_fields, seeded_rng, trial_count
 
 BINS = ("S", "L")
 SIGNS = (1, -1)
 #: Single-party outcomes, indexed by ``2 * bin code + (sign < 0)``.
 TOKENS = tuple(f"{b}{'+' if s > 0 else '-'}" for b in BINS for s in SIGNS)
-
-
-def _exact(weight) -> bool:
-    """An exact weight: a Fraction or an integer (not a bool)."""
-    return isinstance(weight, Fraction) or is_integer(weight)
 
 
 def _strategy_table(name: str, table, strategies: int, allowed) -> tuple:
@@ -72,15 +67,6 @@ def _strategy_table(name: str, table, strategies: int, allowed) -> tuple:
     return tuple(tuple((int(a), int(b)) for a, b in row) for row in rows) if odd else rows
 
 
-def _frozen_int8(table):
-    import numpy as np
-
-    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(table))
-    array = np.fromiter(entries, dtype=np.int8).reshape(len(table), -1, 2)
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class StrategyEnsemble:
     """Weighted mixture of joint deterministic strategies.
@@ -89,15 +75,14 @@ class StrategyEnsemble:
     (strategies, parties, settings = 2), as nested lists or integer arrays:
     strategy ``k`` puts party ``p`` under setting ``s`` in bin
     ``BINS[bins[k][p][s]]`` with detector sign ``signs[k][p][s]``. They are
-    held as nested int tuples, :attr:`bin_table` and :attr:`sign_table`;
-    :attr:`bins` and :attr:`signs` are read-only int8 arrays built from them
-    on first use. ``weights[k]`` is the weight of strategy ``k``; rational
-    weights make every derived quantity exact.
+    held as nested int tuples, :attr:`bin_table` and :attr:`sign_table`.
+    ``weights[k]``, the weight of strategy ``k``, is a Fraction or an
+    integer (not a bool), so every derived quantity is exact.
     """
 
     bin_table: tuple[tuple[tuple[int, int], ...], ...]
     sign_table: tuple[tuple[tuple[int, int], ...], ...]
-    weights: tuple[Fraction | float, ...]
+    weights: tuple[Fraction | int, ...]
 
     def __init__(self, bins, signs, weights):
         weights = tuple(weights)
@@ -108,20 +93,14 @@ class StrategyEnsemble:
         if self.n_parties != len(self.sign_table[0]):
             raise ValueError("bins and signs must share one shape")
         for w in weights:
-            if isinstance(w, bool):
-                raise ValueError("weights must be numbers, not bools")
-            if not (_exact(w) or isinstance(w, numbers.Real) and math.isfinite(w)):
-                raise ValueError(f"weights must be finite real numbers, got {w!r}")
+            if not (isinstance(w, Fraction) or is_integer(w)):
+                raise ValueError(f"weights must be exact: a Fraction or an integer (not a bool), got {w!r}")
         if any(weight < 0 for weight in weights):
             raise ValueError("weights must be nonnegative")
         (total,) = _weighted_sum(weights, [(1,) * len(weights)])
-        tolerance = 0 if all(_exact(w) for w in weights) else 1e-12  # exact weights sum exactly
-        if abs(total - 1) > tolerance:
+        if total != 1:
             raise ValueError(f"weights must sum to 1, got {total}")
         object.__setattr__(self, "weights", weights)
-
-    bins = functools.cached_property(lambda self: _frozen_int8(self.bin_table))
-    signs = functools.cached_property(lambda self: _frozen_int8(self.sign_table))
 
     @property
     def n_parties(self) -> int:
@@ -146,10 +125,10 @@ class PostselectedCorrelations:
     ``selection_rate`` their average.
     """
 
-    terms: tuple[Fraction | float | None, ...]
-    mu: Fraction | float | None
-    selection_rate: Fraction | float
-    selected_fractions: tuple[Fraction | float, ...]
+    terms: tuple[Fraction | None, ...]
+    mu: Fraction | None
+    selection_rate: Fraction
+    selected_fractions: tuple[Fraction, ...]
 
     @property
     def undefined_terms(self) -> tuple[int, ...]:
@@ -173,18 +152,13 @@ def combo_outcomes(bins, signs, combos) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*outcomes))
 
 
-def _weighted_sum(weights, columns) -> list:
-    """Sum over strategies of weight times ``column[strategy]``, per column.
-    When every weight is exact the sums are taken on integer numerators
-    over the weights' common denominator and come out as Fractions;
-    otherwise they are correctly rounded float sums, which do not depend
-    on the strategies' order."""
-    if all(_exact(w) for w in weights):
-        denom = math.lcm(*(w.denominator for w in weights))
-        numerators = [int(w.numerator) * (denom // int(w.denominator)) for w in weights]
-        return [Fraction(sum(map(operator.mul, numerators, column)), denom) for column in columns]
-    weights = [float(w) for w in weights]
-    return [math.fsum(map(operator.mul, weights, column)) for column in columns]
+def _weighted_sum(weights, columns) -> list[Fraction]:
+    """Sum over strategies of weight times ``column[strategy]``, per column,
+    as exact Fractions: integer numerators over the weights' common
+    denominator (Python ints, so a numpy integer weight cannot overflow it)."""
+    denom = math.lcm(*(w.denominator for w in weights))
+    numerators = [int(w.numerator) * (denom // int(w.denominator)) for w in weights]
+    return [Fraction(sum(map(operator.mul, numerators, column)), denom) for column in columns]
 
 
 def evaluate_postselected(ensemble: StrategyEnsemble) -> PostselectedCorrelations:
@@ -192,8 +166,7 @@ def evaluate_postselected(ensemble: StrategyEnsemble) -> PostselectedCorrelation
 
     For each Mermin setting combination of the ensemble's party count the
     coincidence rule sees the joint bins the strategies would produce under
-    those settings; selected weight and sign-product weight are exact for
-    rational ensemble weights.
+    those settings; every value is an exact Fraction.
     """
     coeffs = mermin_coefficients(ensemble.n_parties)
     outcomes = combo_outcomes(ensemble.bin_table, ensemble.sign_table, tuple(coeffs))
@@ -361,47 +334,38 @@ def scaled_model(target) -> StrategyEnsemble:
     )
 
 
-def event_stream(ensemble: StrategyEnsemble, schedule, seed: int = 0) -> events.EventTable:
-    """Seeded Monte-Carlo stream of measurement events from an ensemble.
-
-    ``schedule`` is either a trial count (settings drawn uniformly) or an
-    explicit (trials, parties) array of settings. Identical seeds produce
-    identical streams; empirical postselected correlations converge to
+def event_stream(ensemble: StrategyEnsemble, trials: int, seed: int = 0) -> events.EventTable:
+    """Seeded Monte-Carlo stream of ``trials`` measurement events from an
+    ensemble, settings drawn uniformly. Identical seeds produce identical
+    streams; empirical postselected correlations converge to
     :func:`evaluate_postselected` at the usual 1/sqrt(trials) rate.
     """
     import numpy as np
 
+    trials = trial_count(trials)
     rng = seeded_rng(seed)
     n = ensemble.n_parties
-    if np.isscalar(schedule):
-        trials = trial_count(schedule)
-        settings = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
-    else:
-        # Check the values before narrowing, which would wrap 257 to 1 and cut 0.5 to 0.
-        settings = np.asarray(schedule)
-        if settings.ndim != 2 or settings.shape[1] != n:
-            raise ValueError("schedule must be a (trials, parties) array")
-        if not ((settings == 0) | (settings == 1)).all():
-            raise ValueError("settings must be 0 or 1")
-        settings = settings.astype(np.int8)
-        trials = settings.shape[0]
+    settings = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
     weights = np.array([float(w) for w in ensemble.weights])
     weights = weights / weights.sum()
     picks = rng.choice(ensemble.size, size=trials, p=weights)
     party_idx = np.arange(n)[None, :]
-    bins = ensemble.bins[picks[:, None], party_idx, settings]
-    signs = ensemble.signs[picks[:, None], party_idx, settings]
+    # each table as int8 (strategies, parties, settings), gathered at the picks and settings
+    bins, signs = (
+        np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(table)), np.int8)
+        .reshape(ensemble.size, n, 2)[picks[:, None], party_idx, settings]
+        for table in (ensemble.bin_table, ensemble.sign_table)
+    )
     return events.EventTable(settings, bins, signs, events.all_equal(bins), BINS, _adopt=True)
 
 
 def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:
-    """JSON form: an exact weight (Fraction or int) as a fraction string, a
-    float as a number."""
+    """JSON form: each weight as an exact fraction string."""
     strategies = zip(ensemble.bin_table, ensemble.sign_table, ensemble.weights)
     entries = [
         {
             "parties": [{"bins": [BINS[c] for c in b], "signs": list(s)} for b, s in zip(bins, signs)],
-            "weight": str(weight) if _exact(weight) else weight,
+            "weight": str(weight),
         }
         for bins, signs, weight in strategies
     ]
@@ -409,8 +373,8 @@ def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:
 
 
 def ensemble_from_json(data: dict) -> StrategyEnsemble:
-    """Strict inverse of :func:`ensemble_to_json`: a string weight is an exact
-    :class:`~fractions.Fraction`, a number a float."""
+    """Strict inverse of :func:`ensemble_to_json`: each weight is a fraction
+    string, read as an exact :class:`~fractions.Fraction`."""
     json_fields(data, "ensemble", ("entries",))
     if not isinstance(data["entries"], list):
         raise ValueError(f"entries must be a list, got {data['entries']!r}")
@@ -440,11 +404,10 @@ def ensemble_from_json(data: dict) -> StrategyEnsemble:
             bins[-1].append([BINS.index(b) for b in party_bins])
             signs[-1].append(party_signs)
         raw = item["weight"]
-        if isinstance(raw, str):
-            try:
-                weights.append(Fraction(raw))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"entries[{k}].weight {raw!r} is not a fraction") from None
-        else:
-            weights.append(json_real(raw, f"entries[{k}].weight"))
+        if not isinstance(raw, str):
+            raise ValueError(f"entries[{k}].weight must be a fraction string, got {raw!r}")
+        try:
+            weights.append(Fraction(raw))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"entries[{k}].weight {raw!r} is not a fraction") from None
     return StrategyEnsemble(bins, signs, tuple(weights))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lhv, states  # each executed only by the functions that use it
-from .events import EventTable
+from .events import EventTable, all_equal
 from .numerics import seeded_rng, trial_count
 
 TIME_BINS = ("t0", "t1")
@@ -52,10 +52,9 @@ def source_event_stream(trials: int, seed: int = 0) -> EventTable:
     rng = seeded_rng(seed)
     pair_bins = rng.integers(0, 2, size=(trials, 2), dtype=np.int8)
     bins = pair_bins[:, (0, 0, 1, 1)]
-    selected = pair_bins[:, 0] == pair_bins[:, 1]
     settings = np.zeros((trials, 4), dtype=np.int8)
     signs = np.ones((trials, 4), dtype=np.int8)
-    return EventTable(settings, bins, signs, selected, TIME_BINS, _adopt=True)
+    return EventTable(settings, bins, signs, all_equal(bins), TIME_BINS, _adopt=True)
 
 
 @dataclass(frozen=True)

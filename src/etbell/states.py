@@ -269,12 +269,17 @@ def _setting_pairs(state: MultiPartyState, settings):
     """``settings`` (sigma_y, sigma_x everywhere when None) as the checked
     :func:`_observable_stacks` of one pair of dichotomic observables per party."""
     n = state.n_parties
-    settings = standard_settings(n) if settings is None else [tuple(pair) for pair in settings]
+    settings = list(standard_settings(n) if settings is None else settings)
     if len(settings) != n:
         raise ValueError(f"need one setting pair per party ({n}), got {len(settings)}")
     for p, pair in enumerate(settings):
-        if len(pair) != 2:
-            raise ValueError(f"need two settings per party, party {p} has {len(pair)}")
+        try:
+            settings[p] = tuple(pair)
+        except TypeError:  # a number where a pair belongs
+            got = f"{type(pair).__name__} {pair!r}"
+            raise ValueError(f"need two settings per party, party {p} has {got}, not a pair") from None
+        if len(settings[p]) != 2:
+            raise ValueError(f"need two settings per party, party {p} has {len(settings[p])}")
     pairs = _observable_stacks(state, settings)
     for p, k in itertools.product(range(n), (0, 1)):
         defect = _dichotomic_defect(pairs[p][k])

@@ -315,6 +315,19 @@ def test_mermin_quantum_sweep_needs_three_parties(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spec", ["xx", "xy", "yy", "xyx"])
+def test_mermin_quantum_sweep_needs_the_yx_settings(tmp_path, monkeypatch, capsys, spec):
+    # the sweep rotates the sigma_y/sigma_x pair; under other settings it
+    # wrote the yx sweep beside a report of the given settings
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(["mermin-quantum", "--settings", spec, "--sweep", "2"])
+    assert code == 1
+    assert text == ""
+    rule = "--sweep rotates the yx settings and needs --settings yx"
+    assert capsys.readouterr().err == f"error: {rule}, got --settings {spec}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_identical_seeds_identical_bytes(tmp_path):
     out = tmp_path / "events.csv"
     argv = ["lhv", "stream", "--trials", "5000", "--seed", "123", "--out", str(out)]

@@ -104,9 +104,6 @@ def test_event_table_copies_the_callers_arrays():
     for given, kept in zip(arrays, (table.settings, table.bins, table.signs, table.selected)):
         assert given.flags.writeable and not kept.flags.writeable
         assert not np.shares_memory(given, kept)
-    schedule = np.zeros((4, 3), np.int8)
-    table = event_stream(saturating_model(), schedule, seed=1)
-    assert schedule.flags.writeable and not np.shares_memory(schedule, table.settings)
 
 
 def test_event_table_dimensions():

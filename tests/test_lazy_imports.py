@@ -200,6 +200,25 @@ def test_lhv_imports_no_numpy_at_module_level():
     assert "numpy" not in {m.split(".")[0] for m in imported if m}
 
 
+def test_lhv_floats_stay_inside_event_stream():
+    # weights and every value derived from them are Fractions; only the
+    # Monte-Carlo draws of event_stream need float probabilities
+    tree = ast.parse((SRC / "etbell" / "lhv.py").read_text(), "lhv.py")
+    (stream,) = [node for node in tree.body if getattr(node, "name", None) == "event_stream"]
+    inside = set(map(id, ast.walk(stream)))
+    calls = {"float", "math.fsum", "math.isfinite", "fsum", "isfinite"}
+    floats = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.Constant) and isinstance(node.value, float)
+            or isinstance(node, ast.Call) and ast.unparse(node.func) in calls
+        )
+    ]
+    assert floats == []
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from etbell import *", namespace)

@@ -652,6 +652,7 @@ BAD_SETTINGS = {
     ),
     "not-finite": (standard_settings(2) + ((PAULI_X, [[math.nan, 0], [0, 1]]),), "matrix entries must be finite"),
     "not-a-matrix": (standard_settings(2) + ((PAULI_X, [1, 0]),), "expected a matrix of numbers"),
+    "not-pairs": ([1, 2, 3], "need two settings per party, party 0 has int 1, not a pair$"),
     "qutrit-observable": (
         standard_settings(2) + ((PAULI_X, np.diag([1, -1, 1])),), r"operator shape \(3, 3\) does not match dim 2",
     ),
