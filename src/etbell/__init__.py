@@ -34,9 +34,9 @@ _EXPORTS = {
     "numerics": "DEFAULT_TOL is_unitary",
     "optics": "InterferometerNetwork OpticalElement beam_splitter compose dft_unitary "
     "generation_cascade phase_shifter qutrit_analyzer reck_decompose",
-    "source": "coincidence_filter four_photon_state locality_audit source_event_stream",
+    "source": "four_photon_state locality_audit source_event_stream",
     "states": "MerminResult MultiPartyState correlators expectation ghz_state mermin3 mermin_n "
-    "prepare_postselected qunit_state standard_settings",
+    "postselect_coincident prepare_postselected qunit_state standard_settings",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

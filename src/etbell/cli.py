@@ -53,8 +53,6 @@ from . import __version__, events, lhv, mermin, numerics, optics, source, states
 def _encode(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -92,10 +90,9 @@ def _unitary_report(args, m, stdout, **fields) -> int:
 
 
 def _parse_settings(spec: str, n: int):
-    """Setting spec: two chars = (setting-0, setting-1) Paulis for every
-    party; n chars = one Pauli per party used for both settings."""
+    """Lowercase setting spec: two chars = (setting-0, setting-1) Paulis for
+    every party; n chars = one Pauli per party used for both settings."""
     pauli = {"x": states.PAULI_X, "y": states.PAULI_Y}
-    spec = spec.lower()
     if any(c not in pauli for c in spec):
         raise ValueError("settings may only use the characters x and y")
     if len(spec) == 2:
@@ -115,8 +112,9 @@ def cmd_mermin_quantum(args, stdout) -> int:
         raise ValueError("--sweep-out needs --sweep")
     if args.sweep is not None and n != 3:
         raise ValueError(f"--sweep is a three-party sweep and needs --n 3, got --n {n}")
-    settings = _parse_settings(args.settings, n)
-    if args.sweep is not None and args.settings.lower() != "yx":
+    spec = args.settings.lower()
+    settings = _parse_settings(spec, n)
+    if args.sweep is not None and spec != "yx":
         raise ValueError(
             f"--sweep rotates the yx settings and needs --settings yx, got --settings {args.settings}"
         )
@@ -134,7 +132,7 @@ def cmd_mermin_quantum(args, stdout) -> int:
             checks.append(
                 _check(f"stabilizer_{k}_eigenvalue_-1", value, abs(value + 1.0) <= tol, tol)
             )
-        if args.settings == "yx":
+        if spec == "yx":
             checks.append(_check("mu_equals_4", mu, abs(mu - 4.0) <= tol, tol))
     if n <= 6:  # the bound is exact at any n; reports carry it up to 6, as they always have
         report["classical_bound"] = mermin.mermin_classical_bound(n)
@@ -338,7 +336,7 @@ def cmd_source_state(args, stdout) -> int:
 
 
 def cmd_source_filter(args, stdout) -> int:
-    filtered, keep = source.coincidence_filter(source.four_photon_state())
+    filtered, keep = states.postselect_coincident(source.four_photon_state())
     report = {
         "keep_probability": keep,
         "filtered_state": states.state_to_json(filtered),
@@ -371,6 +369,8 @@ def cmd_source_stream(args, stdout) -> int:
 
 
 def cmd_source_audit(args, stdout) -> int:
+    from dataclasses import asdict  # here, so --help and usage errors never import it
+
     if args.model == "quantum":
         ghz = states.ghz_state(3)
         table = states.sample_measurement_events(ghz, trials=args.trials, seed=args.seed)
@@ -385,16 +385,7 @@ def cmd_source_audit(args, stdout) -> int:
         "model": args.model,
         "trials": args.trials,
         "seed": args.seed,
-        "per_party": [
-            {
-                "party": p.party,
-                "counts": [list(row) for row in p.counts],
-                "chi2": p.chi2,
-                "p_value": p.p_value,
-                "dependent": p.dependent,
-            }
-            for p in audit.per_party
-        ],
+        "per_party": [asdict(p) for p in audit.per_party],
         "joint_p_value": audit.joint_p_value,
         "counterfactual_dependent": audit.counterfactual_dependent,
         "setting_dependent": audit.setting_dependent,

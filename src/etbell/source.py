@@ -32,15 +32,6 @@ def four_photon_state() -> states.MultiPartyState:
     return states.MultiPartyState((2,) * 4, [(p, 0.5) for p in patterns], (TIME_BINS,) * 4)
 
 
-def coincidence_filter(state: states.MultiPartyState):
-    """Project onto all-equal time bins and renormalize.
-
-    Returns ``(filtered_state, keep_probability)`` where the probability is
-    the squared norm of the projected amplitudes. Idempotent.
-    """
-    return states.postselect_coincident(state)
-
-
 def source_event_stream(trials: int, seed: int = 0) -> EventTable:
     """Simulate detection times of the two pairs, trial by trial.
 

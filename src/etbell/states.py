@@ -124,20 +124,6 @@ class MultiPartyState:
             vars(self)["_amplitudes"] = dense
         return self._amplitudes
 
-    def amplitude(self, labels: tuple[str, ...]) -> complex:
-        """The amplitude of the basis tuple with one level label per party."""
-        labels = tuple(labels)
-        n = self.n_parties
-        if len(labels) < n:
-            raise ValueError(f"no level label for party {len(labels)} of {n} in {labels!r}")
-        if len(labels) > n:
-            raise ValueError(f"level label {labels[n]!r} for party {n}, but the state has {n} parties")
-        for p, (lab, names) in enumerate(zip(labels, self.level_labels)):
-            if lab not in names:
-                raise ValueError(f"party {p} has no level labelled {lab!r} (levels {names!r})")
-        levels = tuple(names.index(lab) for lab, names in zip(labels, self.level_labels))
-        return dict(self.support).get(levels, 0j)
-
     def iter_amplitudes(self):
         """Yield ``(per-party label tuple, amplitude)`` for nonzero entries."""
         for levels, amp in self.support:
@@ -335,13 +321,6 @@ def expectation(state: MultiPartyState, observables) -> float:
     return _support_correlators(state, stacks)[0]
 
 
-def is_dichotomic(observable) -> bool:
-    """Hermitian with spectrum {+1, -1} (both eigenvalues present): within
-    1e-12, ``O = O^dag``, ``O O = I`` and ``|tr O| <= d - 2``."""
-    o = _matrix_rows(observable)
-    return _is_hermitian(o) and _dichotomic_defect(o) is None
-
-
 @dataclass(frozen=True)
 class MerminResult:
     """Mermin terms, in :func:`~etbell.mermin.mermin_coefficients` order,
@@ -408,7 +387,7 @@ def postselect_coincident(state: MultiPartyState):
     equal, and renormalize.
 
     Returns ``(state, kept_weight)``, the weight being the squared norm of
-    the kept amplitudes. Raises if nothing survives.
+    the kept amplitudes. Idempotent. Raises if nothing survives.
     """
     amps = dict(state.support)  # the all-equal tuples are (i, ..., i) for i < min(dims)
     diagonal = [amps.get((i,) * state.n_parties, 0j) for i in range(min(state.dims))]

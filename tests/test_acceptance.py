@@ -35,10 +35,11 @@ from etbell.optics import (
     qutrit_analyzer_network,
     reck_decompose,
 )
-from etbell.source import coincidence_filter, four_photon_state, source_event_stream
+from etbell.source import four_photon_state, source_event_stream
 from etbell.states import (
     ghz_state,
     mermin3,
+    postselect_coincident,
     prepare_postselected,
     qunit_state,
     stabilizer_expectations,
@@ -227,7 +228,7 @@ def test_criterion_11_source_model():
         "t0t0t1t1",
         "t1t1t0t0",
     } and all(a == 0.5 for a in entries.values())
-    _, keep = coincidence_filter(state)
+    _, keep = postselect_coincident(state)
     table = source_event_stream(trials=1_000_000, seed=11)
     agreement = float(
         (

@@ -30,14 +30,13 @@ def run_json(argv):
     return code, json.loads(text)
 
 
-def test_report_encoder_takes_only_fractions_and_complex_numbers():
-    # every report value is a plain JSON type, a Fraction or a complex, so a
+def test_report_encoder_takes_only_fractions():
+    # every report value is a plain JSON type or a Fraction, so a complex or
     # numpy object in a report is a defect and fails loudly
     from fractions import Fraction
 
     assert _encode(Fraction(-3, 4)) == "-3/4"
-    assert _encode(0.5 - 2j) == [0.5, -2.0]
-    for value in (np.int64(1), np.bool_(True), np.zeros(2)):
+    for value in (0.5 - 2j, np.int64(1), np.bool_(True), np.zeros(2)):
         with pytest.raises(TypeError, match="cannot serialize"):
             _encode(value)
 
@@ -50,6 +49,18 @@ def test_mermin_quantum_default():
     assert len(report["stabilizer_expectations"]) == 4
     names = [c["name"] for c in report["checks"]]
     assert "mu_equals_4" in names
+
+
+@pytest.mark.parametrize("spec", ["YX", "Yx", "yX"])
+def test_mermin_quantum_settings_spelling_keeps_every_check(spec):
+    # the spec is read once, lowercased: an upper-case yx measures the
+    # sigma_y/sigma_x pair and must be checked against 4 like yx
+    code, report = run_json(["mermin-quantum", "--settings", spec])
+    _, lower = run_json(["mermin-quantum", "--settings", "yx"])
+    assert code == 0
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in lower["checks"]]
+    assert "mu_equals_4" in [c["name"] for c in report["checks"]]
+    assert report["settings"] == spec  # echoed as given
 
 
 def test_mermin_quantum_all_x_settings():

@@ -17,13 +17,12 @@ from etbell.lhv import (
 from etbell.source import (
     _chi2,
     chi2_sf,
-    coincidence_filter,
     counterfactual_selection_dependence,
     four_photon_state,
     locality_audit,
     source_event_stream,
 )
-from etbell.states import MultiPartyState, ghz_state, sample_measurement_events
+from etbell.states import MultiPartyState, ghz_state, postselect_coincident, sample_measurement_events
 
 from conftest import dense_tensor, states_close
 
@@ -49,7 +48,7 @@ def test_four_photon_pairs_perfectly_time_correlated():
 
 
 def test_coincidence_filter_keeps_half():
-    filtered, keep = coincidence_filter(four_photon_state())
+    filtered, keep = postselect_coincident(four_photon_state())
     assert keep == 0.5
     entries = dict(
         ("".join(labels), amp) for labels, amp in filtered.iter_amplitudes()
@@ -60,8 +59,8 @@ def test_coincidence_filter_keeps_half():
 
 
 def test_coincidence_filter_idempotent():
-    once, keep1 = coincidence_filter(four_photon_state())
-    twice, keep2 = coincidence_filter(once)
+    once, keep1 = postselect_coincident(four_photon_state())
+    twice, keep2 = postselect_coincident(once)
     assert abs(keep2 - 1.0) < 1e-12
     assert states_close(twice, once, tol=1e-15)
 
@@ -69,7 +68,7 @@ def test_coincidence_filter_idempotent():
 def test_coincidence_filter_empty():
     lopsided = MultiPartyState((2, 2), [((0, 1), 1.0)], (("t0", "t1"),) * 2)  # |t0 t1>
     with pytest.raises(ValueError, match="postselection empty"):
-        coincidence_filter(lopsided)
+        postselect_coincident(lopsided)
 
 
 def test_source_stream_pairs_always_agree():

@@ -27,7 +27,6 @@ from etbell.states import (
     equatorial_observable,
     expectation,
     ghz_state,
-    is_dichotomic,
     mermin3,
     mermin_coefficients,
     mermin_n,
@@ -121,39 +120,24 @@ def test_state_drops_zero_amplitudes_and_sorts_its_support():
 
 
 def test_amplitude_reads_labels_party_by_party():
-    g = ghz_state(3)
-    assert g.amplitude(["S", "S", "S"]) == complex(_R)
-    assert g.amplitude(("S", "L", "S")) == 0j
-
-
-@pytest.mark.parametrize(
-    "labels, message",
-    [
-        (("S", "S"), r"no level label for party 2 of 3 in \('S', 'S'\)"),
-        ((), r"no level label for party 0 of 3"),
-        (("S", "S", "S", "S"), r"level label 'S' for party 3, but the state has 3 parties"),
-        (("S", "X", "S"), r"party 1 has no level labelled 'X'"),
-        (("S", "S", 0), r"party 2 has no level labelled 0"),
-    ],
-    ids=["short", "empty", "long", "unknown", "index"],
-)
-def test_amplitude_refuses_labels_that_name_no_basis_tuple(labels, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
-        ghz_state(3).amplitude(labels)
+    amps = dict(ghz_state(3).iter_amplitudes())
+    assert amps == {("S", "S", "S"): complex(_R), ("L", "L", "L"): complex(_R)}
+    assert ("S", "L", "S") not in amps  # a zero amplitude is off the support
 
 
 def test_ghz_structure():
     g = ghz_state(3)
     assert g.dims == (2, 2, 2)
-    assert abs(g.amplitude(("S", "S", "S")) - 1 / math.sqrt(2)) < 1e-15
-    assert abs(g.amplitude(("L", "L", "L")) - 1 / math.sqrt(2)) < 1e-15
+    amps = dict(g.iter_amplitudes())
+    assert abs(amps[("S", "S", "S")] - 1 / math.sqrt(2)) < 1e-15
+    assert abs(amps[("L", "L", "L")] - 1 / math.sqrt(2)) < 1e-15
     nonzero = list(g.iter_amplitudes())
     assert len(nonzero) == 2
 
 
 def test_ghz_small_and_large():
     bell = ghz_state(2)
-    assert abs(bell.amplitude(("S", "S")) - 1 / math.sqrt(2)) < 1e-15
+    assert abs(dict(bell.iter_amplitudes())[("S", "S")] - 1 / math.sqrt(2)) < 1e-15
     g5 = ghz_state(5)
     assert len(list(g5.iter_amplitudes())) == 2
     assert abs(np.linalg.norm(g5.amplitudes) - 1.0) < 1e-15
@@ -164,12 +148,13 @@ def test_ghz_small_and_large():
 def test_qunit_structure():
     q = qunit_state(3)
     assert q.dims == (3, 3, 3)
+    amps = dict(q.iter_amplitudes())
     for i in "123":
-        assert abs(q.amplitude((i, i, i)) - 1 / math.sqrt(3)) < 1e-15
+        assert abs(amps[(i, i, i)] - 1 / math.sqrt(3)) < 1e-15
     assert len(list(q.iter_amplitudes())) == 3
     q4 = qunit_state(4)
     assert len(list(q4.iter_amplitudes())) == 4
-    assert abs(q4.amplitude(("2", "2", "2", "2")) - 0.5) < 1e-15
+    assert abs(dict(q4.iter_amplitudes())[("2", "2", "2", "2")] - 0.5) < 1e-15
     with pytest.raises(ValueError):
         qunit_state(1)
 
@@ -216,21 +201,37 @@ def test_expectation_validation():
         expectation(g, [np.array([[0, 1], [0, 0]]), PAULI_X, PAULI_X])
 
 
-def test_is_dichotomic():
-    assert is_dichotomic(PAULI_X)
-    assert is_dichotomic(PAULI_Y)
-    assert is_dichotomic(PAULI_Z)
-    assert is_dichotomic(equatorial_observable(0.7))
-    assert not is_dichotomic(np.eye(2))
-    assert not is_dichotomic(2 * np.array(PAULI_X))
-    assert not is_dichotomic(-np.eye(2))
-    assert not is_dichotomic([[1]])
-    assert is_dichotomic(np.diag([1, -1, 1]))
-    assert not is_dichotomic(np.diag([1, 1, 1]))
-    assert not is_dichotomic([[1, 1], [0, -1]])  # squares to I, spectrum +-1, not Hermitian
-    assert not is_dichotomic(PAULI_X * 2)  # tuple repetition: a 4 x 2 matrix
-    assert is_dichotomic((1 + 1e-14) * np.array(PAULI_Z))
-    assert not is_dichotomic((1 + 1e-10) * np.array(PAULI_Z))
+def test_mermin_n_takes_only_dichotomic_settings():
+    # each observable, as both settings of both parties of a two-party state
+    # on its levels, against the refusal it must meet (None: accepted)
+    single = "settings must be dichotomic: party 0 setting 0 has the single eigenvalue"
+    unsquared = "settings must be dichotomic: party 0 setting 0 does not square to the identity"
+    not_hermitian = "observables must be square Hermitian matrices"
+    cases = [
+        (PAULI_X, None),
+        (PAULI_Y, None),
+        (PAULI_Z, None),
+        (equatorial_observable(0.7), None),
+        (np.eye(2), f"{single} 1$"),
+        (2 * np.array(PAULI_X), unsquared),
+        (-np.eye(2), f"{single} -1$"),
+        ([[1]], f"{single} 1$"),
+        (np.diag([1, -1, 1]), None),
+        (np.diag([1, 1, 1]), f"{single} 1$"),
+        ([[1, 1], [0, -1]], not_hermitian),  # squares to I, spectrum +-1, not Hermitian
+        (PAULI_X * 2, not_hermitian),  # tuple repetition: a 4 x 2 matrix
+        ((1 + 1e-14) * np.array(PAULI_Z), None),
+        ((1 + 1e-10) * np.array(PAULI_Z), unsquared),
+    ]
+    for observable, refusal in cases:
+        d = len(observable)
+        state = MultiPartyState((d, d), [((i, i), d**-0.5) for i in range(d)])
+        settings_pairs = ((observable, observable),) * 2
+        if refusal is None:
+            assert math.isfinite(mermin_n(state, settings_pairs).mu)
+        else:
+            with pytest.raises(ValueError, match=f"^{refusal}"):
+                mermin_n(state, settings_pairs)
 
 
 @pytest.mark.parametrize(
@@ -239,7 +240,7 @@ def test_is_dichotomic():
 )
 def test_observables_must_be_matrices_of_numbers(value):
     with pytest.raises(ValueError, match="expected a matrix of numbers"):
-        is_dichotomic(value)
+        mermin_n(ghz_state(2), ((value, PAULI_X), (PAULI_Y, PAULI_X)))
     with pytest.raises(ValueError, match="expected a matrix of numbers"):
         expectation(ghz_state(2), [value, PAULI_X])
 
