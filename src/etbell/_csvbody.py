@@ -14,16 +14,15 @@ import numpy as np
 from .events import CSV_COLUMNS
 
 _LF, _CR, _COMMA, _MINUS = b"\n\r,-"
-_NARROW = [np.iinfo(t) for t in ("i1", "u1", "i2", "u2", "i4", "u4", "i8")]
 
 
 def body_columns(fh, codes, block_size):
-    """Yield the six columns of each block of records read from binary ``fh``,
-    each in its narrowest integer type, the bin labels as their codes in
-    ``codes``. A block is ``block_size`` bytes read on from the end of the last
-    whole record. Raise ``ValueError`` naming the line (the header is line 1)
-    of the first record with the wrong field count, no ``\\r\\n`` at its end,
-    a field that is no integer or a refused bin label."""
+    """Yield the six int64 columns of each block of records read from binary
+    ``fh``, the bin labels as their codes in ``codes``. A block is
+    ``block_size`` bytes read on from the end of the last whole record. Raise
+    ``ValueError`` naming the line (the header is line 1) of the first record
+    with the wrong field count, no ``\\r\\n`` at its end, a field that is no
+    integer or a refused bin label."""
     carry, line = b"", 2
     seen = [np.array([-1]), np.array([-1])]  # the label keys met so far, sorted, and their codes
     while True:
@@ -52,11 +51,11 @@ def body_columns(fh, codes, block_size):
 
 
 def _columns(block: bytes, at, codes, seen, line) -> list[np.ndarray]:
-    """The six columns, each narrowed, of the whole records of ``block``
+    """The six int64 columns of the whole records of ``block``
     whose field ends are ``at``, the first record on line ``line``."""
     buf = np.frombuffer(block, np.uint8)
     rows = len(at) // 6
-    end = at.reshape(rows, 6).T.copy()  # one contiguous row per column
+    end = at.reshape(rows, 6).T  # one row per column, in place: the caller is done with at
     first = np.zeros(rows, np.int64)  # where each record starts, after the last one's LF
     first[1:] = end[5, :-1] + 1
     end[5] -= 1  # the selected field ends at the CR
@@ -73,16 +72,7 @@ def _columns(block: bytes, at, codes, seen, line) -> list[np.ndarray]:
         text = block[end[k - 1, r] + 1 if k else first[r] : end[k, r]].decode(errors="replace")
         raise ValueError(f"line {line + r}: {CSV_COLUMNS[k]} {text!r} is not a 64-bit integer")
     party, setting, sign, selected = small.reshape(4, rows)
-    # free the block's arrays before making the narrow ones, which outlive the read
-    del end, first, bad, trial_bad, small_bad
-    return [_narrowest(c) for c in (trial, party, setting, bins, sign, selected)]
-
-
-def _narrowest(column) -> np.ndarray:
-    """``column`` in the narrowest integer type that holds its values exactly,
-    so that a bad value stays bad for the later checks and every message."""
-    lo, hi = int(column.min()), int(column.max())
-    return column.astype(next(t.dtype for t in _NARROW if t.min <= lo and hi <= t.max))
+    return [trial, party, setting, bins, sign, selected]
 
 
 def _integers(buf, start, end) -> tuple[np.ndarray, np.ndarray]:
@@ -92,9 +82,10 @@ def _integers(buf, start, end) -> tuple[np.ndarray, np.ndarray]:
     first = start + neg
     size = end - first
     shortest, longest = int(size.min()), int(size.max())
-    values, worst = np.zeros(len(end), np.int64), np.zeros(len(end), np.uint8)
+    del size  # made again only for a field too short or too long
+    values, worst, at = np.zeros(len(end), np.int64), np.zeros(len(end), np.uint8), np.empty_like(end)
     for j in range(min(longest, 19), 0, -1):  # digit by digit, from the left
-        at = end - j
+        np.subtract(end, j, out=at)
         digit = buf[at]
         digit -= 48  # a byte that is no digit wraps past 9
         if j > shortest:  # in a shorter field this byte lies before the digits
@@ -104,6 +95,7 @@ def _integers(buf, start, end) -> tuple[np.ndarray, np.ndarray]:
         values += digit
     bad = worst > 9
     if shortest < 1 or longest > 18:  # 19 digits wrap in int64 but are exact as uint64
+        size = end - first
         bad |= (size < 1) | (size > 19) | (values.view(np.uint64) > np.uint64(2**63 - 1) + neg)
     np.negative(values, out=values, where=neg)  # modulo 2**64, so -2**63 comes out right
     return values, bad

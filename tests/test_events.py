@@ -770,18 +770,22 @@ def test_csv_swapping_two_records_is_refused_at_the_first(tmp_path, table, data)
 
 
 def test_csv_read_memory_per_row(tmp_path):
-    # the table itself needs about 4 bytes per row; the parsed chunks (trial
-    # and party as narrow as their values allow) and the grids come on top
+    # the grids need about 4 bytes per row; one block's columns and
+    # tokenizer arrays come on top, a larger share of a three-party file
     path = tmp_path / "events.csv"
-    source_event_stream(100_000, seed=7).write_csv(path)
-    tracemalloc.start()
-    try:
-        table = EventTable.read_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(table) == 400_000
-    assert peak <= 20 * len(table)
+    for stream, rows, bound in [
+        (source_event_stream(100_000, seed=7), 400_000, 9),
+        (event_stream(saturating_model(), 100_000, seed=7), 300_000, 10),
+    ]:
+        stream.write_csv(path)
+        tracemalloc.start()
+        try:
+            table = EventTable.read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == rows
+        assert peak <= bound * len(table)
 
 
 @pytest.mark.parametrize("block", [2**16, 97])
@@ -834,3 +838,30 @@ def test_labels_the_writer_cannot_write_are_refused(tmp_path, label):
     _write_events(path, [(0, 0, 0, "S", 1, 1)])
     with pytest.raises(ValueError, match=message):
         EventTable.read_csv(path, bin_labels=("S", label))
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        # the whole file is tokenized before the record order is checked
+        (("sign", "+1"), "^line 7: sign '\\+1' is not a 64-bit integer$"),
+        # and the record order before any value
+        (("setting", 257), "^line 4: expected trial 1, party 0, found trial 1, party 1$"),
+    ],
+    ids=["format-before-order", "order-before-value"],
+)
+def test_csv_fault_precedence(tmp_path, small_chunks, last, message):
+    rows = _grid_rows((5, *last))
+    rows[2], rows[3] = rows[3], rows[2]
+    path = tmp_path / "events.csv"
+    path.write_text(_csv_text(rows), newline="")
+    with pytest.raises(ValueError, match=message):
+        EventTable.read_csv(path)
+
+
+@pytest.mark.parametrize("block", [2, 97])
+def test_csv_swapping_two_records_is_refused_across_blocks(tmp_path, monkeypatch, block):
+    # the leading trial-0 run, the swapped pair and a later trial-0 record
+    # can each fall in a block of their own
+    monkeypatch.setattr(events, "CSV_READ_BYTES", block)
+    test_csv_swapping_two_records_is_refused_at_the_first(tmp_path)
