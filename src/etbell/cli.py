@@ -33,8 +33,10 @@ tolerance.
 
 Importing this module loads no numpy and executes no etbell submodule, so
 ``--version``, ``--help`` and usage errors exit before either loads.
-``mermin-quantum`` and ``lhv table1|search|scale`` load no numpy: their
-states, settings, strategies and exact weights are plain Python.
+``mermin-quantum`` and ``lhv table1|search|scale`` load neither numpy nor
+``dataclasses`` (which imports ``inspect``): their states, settings,
+strategies and exact weights are plain Python, and their records are
+named tuples or plain classes.
 """
 
 from __future__ import annotations
@@ -90,8 +92,12 @@ def _unitary_report(args, m, stdout, **fields) -> int:
 
 
 def _parse_settings(spec: str, n: int):
-    """Lowercase setting spec: two chars = (setting-0, setting-1) Paulis for
-    every party; n chars = one Pauli per party used for both settings."""
+    """Lowercase setting spec: ``mabk`` = the pairs rotated by ``k pi/(4n)``,
+    ``k = (n + 1) mod 4``, which reach ``2^((n+1)/2)`` (Werner & Wolf, PRA 64,
+    032112); two chars = (setting-0, setting-1) Paulis for every party; n
+    chars = one Pauli per party used for both settings."""
+    if spec == "mabk":  # before the Pauli specs, so it is never four characters at n = 4
+        return states.rotated_settings([(n + 1) % 4 * math.pi / (4 * n)] * n)
     pauli = {"x": states.PAULI_X, "y": states.PAULI_Y}
     if any(c not in pauli for c in spec):
         raise ValueError("settings may only use the characters x and y")
@@ -138,6 +144,8 @@ def cmd_mermin_quantum(args, stdout) -> int:
         report["classical_bound"] = mermin.mermin_classical_bound(n)
     quantum_bound = 2.0 ** ((n + 1) / 2)
     checks.append(_check("mu_within_quantum_bound", mu, mu <= quantum_bound + tol, tol))
+    if spec == "mabk":
+        checks.append(_check("mu_reaches_quantum_bound", mu, abs(mu - quantum_bound) <= tol, tol))
     report["checks"] = checks
     if args.sweep is not None:
         path = args.sweep_out or "mermin_sweep.csv"
@@ -429,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--settings",
         type=str,
         default="yx",
-        help="'yx' (default, per-party sigma_y/sigma_x) or one Pauli char per party",
+        help="'yx' (default, per-party sigma_y/sigma_x), 'mabk' (rotated pairs that reach "
+        "2^((n+1)/2)) or one Pauli char per party",
     )
     p.add_argument("--sweep", type=int, default=None, help="phase sweep points to CSV")
     p.add_argument("--sweep-out", type=str, default=None, help="sweep CSV (default mermin_sweep.csv)")

@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import events  # executed only by event_stream
 # imported here too, so that etbell.lhv.mermin_classical_bound keeps resolving
@@ -67,7 +67,6 @@ def _strategy_table(name: str, table, strategies: int, allowed) -> tuple:
     return tuple(tuple((int(a), int(b)) for a, b in row) for row in rows) if odd else rows
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class StrategyEnsemble:
     """Weighted mixture of joint deterministic strategies.
 
@@ -77,20 +76,17 @@ class StrategyEnsemble:
     ``BINS[bins[k][p][s]]`` with detector sign ``signs[k][p][s]``. They are
     held as nested int tuples, :attr:`bin_table` and :attr:`sign_table`.
     ``weights[k]``, the weight of strategy ``k``, is a Fraction or an
-    integer (not a bool), so every derived quantity is exact.
+    integer (not a bool), so every derived quantity is exact. The ensemble
+    is immutable.
     """
-
-    bin_table: tuple[tuple[tuple[int, int], ...], ...]
-    sign_table: tuple[tuple[tuple[int, int], ...], ...]
-    weights: tuple[Fraction | int, ...]
 
     def __init__(self, bins, signs, weights):
         weights = tuple(weights)
         if not weights:
             raise ValueError("ensemble cannot be empty")
-        object.__setattr__(self, "bin_table", _strategy_table("bins", bins, len(weights), (0, 1)))
-        object.__setattr__(self, "sign_table", _strategy_table("signs", signs, len(weights), SIGNS))
-        if self.n_parties != len(self.sign_table[0]):
+        bin_table = _strategy_table("bins", bins, len(weights), (0, 1))
+        sign_table = _strategy_table("signs", signs, len(weights), SIGNS)
+        if len(bin_table[0]) != len(sign_table[0]):
             raise ValueError("bins and signs must share one shape")
         for w in weights:
             if not (isinstance(w, Fraction) or is_integer(w)):
@@ -100,7 +96,13 @@ class StrategyEnsemble:
         (total,) = _weighted_sum(weights, [(1,) * len(weights)])
         if total != 1:
             raise ValueError(f"weights must sum to 1, got {total}")
-        object.__setattr__(self, "weights", weights)
+        vars(self).update(bin_table=bin_table, sign_table=sign_table, weights=weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable ensemble")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable ensemble")
 
     @property
     def n_parties(self) -> int:
@@ -115,8 +117,7 @@ def _uniform(bins, signs) -> StrategyEnsemble:
     return StrategyEnsemble(bins, signs, (Fraction(1, len(bins)),) * len(bins))
 
 
-@dataclass(frozen=True)
-class PostselectedCorrelations:
+class PostselectedCorrelations(NamedTuple):
     """Conditional Mermin terms given selection, with selection bookkeeping.
 
     A term whose setting combination selects nothing is ``None`` (undefined,
@@ -230,8 +231,7 @@ def marginal_distribution(ensemble: StrategyEnsemble):
     }
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     mu_max: Fraction
     witness: StrategyEnsemble
     correlations: PostselectedCorrelations

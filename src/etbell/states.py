@@ -32,8 +32,7 @@ import cmath
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import events, optics  # each executed only by the functions that use it
 from .mermin import mermin_coefficients, mermin_mu
@@ -105,6 +104,9 @@ class MultiPartyState:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable state")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable state")
 
     @property
     def n_parties(self) -> int:
@@ -321,8 +323,7 @@ def expectation(state: MultiPartyState, observables) -> float:
     return _support_correlators(state, stacks)[0]
 
 
-@dataclass(frozen=True)
-class MerminResult:
+class MerminResult(NamedTuple):
     """Mermin terms, in :func:`~etbell.mermin.mermin_coefficients` order,
     and ``mu``."""
 

@@ -69,6 +69,29 @@ def test_mermin_quantum_all_x_settings():
     assert abs(report["mu"] - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_mermin_quantum_mabk_settings_reach_the_quantum_bound(n):
+    # the yx default reads mu = 0 at n = 5 and 9; the MABK offsets reach
+    # 2^((n+1)/2) at every n, and "mabk" at n = 4 is no four-Pauli spec
+    code, report = run_json(["mermin-quantum", "--n", str(n), "--settings", "mabk"])
+    bound = 2.0 ** ((n + 1) / 2)
+    assert code == 0 and report["passed"] is True
+    assert abs(report["mu"] - bound) <= 1e-12
+    assert report["checks"][-1] == {
+        "name": "mu_reaches_quantum_bound", "value": report["mu"], "passed": True, "tolerance": 1e-12
+    }
+
+
+def test_mermin_quantum_mabk_check_compares_with_the_tolerance():
+    # at n = 10 the correlators sum to 3.2e-13 above the bound
+    code, report = run_json(["mermin-quantum", "--n", "10", "--settings", "MABK", "--tol", "1e-14"])
+    assert code == 1
+    assert report["settings"] == "MABK"
+    assert {c["name"]: c["passed"] for c in report["checks"]} == {
+        "mu_within_quantum_bound": False, "mu_reaches_quantum_bound": False
+    }
+
+
 def test_mermin_quantum_two_parties():
     code, report = run_json(["mermin-quantum", "--n", "2"])
     assert code == 0
@@ -326,7 +349,7 @@ def test_mermin_quantum_sweep_needs_three_parties(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("spec", ["xx", "xy", "yy", "xyx"])
+@pytest.mark.parametrize("spec", ["xx", "xy", "yy", "xyx", "mabk"])
 def test_mermin_quantum_sweep_needs_the_yx_settings(tmp_path, monkeypatch, capsys, spec):
     # the sweep rotates the sigma_y/sigma_x pair; under other settings it
     # wrote the yx sweep beside a report of the given settings

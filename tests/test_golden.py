@@ -36,6 +36,7 @@ COMMANDS = {
     "mermin-quantum 3 --sweep 36": (
         ("mermin-quantum", "--n", "3", "--sweep", "36", "--sweep-out", "sweep.csv"), ("sweep.csv",)
     ),
+    "mermin-quantum 5 --settings mabk": (("mermin-quantum", "--n", "5", "--settings", "mabk"), ()),
     "lhv stream --out": (("lhv", "stream", *STREAM, "--out", "lhv.csv"), ("lhv.csv",)),
     "source stream --out": (("source", "stream", *STREAM, "--out", "source.csv"), ("source.csv",)),
 }
@@ -85,6 +86,10 @@ DIGESTS = {
     },
     "mermin-quantum 9": {
         "stdout": "871e08f9bbe74623a20a883b82deff74c4160b8339c3150eed22ddc74abebab0",
+    },
+    # the MABK offsets' rotated settings, at an n where the yx default reads mu = 0
+    "mermin-quantum 5 --settings mabk": {
+        "stdout": "95e3f3a822cc86ac9366766f475cd865e4231eee7dea23abda505bdb066b37a1",
     },
     # the phase sweep's rotated settings are Python complex rows; the digests fix their bits
     "mermin-quantum 3 --sweep 36": {

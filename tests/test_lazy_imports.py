@@ -343,3 +343,35 @@ def test_lhv_exact_commands_run_without_numpy(argv):
         *argv,
     )
     assert got == [0, False, True]
+
+
+# The numpy-free commands, run as ``python -m etbell.cli``: ``dataclasses``
+# imports ``inspect`` (with ``ast``, ``dis`` and ``tokenize``), a large share
+# of their start-up, so their records are named tuples or plain classes.
+NUMPY_FREE = {
+    "mermin-quantum 3": ["mermin-quantum", "--n", "3"],
+    "mermin-quantum 5 mabk": ["mermin-quantum", "--n", "5", "--settings", "mabk"],
+    "lhv table1": ["lhv", "table1"],
+    "lhv search dependent": ["lhv", "search", "--selection", "dependent"],
+    "lhv scale": ["lhv", "scale", "--target", "2.828427"],
+}
+LOADED = "[m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')]"
+
+
+@pytest.fixture(scope="module")
+def bare_loads_inspect():
+    """Whether a bare interpreter (site and its .pth files) already loads inspect."""
+    return _run("import json, sys\nprint(json.dumps('inspect' in sys.modules))")
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE.values(), ids=NUMPY_FREE)
+def test_numpy_free_command_loads_neither_numpy_nor_dataclasses(bare_loads_inspect, argv):
+    got = _run(
+        "import json, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('etbell.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        f"    print(json.dumps([exc.code, {LOADED}]))",
+        *argv,
+    )
+    assert got == [0, [False, False, bare_loads_inspect]]

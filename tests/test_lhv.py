@@ -14,6 +14,8 @@ from hypothesis.extra.numpy import arrays
 from etbell.events import mermin_coefficients, mermin_estimate
 from etbell.lhv import (
     BINS,
+    PostselectedCorrelations,
+    SearchResult,
     StrategyEnsemble,
     _instructions,
     combo_outcomes,
@@ -118,6 +120,42 @@ def test_ensemble_validation():
             np.concatenate([bins, bins]), np.concatenate([signs, signs]),
             (Fraction(3, 2), Fraction(-1, 2)),
         )
+
+
+def _records():
+    """One of each lhv record, with its field names in order."""
+    search = max_mu_setting_independent()
+    return [
+        (search.witness, ("bin_table", "sign_table", "weights")),
+        (search.correlations, ("terms", "mu", "selection_rate", "selected_fractions")),
+        (search, ("mu_max", "witness", "correlations", "strategies_examined")),
+    ]
+
+
+@pytest.mark.parametrize("k", range(3), ids=["StrategyEnsemble", "PostselectedCorrelations", "SearchResult"])
+def test_records_are_immutable(k):
+    record, fields = _records()[k]
+    before = [getattr(record, name) for name in fields]
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert [getattr(record, name) for name in fields] == before
+
+
+def test_records_keep_their_fields_and_keyword_construction():
+    (ensemble, ensemble_fields), (corr, corr_fields), (search, search_fields) = _records()
+    assert tuple(vars(ensemble)) == ensemble_fields
+    assert PostselectedCorrelations.__match_args__ == corr_fields
+    assert SearchResult.__match_args__ == search_fields
+    again = StrategyEnsemble(bins=ensemble.bin_table, signs=ensemble.sign_table, weights=ensemble.weights)
+    assert vars(again) == vars(ensemble)
+    assert PostselectedCorrelations(**{name: getattr(corr, name) for name in corr_fields}) == corr
+    assert SearchResult(**{name: getattr(search, name) for name in search_fields}) == search
+    assert corr.undefined_terms == ()
 
 
 def test_saturating_model_exact_numbers():

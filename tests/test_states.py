@@ -22,6 +22,7 @@ from etbell.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    MerminResult,
     MultiPartyState,
     correlators,
     equatorial_observable,
@@ -67,6 +68,23 @@ def test_state_keeps_its_own_support():
     assert not state.amplitudes.flags.writeable
     with pytest.raises(AttributeError, match="immutable"):
         state.support = ()
+    with pytest.raises(AttributeError, match="immutable"):
+        del state.support
+    assert state.support == (((0, 0), complex(r)), ((1, 1), complex(r)))
+
+
+def test_mermin_result_is_immutable_with_its_fields():
+    result = mermin_n(ghz_state(3))
+    assert MerminResult.__match_args__ == ("terms", "mu")
+    assert MerminResult(terms=result.terms, mu=result.mu) == result
+    for name in ("terms", "mu"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
+        with pytest.raises(AttributeError):
+            delattr(result, name)
+    with pytest.raises(AttributeError):
+        result.extra = None
+    assert result == mermin_n(ghz_state(3))
 
 
 _R = 1 / math.sqrt(2)
