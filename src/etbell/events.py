@@ -17,6 +17,11 @@ array compares, a block of bytes at a time (:mod:`etbell._csvbody`), checks
 that record k is cell ``(k // n, k % n)`` and writes the block straight into
 the grids, so a read peaks at the finished table, about 4 bytes per CSV row,
 plus one block's arrays: 7.4 to 8.7 bytes per row on 100k-trial streams.
+The statistics and the generators walk the trials :data:`BLOCK_TRIALS` at a
+time, so they need the table plus one block. A statistic adds up exact block
+``bincount``s (integer counts, integer-valued float sums), so no block size
+changes its result, and refuses more parties than the quantum correlators take
+(:func:`check_party_count`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import InitVar, dataclass, fields
 import numpy as np
 
 from .mermin import mermin_coefficients, mermin_mu
-from .numerics import open_replacing
+from .numerics import MAX_CORRELATOR_ENTRIES, open_replacing
 
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
 _CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
@@ -35,8 +40,21 @@ _CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
 CSV_BLOCK_BYTES = 2**18
 # Bytes of the CSV body the reader tokenizes per block (see etbell._csvbody).
 CSV_READ_BYTES = 2**16
+# Trials a statistic or generator handles at a time (see the module docstring).
+BLOCK_TRIALS = 4096
 # Bin codes are at most int16, so a table holds at most this many labels.
 _MAX_BIN_LABELS = 2**15
+
+
+def trial_blocks(trials: int):
+    """Slices of :data:`BLOCK_TRIALS` consecutive trials covering ``range(trials)``."""
+    return (slice(start, start + BLOCK_TRIALS) for start in range(0, trials, BLOCK_TRIALS))
+
+
+def check_party_count(n: int) -> None:
+    """Refuse ``n`` parties whose 2^n settings by 2^n outcomes exceed ``MAX_CORRELATOR_ENTRIES``."""
+    if 4**n > MAX_CORRELATOR_ENTRIES:
+        raise ValueError(f"{n} parties: 2^{n} settings x 2^{n} outcomes exceed {MAX_CORRELATOR_ENTRIES} entries")
 
 
 def all_equal(bins) -> np.ndarray:
@@ -301,20 +319,23 @@ def mermin_estimate(table: EventTable) -> EmpiricalCorrelations:
     (undefined, deliberately distinct from zero).
     """
     n = table.n_parties
+    check_party_count(n)
     coeffs = mermin_coefficients(n)
-    # a setting string read as a binary number, the first party's bit highest
-    code = np.ravel_multi_index(table.settings.T, (2,) * n)
     combos = np.ravel_multi_index(np.array(list(coeffs)).T, (2,) * n)
-    chosen = code[table.selected]
-    prod = table.signs[table.selected].prod(axis=1)
-    combo_counts = np.bincount(code, minlength=1 << n)[combos].tolist()
-    selected_counts = np.bincount(chosen, minlength=1 << n)[combos].tolist()
-    sums = np.bincount(chosen, weights=prod, minlength=1 << n)[combos].tolist()
+    counts, selected = np.zeros((2, 1 << n), np.int64)
+    sums = np.zeros(1 << n)
+    for rows in trial_blocks(table.n_trials):
+        # a setting string read as a binary number, the first party's bit highest
+        code = np.ravel_multi_index(table.settings[rows].T, (2,) * n)
+        keep = table.selected[rows]
+        chosen = code[keep]
+        counts += np.bincount(code, minlength=1 << n)
+        selected += np.bincount(chosen, minlength=1 << n)
+        sums += np.bincount(chosen, weights=table.signs[rows][keep].prod(axis=1), minlength=1 << n)
+    combo_counts, selected_counts, sums = (a[combos].tolist() for a in (counts, selected, sums))
     terms = [s / k if k else None for s, k in zip(sums, selected_counts)]
     rates = [k / m if m else None for k, m in zip(selected_counts, combo_counts)]
-    rate = None
-    if all(r is not None for r in rates):
-        rate = float(sum(rates) / len(rates))
+    rate = None if None in rates else float(sum(rates) / len(rates))
     return EmpiricalCorrelations(
         terms=tuple(terms),
         mu=mermin_mu(coeffs, terms),

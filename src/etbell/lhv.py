@@ -339,6 +339,10 @@ def event_stream(ensemble: StrategyEnsemble, trials: int, seed: int = 0) -> even
     ensemble, settings drawn uniformly. Identical seeds produce identical
     streams; empirical postselected correlations converge to
     :func:`evaluate_postselected` at the usual 1/sqrt(trials) rate.
+
+    The int8 settings are one whole-table draw, as bounded int8 draws are not
+    chunk-stable; the picks, a double each inverted as ``Generator.choice``
+    does, go ``events.BLOCK_TRIALS`` at a time, straight into the table.
     """
     import numpy as np
 
@@ -347,16 +351,22 @@ def event_stream(ensemble: StrategyEnsemble, trials: int, seed: int = 0) -> even
     n = ensemble.n_parties
     settings = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
     weights = np.array([float(w) for w in ensemble.weights])
-    weights = weights / weights.sum()
-    picks = rng.choice(ensemble.size, size=trials, p=weights)
-    party_idx = np.arange(n)[None, :]
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
     # each table as int8 (strategies, parties, settings), gathered at the picks and settings
-    bins, signs = (
+    bin_table, sign_table = (
         np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(table)), np.int8)
-        .reshape(ensemble.size, n, 2)[picks[:, None], party_idx, settings]
+        .reshape(ensemble.size, n, 2)
         for table in (ensemble.bin_table, ensemble.sign_table)
     )
-    return events.EventTable(settings, bins, signs, events.all_equal(bins), BINS, _adopt=True)
+    bins, signs = (np.empty((trials, n), np.int8) for _ in range(2))
+    selected = np.empty(trials, bool)
+    for rows in events.trial_blocks(trials):
+        picks = cdf.searchsorted(rng.random(len(settings[rows])), side="right")[:, None]
+        index = picks, np.arange(n), settings[rows]
+        bins[rows], signs[rows] = bin_table[index], sign_table[index]
+        selected[rows] = events.all_equal(bins[rows])
+    return events.EventTable(settings, bins, signs, selected, BINS, _adopt=True)
 
 
 def ensemble_to_json(ensemble: StrategyEnsemble) -> dict:

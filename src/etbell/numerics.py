@@ -26,6 +26,12 @@ if TYPE_CHECKING:
 #: default is safe; all checks accept an override.
 DEFAULT_TOL = 1e-10
 
+#: Largest correlator workload: 2**24 entries, the size of the dense
+#: 12-qubit operator, both as the setting-by-outcome amplitude table the
+#: event sampler builds (256 MB) and as the setting-by-pair terms of the
+#: support-pair sum; the event statistics stop at 12 parties with it.
+MAX_CORRELATOR_ENTRIES = 2**24
+
 
 def as_matrix(values) -> np.ndarray:
     """Return ``values`` as a read-only, finite, 2-d complex array."""

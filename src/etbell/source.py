@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lhv, states  # each executed only by the functions that use it
-from .events import EventTable, all_equal
+from .events import EventTable, all_equal, check_party_count, trial_blocks
 from .numerics import seeded_rng, trial_count
 
 TIME_BINS = ("t0", "t1")
@@ -145,10 +145,13 @@ def locality_audit(
     model is evaluated exactly as well.
     """
     n = events.n_parties
-    # party p's setting is bit p of the combination code
-    combo_code = np.ravel_multi_index(events.settings.T[::-1], (2,) * n)
+    check_party_count(n)
     # joint[code, s]: the trials with that setting combination and selection s
-    joint = np.bincount(combo_code * 2 + events.selected, minlength=2 ** (n + 1)).reshape(-1, 2)
+    joint = np.zeros((2**n, 2), np.int64)
+    for rows in trial_blocks(events.n_trials):
+        # party p's setting is bit p of the combination code
+        combo_code = np.ravel_multi_index(events.settings[rows].T[::-1], (2,) * n)
+        joint += np.bincount(combo_code * 2 + events.selected[rows], minlength=2 ** (n + 1)).reshape(-1, 2)
     # axis n - 1 - p of the cube holds party p's setting
     cube = joint.reshape((2,) * n + (2,))
     per_party = []
@@ -165,9 +168,7 @@ def locality_audit(
             )
         )
     joint_chi2, joint_p = _chi2(joint)
-    counterfactual = (
-        None if ensemble is None else counterfactual_selection_dependence(ensemble)
-    )
+    counterfactual = None if ensemble is None else counterfactual_selection_dependence(ensemble)
     return LocalityAuditReport(
         per_party=tuple(per_party),
         joint_chi2=joint_chi2,

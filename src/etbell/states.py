@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import events, optics  # each executed only by the functions that use it
 from .mermin import mermin_coefficients, mermin_mu
-from .numerics import is_integer, json_dim, json_fields, json_real, seeded_rng, trial_count
+from .numerics import MAX_CORRELATOR_ENTRIES, is_integer, json_dim, json_fields, json_real
+from .numerics import seeded_rng, trial_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -169,13 +170,6 @@ def _diagonal_state(dims, diagonal, level_labels):
         raise ValueError("postselection empty")
     amps = (diagonal / math.sqrt(weight)).tolist()
     return MultiPartyState(dims, [((i,) * len(dims), a) for i, a in enumerate(amps)], level_labels), weight
-
-
-#: Largest correlator workload: 2**24 entries, the size of the dense
-#: 12-qubit operator, both as the setting-by-outcome amplitude table the
-#: event sampler builds (256 MB) and as the setting-by-pair terms of the
-#: support-pair sum.
-MAX_CORRELATOR_ENTRIES = 2**24
 
 
 def check_correlator_size(settings, dims, support=None) -> None:
@@ -474,6 +468,10 @@ def sample_measurement_events(
     prod_p V_{p,s_p}[o_p, x_p]``, one outer product of per-party analyzer
     columns per support entry ``(x, c_x)``, where row ``o`` of ``V_{p,k}``
     is the bra of party ``p``'s outcome ``o`` under setting ``k``.
+
+    The int8 settings and, after them, the int8 common bins are whole-table
+    draws, as bounded int8 draws are not chunk-stable; the outcome doubles
+    drawn between them are, and go ``events.BLOCK_TRIALS`` at a time.
     """
     import numpy as np
 
@@ -496,27 +494,20 @@ def sample_measurement_events(
     cdfs = np.cumsum(np.abs(table.reshape(2**n, 2**n)) ** 2, axis=1)
     rng = seeded_rng(seed)
     setting_arr = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
-    uniforms = rng.random(trials)
-    common_bins = rng.integers(0, 2, size=trials, dtype=np.int8)
-    outcome_flat = np.zeros(trials, dtype=np.int64)
-    combo_flat = np.ravel_multi_index(setting_arr.T, (2,) * n)
-    for combo, cdf in enumerate(cdfs):
-        mask = combo_flat == combo
-        if mask.any():
-            outcome_flat[mask] = np.searchsorted(cdf, uniforms[mask], side="right")
-    np.minimum(outcome_flat, 2**n - 1, out=outcome_flat)
     signs = np.empty((trials, n), dtype=np.int8)
-    for p in range(n):  # party p's level is bit n-1-p; level 0 is sign -1
-        signs[:, p] = 2 * ((outcome_flat >> (n - 1 - p)) & 1) - 1
+    for rows in events.trial_blocks(trials):
+        uniforms = rng.random(len(setting_arr[rows]))
+        combo_flat = np.ravel_multi_index(setting_arr[rows].T, (2,) * n)
+        # the entries of each trial's CDF row at most its double, capped at 2^n - 1:
+        # searchsorted(side="right") of every row at once, by halving steps
+        outcome_flat = np.zeros(len(uniforms), dtype=np.int64)
+        for step in (1 << k for k in reversed(range(n))):
+            outcome_flat += step * (cdfs[combo_flat, outcome_flat + step - 1] <= uniforms)
+        for p in range(n):  # party p's level is bit n-1-p; level 0 is sign -1
+            signs[rows, p] = 2 * ((outcome_flat >> (n - 1 - p)) & 1) - 1
+    common_bins = rng.integers(0, 2, size=trials, dtype=np.int8)
     bins = np.repeat(common_bins[:, None], n, axis=1)
-    return events.EventTable(
-        settings=setting_arr,
-        bins=bins,
-        signs=signs,
-        selected=np.ones(trials, dtype=bool),
-        bin_labels=("t0", "t1"),
-        _adopt=True,
-    )
+    return events.EventTable(setting_arr, bins, signs, np.ones(trials, bool), ("t0", "t1"), _adopt=True)
 
 
 def _compact_labels(level_labels) -> bool:

@@ -1,11 +1,41 @@
 """Shared helpers: seeded random unitaries, independent closed-form
-matrices used as oracles against the optics module, and dense views of
-states, which hold only their support."""
+matrices used as oracles against the optics module, dense views of
+states, which hold only their support, a tracemalloc peak, and the block
+sizes and trial counts the block-wise event functions are checked at."""
+
+import tracemalloc
 
 import numpy as np
+import pytest
 from scipy.stats import unitary_group
 
+from etbell import events
 from etbell.states import MultiPartyState
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` under tracemalloc: the peak of the bytes
+    traced during the call, and the call's result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(params=[1, 7, events.BLOCK_TRIALS])
+def trial_block(request, monkeypatch):
+    """Walk the trials in blocks of 1, 7 and the default
+    ``events.BLOCK_TRIALS`` trials; the block size."""
+    monkeypatch.setattr(events, "BLOCK_TRIALS", request.param)
+    return request.param
+
+
+def block_edges(block: int) -> list[int]:
+    """Trial counts at the edges of blocks of ``block`` trials: 1, one
+    short of a block, a block, one past it, and one past two blocks."""
+    return sorted({1, max(block - 1, 1), block, block + 1, 2 * block + 1})
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

@@ -2,14 +2,14 @@ import csv
 import hashlib
 import io
 import re
-import tracemalloc
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from etbell import events
+from etbell import events, source
 from etbell.events import (
     CSV_COLUMNS,
     EventTable,
@@ -18,8 +18,11 @@ from etbell.events import (
     mermin_estimate,
     mermin_mu,
 )
-from etbell.lhv import event_stream, saturating_model
-from etbell.source import source_event_stream
+from etbell.lhv import event_stream, saturating_model, scaled_model
+from etbell.source import locality_audit, source_event_stream
+from etbell.states import ghz_state, sample_measurement_events
+
+from conftest import block_edges, traced_peak
 
 
 def _small_table():
@@ -189,16 +192,12 @@ def test_mermin_estimate_two_parties_is_chsh():
 
 
 def test_mermin_estimate_memory():
-    # the three-party table holds 10 bytes per trial (1.0 MB); one int64
-    # code per trial comes on top, but no wide copy of the settings
+    # the three-party table holds 10 bytes per trial (1.0 MB); only one
+    # block's codes and sign products come on top (0.18 MB), no int64 code
+    # per trial (1.4 MB more before) and no wide copy of the settings
     table = event_stream(saturating_model(), 100_000, seed=3)
-    tracemalloc.start()
-    try:
-        mermin_estimate(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2_000_000
+    peak, _ = traced_peak(mermin_estimate, table)
+    assert peak <= 250_000
 
 
 def _reference_estimate(table):
@@ -244,6 +243,108 @@ def test_mermin_estimate_matches_per_combination_reference(table):
     else:
         assert est.selection_rate == sum(rates) / len(rates)
     assert all(type(k) is int for k in est.combo_counts + est.selected_counts)
+
+
+def _choice_stream(ensemble, trials, seed):
+    """The whole-table generator the block-wise one replaced: every pick from
+    one ``Generator.choice`` call, gathered from the int8 tables at once.
+    Returns settings, bins, signs and selection flags."""
+    rng = np.random.default_rng(seed)
+    n = ensemble.n_parties
+    settings = rng.integers(0, 2, size=(trials, n), dtype=np.int8)
+    weights = np.array([float(w) for w in ensemble.weights])
+    picks = rng.choice(len(weights), size=trials, p=weights / weights.sum())
+    bins, signs = (
+        np.array(table, dtype=np.int8)[picks[:, None], np.arange(n), settings]
+        for table in (ensemble.bin_table, ensemble.sign_table)
+    )
+    return settings, bins, signs, all_equal(bins)
+
+
+def _reference_joint(table):
+    """The whole-table (setting combination, selected) counts of the audit,
+    party p's setting as bit p of the combination."""
+    n = table.n_parties
+    code = np.ravel_multi_index(table.settings.T[::-1], (2,) * n)
+    return np.bincount(code * 2 + table.selected, minlength=2 ** (n + 1)).reshape(-1, 2)
+
+
+def _assert_statistics_match_references(table):
+    terms, combo_counts, selected_counts, rates = _reference_estimate(table)
+    est = mermin_estimate(table)
+    assert (est.terms, est.combo_counts, est.selected_counts) == (
+        tuple(terms), tuple(combo_counts), tuple(selected_counts)
+    )
+    assert est.selection_rates == tuple(rates)
+    n, joint = table.n_parties, _reference_joint(table)
+    audit = locality_audit(table)
+    cube = joint.reshape((2,) * n + (2,))
+    for p, party in enumerate(audit.per_party):
+        counts = cube.sum(axis=tuple(a for a in range(n) if a != n - 1 - p))
+        assert party.counts == tuple(map(tuple, counts.tolist()))
+    assert (audit.joint_chi2, audit.joint_p_value) == source._chi2(joint)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 101])
+def test_block_wise_stream_and_statistics_match_whole_table_references(trial_block, seed):
+    # the picks' doubles go a block at a time, the int8 settings in one draw;
+    # the statistics add up per-block counts: neither may move a byte
+    for trials in block_edges(trial_block):
+        for model in (saturating_model(), scaled_model(1.5)):
+            table = event_stream(model, trials, seed=seed)
+            columns = (table.settings, table.bins, table.signs, table.selected)
+            for got, want in zip(columns, _choice_stream(model, trials, seed)):
+                assert got.tobytes() == want.tobytes()
+            _assert_statistics_match_references(table)
+        for n in range(2, 6):
+            _assert_statistics_match_references(_random_table(trials, n, seed=seed))
+
+
+def _table_bytes(table):
+    return sum(a.nbytes for a in (table.settings, table.bins, table.signs, table.selected))
+
+
+@pytest.mark.parametrize(
+    "name", ["event_stream", "sample_measurement_events", "mermin_estimate", "locality_audit"]
+)
+def test_block_wise_memory_does_not_grow_with_the_table(name):
+    # past the table (and the sampler's whole-table int8 common bins, one
+    # byte per trial), one block's arrays: no double, pick, gather index or
+    # combination code per trial (1.4 to 5.8 MB more at 200k trials before)
+    excess = []
+    for trials in (100, 20_000, 200_000):
+        table = event_stream(saturating_model(), trials, seed=3)
+        fn, *args = {
+            "event_stream": (event_stream, saturating_model(), trials, 3),
+            "sample_measurement_events": (sample_measurement_events, ghz_state(3), None, trials, 3),
+            "mermin_estimate": (mermin_estimate, table),
+            "locality_audit": (locality_audit, table),
+        }[name]
+        peak, result = traced_peak(fn, *args)
+        own = _table_bytes(result) if isinstance(result, EventTable) else 0
+        excess.append(peak - own - (trials if name == "sample_measurement_events" else 0))
+    assert excess[2] <= excess[1] + 50_000
+
+
+def test_statistics_refuse_more_parties_than_the_correlators_take(monkeypatch):
+    # 2^n settings by 2^n outcomes against the quantum limit of 2^24: 12
+    # parties pass, and a valid 40-party table is refused before any term
+    # list or count array is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started past the party-count guard")
+
+    twelve = EventTable(np.zeros((1, 12)), np.zeros((1, 12)), np.ones((1, 12)), [True])
+    assert mermin_estimate(twelve).combo_counts.count(1) == 1
+    assert locality_audit(twelve).per_party[11].counts == ((0, 1), (0, 0))
+    monkeypatch.setattr(events, "mermin_coefficients", forbidden)
+    monkeypatch.setattr(np, "bincount", forbidden)
+    for n in (13, 40):
+        table = EventTable(np.zeros((1, n)), np.zeros((1, n)), np.ones((1, n)), [True])
+        for statistic in (mermin_estimate, locality_audit):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^{n} parties: 2\\^{n} settings x 2\\^{n} outcomes exceed"):
+                statistic(table)
+            assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
@@ -420,12 +521,7 @@ def test_csv_write_memory_does_not_grow_with_the_table(tmp_path):
     peaks = []
     for trials in (20_000, 200_000):
         table = source_event_stream(trials, seed=7)
-        tracemalloc.start()
-        try:
-            table.write_csv(tmp_path / "events.csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(table.write_csv, tmp_path / "events.csv")[0])
     assert peaks[1] <= peaks[0] + 500_000
 
 
@@ -778,12 +874,7 @@ def test_csv_read_memory_per_row(tmp_path):
         (event_stream(saturating_model(), 100_000, seed=7), 300_000, 10),
     ]:
         stream.write_csv(path)
-        tracemalloc.start()
-        try:
-            table = EventTable.read_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, table = traced_peak(EventTable.read_csv, path)
         assert len(table) == rows
         assert peak <= bound * len(table)
 

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +42,7 @@ from etbell.states import (
 )
 from etbell.source import four_photon_state
 
-from conftest import dense_state, dense_tensor, random_state_vector, states_close
+from conftest import block_edges, dense_state, dense_tensor, random_state_vector, states_close, traced_peak
 
 
 def _flat(settings_pairs):
@@ -530,12 +529,7 @@ def test_prepare_postselected_memory_is_about_the_output_state():
     # half its size (a copy in MultiPartyState made 2.06x, the dense
     # construction 5.1x)
     networks = [generation_cascade(7)] * 7
-    tracemalloc.start()
-    try:
-        state, _ = prepare_postselected(networks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (state, _) = traced_peak(prepare_postselected, networks)
     assert peak <= 1.6 * state.amplitudes.nbytes
 
 
@@ -575,12 +569,7 @@ def test_sample_measurement_events_memory():
     # index bits, with no int64 per-party level arrays (1.6 MB before)
     state = ghz_state(3)
     sample_measurement_events(state, trials=100, seed=6)
-    tracemalloc.start()
-    try:
-        sample_measurement_events(state, trials=20_000, seed=6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(sample_measurement_events, state, trials=20_000, seed=6)
     assert peak <= 1_100_000
 
 
@@ -627,6 +616,19 @@ def test_sample_measurement_events_match_the_dense_sampler(n, seed):
     assert table.settings.tobytes() == settings.tobytes()
     assert table.signs.tobytes() == signs.tobytes()
     assert table.bins.tobytes() == bins.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 101])
+def test_sample_measurement_events_match_the_dense_sampler_at_block_edges(trial_block, seed):
+    # the outcome doubles go a block at a time, between the whole-table int8
+    # settings and common bins; the dense sampler draws all three at once
+    for trials in block_edges(trial_block):
+        for n in range(2, 6):
+            table = sample_measurement_events(ghz_state(n), trials=trials, seed=seed)
+            settings, signs, bins = _dense_sample(ghz_state(n), standard_settings(n), trials, seed)
+            assert table.settings.tobytes() == settings.tobytes()
+            assert table.signs.tobytes() == signs.tobytes()
+            assert table.bins.tobytes() == bins.tobytes()
 
 
 @pytest.mark.parametrize("seed", [1, 7, 101])
