@@ -34,6 +34,8 @@ import numpy as np
 from .mermin import mermin_coefficients, mermin_mu
 from .numerics import MAX_CORRELATOR_ENTRIES, open_replacing
 
+# Bin labels of the two emission bins, ``t1 = t0 + delta_t``, of the source and the quantum sampler.
+TIME_BINS = ("t0", "t1")
 CSV_COLUMNS = ("trial", "party", "setting", "bin", "sign", "selected")
 _CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
 # Bytes of padded rows the writer renders per block, so its memory does not grow with the table.

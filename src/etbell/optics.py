@@ -238,11 +238,8 @@ class ReckDecomposition:
         phases.setflags(write=False)
         object.__setattr__(self, "residual_phases", phases)
 
-    def residual_diagonal(self) -> np.ndarray:
-        return np.diag(np.exp(1j * self.residual_phases))
-
     def reconstruct(self) -> np.ndarray:
-        return self.residual_diagonal() @ compose(self.network)
+        return np.diag(np.exp(1j * self.residual_phases)) @ compose(self.network)
 
 
 def reck_decompose(u, tol: float = DEFAULT_TOL) -> ReckDecomposition:

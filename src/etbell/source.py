@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lhv, states  # each executed only by the functions that use it
-from .events import EventTable, all_equal, check_party_count, trial_blocks
+from .events import TIME_BINS, EventTable, check_party_count, trial_blocks
 from .numerics import seeded_rng, trial_count
 
-TIME_BINS = ("t0", "t1")
 # A chi-square p-value below this marks selection as setting-dependent.
 _SIGNIFICANCE = 1e-3
 
@@ -36,8 +35,9 @@ def source_event_stream(trials: int, seed: int = 0) -> EventTable:
     """Simulate detection times of the two pairs, trial by trial.
 
     Each pair draws one bin uniformly and independently of the other pair;
-    both photons of a pair always share the bin. A trial is selected iff all
-    four bins agree (the fourfold coincidence surviving the short window).
+    both photons of a pair always share the bin. A trial is selected iff the
+    pairs' bins, and so all four, agree (the fourfold coincidence surviving
+    the short window).
     """
     trials = trial_count(trials)
     rng = seeded_rng(seed)
@@ -45,7 +45,7 @@ def source_event_stream(trials: int, seed: int = 0) -> EventTable:
     bins = pair_bins[:, (0, 0, 1, 1)]
     settings = np.zeros((trials, 4), dtype=np.int8)
     signs = np.ones((trials, 4), dtype=np.int8)
-    return EventTable(settings, bins, signs, all_equal(bins), TIME_BINS, _adopt=True)
+    return EventTable(settings, bins, signs, pair_bins[:, 0] == pair_bins[:, 1], TIME_BINS, _adopt=True)
 
 
 @dataclass(frozen=True)

@@ -137,39 +137,29 @@ def ghz_state(n: int) -> MultiPartyState:
     """(|S...S> + |L...L>)/sqrt(2) over n time-bin qubits."""
     if n < 2:
         raise ValueError("GHZ state needs at least two parties")
-    return _uniform_diagonal_state((2,) * n, 2, (QUBIT_LABELS,) * n)
+    return _diagonal_state((2,) * n, [1, 1], (QUBIT_LABELS,) * n)[0]
 
 
 def qunit_state(n: int) -> MultiPartyState:
     """(sum_i |i...i>)/sqrt(n) over n parties with n levels each."""
     if n < 2:
         raise ValueError("qunit state needs at least two parties")
-    return _uniform_diagonal_state((n,) * n, n, (_default_labels(n),) * n)
-
-
-def _uniform_diagonal_state(dims, k, level_labels) -> MultiPartyState:
-    """``(sum_{i<k} |i...i>)/sqrt(k)`` on its support. Its weight over the
-    dense layout is exactly ``k``, so the amplitudes carry the bytes of
-    :func:`_diagonal_state` on ``k`` ones."""
-    return MultiPartyState(dims, [((i,) * len(dims), 1.0 / math.sqrt(k)) for i in range(k)], level_labels)
+    return _diagonal_state((n,) * n, [1] * n, (_default_labels(n),) * n)[0]
 
 
 def _diagonal_state(dims, diagonal, level_labels):
     """``(state, weight)``: ``diagonal[i]`` on ``|i...i>`` renormalized, and its
-    squared norm, summed over the dense layout in ``np.sum``'s order so the
-    bytes match renormalizing a dense kept tensor. Raises if the weight is zero."""
-    import numpy as np
-
-    diagonal = np.asarray(diagonal, dtype=complex)
-    # |i...i> sits at i times the sum of the C-order strides
-    cells = np.arange(diagonal.size) * sum(math.prod(dims[p + 1 :]) for p in range(len(dims)))
-    squares = np.zeros(math.prod(dims))
-    squares[cells] = np.abs(diagonal) ** 2
-    weight = float(np.sum(squares))
+    squared norm ``math.fsum(re*re + im*im)``, correctly rounded. Each part of
+    each amplitude is multiplied by ``1 / math.sqrt(weight)``, as numpy divides
+    a complex array by a float, up to the sign of a zero part. Raises if the
+    weight is zero."""
+    diagonal = [complex(z) for z in diagonal]
+    weight = math.fsum(z.real * z.real + z.imag * z.imag for z in diagonal)
     if weight <= 0.0:
         raise ValueError("postselection empty")
-    amps = (diagonal / math.sqrt(weight)).tolist()
-    return MultiPartyState(dims, [((i,) * len(dims), a) for i, a in enumerate(amps)], level_labels), weight
+    scale = 1 / math.sqrt(weight)
+    support = [((i,) * len(dims), complex(z.real * scale, z.imag * scale)) for i, z in enumerate(diagonal)]
+    return MultiPartyState(dims, support, level_labels), weight
 
 
 def check_correlator_size(settings, dims, support=None) -> None:
@@ -507,7 +497,7 @@ def sample_measurement_events(
             signs[rows, p] = 2 * ((outcome_flat >> (n - 1 - p)) & 1) - 1
     common_bins = rng.integers(0, 2, size=trials, dtype=np.int8)
     bins = np.repeat(common_bins[:, None], n, axis=1)
-    return events.EventTable(setting_arr, bins, signs, np.ones(trials, bool), ("t0", "t1"), _adopt=True)
+    return events.EventTable(setting_arr, bins, signs, np.ones(trials, bool), events.TIME_BINS, _adopt=True)
 
 
 def _compact_labels(level_labels) -> bool:

@@ -308,6 +308,17 @@ def test_mermin_quantum_runs_without_numpy(n):
     assert got == [0, False, n]
 
 
+def test_postselect_coincident_on_ghz_loads_no_numpy():
+    # the diagonal states are built and renormalized on their support in plain Python
+    got = _run(
+        "import json, sys\n"
+        "from etbell.states import ghz_state, postselect_coincident\n"
+        "state, weight = postselect_coincident(ghz_state(5))\n"
+        "print(json.dumps([len(state.support), weight, 'numpy' in sys.modules]))"
+    )
+    assert got == [2, 0.9999999999999998, False]
+
+
 def test_mermin_quantum_sweep_runs_without_numpy(tmp_path):
     # the rotated settings are tuples of Python complex numbers
     got = _run(

@@ -24,7 +24,7 @@ from etbell.source import (
 )
 from etbell.states import MultiPartyState, ghz_state, postselect_coincident, sample_measurement_events
 
-from conftest import dense_tensor, states_close
+from conftest import dense_tensor, states_close, traced_peak
 
 
 def test_four_photon_state_amplitudes():
@@ -88,6 +88,16 @@ def test_source_stream_deterministic():
     assert (a.bins == b.bins).all()
     with pytest.raises(ValueError):
         source_event_stream(trials=0, seed=5)
+
+
+def test_source_stream_memory_past_the_table_is_the_pair_bins():
+    # past the table's 13 bytes a trial, only the (trials, 2) int8 pair bins:
+    # the selection compares the two pairs, not a (trials, 4) bin array
+    past = []
+    for trials in (20_000, 200_000):
+        peak, table = traced_peak(source_event_stream, trials, seed=7)
+        past.append(peak - sum(a.nbytes for a in (table.settings, table.bins, table.signs, table.selected)))
+    assert past[1] <= past[0] + 3 * 180_000
 
 
 @pytest.mark.parametrize("trials", [2.7, True, np.float64(3.0), "5"])

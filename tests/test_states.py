@@ -470,7 +470,7 @@ def _dense_prepare(networks, emission_amplitudes, input_mode):
         joint = joint + src[t] * branch
     total = float(np.sum(np.abs(joint) ** 2))
     kept = np.where(all_equal(np.moveaxis(np.indices(dims), 0, -1)), joint, 0.0)
-    weight = float(np.sum(np.abs(kept) ** 2))
+    weight = math.fsum((kept.real * kept.real + kept.imag * kept.imag).ravel().tolist())
     if weight <= 0.0:
         raise ValueError("postselection empty")
     return (kept / math.sqrt(weight)).reshape(-1), weight / total
@@ -524,13 +524,21 @@ def test_prepare_postselected_benchmark_cascade_bytes():
 
 
 def test_prepare_postselected_memory_is_about_the_output_state():
-    # the 7^7 joint tensor is never built, and the state takes the output
-    # array over: the peak is that array plus the float64 weight temporary of
-    # half its size (a copy in MultiPartyState made 2.06x, the dense
-    # construction 5.1x)
+    # neither the 7^7 joint tensor nor any array over its cells is built: the
+    # peak is the 7 kept amplitudes and the per-party columns, while the dense
+    # amplitude vector (13.2 MB) is built only when read
     networks = [generation_cascade(7)] * 7
-    peak, (state, _) = traced_peak(prepare_postselected, networks)
-    assert peak <= 1.6 * state.amplitudes.nbytes
+    prepare_postselected(networks)  # warm-up
+    peak, _ = traced_peak(prepare_postselected, networks)
+    assert peak <= 64 * 1024
+
+
+@pytest.mark.parametrize("make, n", [(ghz_state, 22), (qunit_state, 7)])
+def test_postselect_coincident_memory_is_about_the_support(make, n):
+    # the 2^22- and 7^7-cell dense layouts are never built
+    postselect_coincident(make(n))  # warm-up
+    peak, _ = traced_peak(lambda: postselect_coincident(make(n)))
+    assert peak <= 64 * 1024
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -721,7 +729,7 @@ def test_postselect_coincident_matches_all_equal_mask(shape, seed):
     joint = dense_tensor(state)
     # reference: the all_equal mask over every cell's index tuple
     kept = np.where(all_equal(np.moveaxis(np.indices(shape), 0, -1)), joint, 0.0)
-    weight = float(np.sum(np.abs(kept) ** 2))
+    weight = math.fsum((kept.real * kept.real + kept.imag * kept.imag).ravel().tolist())
     kept_state, got = postselect_coincident(state)
     assert got == weight
     assert kept_state.amplitudes.tobytes() == (kept / math.sqrt(weight)).reshape(-1).tobytes()
