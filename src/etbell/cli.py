@@ -33,10 +33,10 @@ tolerance.
 
 Importing this module loads no numpy and executes no etbell submodule, so
 ``--version``, ``--help`` and usage errors exit before either loads.
-``mermin-quantum`` and ``lhv table1|search|scale`` load neither numpy nor
-``dataclasses`` (which imports ``inspect``): their states, settings,
-strategies and exact weights are plain Python, and their records are
-named tuples or plain classes.
+``mermin-quantum`` and ``lhv table1|search|scale`` load no numpy, and only
+the ``network`` commands load the ``@dataclass`` module (it imports
+``inspect``): states, settings, strategies and exact weights are plain
+Python, and the other records are named tuples or plain classes.
 """
 
 from __future__ import annotations
@@ -377,8 +377,6 @@ def cmd_source_stream(args, stdout) -> int:
 
 
 def cmd_source_audit(args, stdout) -> int:
-    from dataclasses import asdict  # here, so --help and usage errors never import it
-
     if args.model == "quantum":
         ghz = states.ghz_state(3)
         table = states.sample_measurement_events(ghz, trials=args.trials, seed=args.seed)
@@ -393,7 +391,7 @@ def cmd_source_audit(args, stdout) -> int:
         "model": args.model,
         "trials": args.trials,
         "seed": args.seed,
-        "per_party": [asdict(p) for p in audit.per_party],
+        "per_party": [p._asdict() for p in audit.per_party],
         "joint_p_value": audit.joint_p_value,
         "counterfactual_dependent": audit.counterfactual_dependent,
         "setting_dependent": audit.setting_dependent,

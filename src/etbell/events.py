@@ -17,17 +17,17 @@ array compares, a block of bytes at a time (:mod:`etbell._csvbody`), checks
 that record k is cell ``(k // n, k % n)`` and writes the block straight into
 the grids, so a read peaks at the finished table, about 4 bytes per CSV row,
 plus one block's arrays: 7.4 to 8.7 bytes per row on 100k-trial streams.
-The statistics and the generators walk the trials :data:`BLOCK_TRIALS` at a
-time, so they need the table plus one block. A statistic adds up exact block
-``bincount``s (integer counts, integer-valued float sums), so no block size
-changes its result, and refuses more parties than the quantum correlators take
-(:func:`check_party_count`).
+The generators and :func:`setting_tally`, the one pass both statistics read,
+walk the trials :data:`BLOCK_TRIALS` at a time, so they need the table plus
+one block. The tally adds up exact block ``bincount``s (integer counts,
+integer-valued float sums), so no block size changes its result, and refuses
+a table of no parties or of more than the quantum correlators take.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +53,6 @@ def trial_blocks(trials: int):
     return (slice(start, start + BLOCK_TRIALS) for start in range(0, trials, BLOCK_TRIALS))
 
 
-def check_party_count(n: int) -> None:
-    """Refuse ``n`` parties whose 2^n settings by 2^n outcomes exceed ``MAX_CORRELATOR_ENTRIES``."""
-    if 4**n > MAX_CORRELATOR_ENTRIES:
-        raise ValueError(f"{n} parties: 2^{n} settings x 2^{n} outcomes exceed {MAX_CORRELATOR_ENTRIES} entries")
-
-
 def all_equal(bins) -> np.ndarray:
     """Coincidence rule: keep a joint outcome iff all bins agree.
 
@@ -69,25 +63,21 @@ def all_equal(bins) -> np.ndarray:
     return (bins == bins[..., :1]).all(axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
 class EventTable:
-    """Columnar event stream: one row per trial, one column per party."""
+    """Columnar event stream: one row per trial, one column per party.
 
-    settings: np.ndarray  # (trials, parties) int8
-    bins: np.ndarray  # (trials, parties) codes into bin_labels, int16 past 128 labels
-    signs: np.ndarray  # (trials, parties) int8, values +1/-1
-    selected: np.ndarray  # (trials,) bool
-    bin_labels: tuple[str, ...] = ("S", "L")
-    # Take the arrays over without a copy where their types allow, and make
-    # them read-only: only for fresh arrays the package built for the table.
-    _adopt: InitVar[bool] = False
+    Read-only arrays: :attr:`settings` (0/1) and :attr:`signs` (+1/-1) in
+    int8 and :attr:`bins` (codes into :attr:`bin_labels`) in int8, int16 past
+    128 labels, all (trials, parties); :attr:`selected`, one bool per trial.
+    The table is immutable. ``_adopt`` takes fresh arrays the package built
+    for the table over without a copy where their types allow.
+    """
 
-    def __post_init__(self, _adopt=False):
+    def __init__(self, settings, bins, signs, selected, bin_labels=("S", "L"), _adopt=False):
         # Check values before narrowing to int8/int16, which would wrap 257 to 1.
-        settings = np.asarray(self.settings)
-        bins = np.asarray(self.bins)
-        signs = np.asarray(self.signs)
-        selected = (np.asarray if _adopt else np.array)(self.selected, dtype=bool)
+        settings, bins, signs = np.asarray(settings), np.asarray(bins), np.asarray(signs)
+        selected = (np.asarray if _adopt else np.array)(selected, dtype=bool)
+        bin_labels = tuple(bin_labels)
         if settings.ndim != 2:
             raise ValueError("settings must be a (trials, parties) array")
         if bins.shape != settings.shape or signs.shape != settings.shape:
@@ -98,19 +88,24 @@ class EventTable:
             raise ValueError("settings must be 0 or 1")
         if not _all_in(signs, -1, 1):
             raise ValueError("signs must be +1 or -1")
-        if len(self.bin_labels) > _MAX_BIN_LABELS:
-            raise ValueError(f"at most {_MAX_BIN_LABELS} bin labels, got {len(self.bin_labels)}")
-        _LabelCodes(self.bin_labels)  # distinct labels the CSV codec takes
-        if bins.size and not (0 <= bins.min() and bins.max() < len(self.bin_labels)):
+        if len(bin_labels) > _MAX_BIN_LABELS:
+            raise ValueError(f"at most {_MAX_BIN_LABELS} bin labels, got {len(bin_labels)}")
+        _LabelCodes(bin_labels)  # distinct labels the CSV codec takes
+        if bins.size and not (0 <= bins.min() and bins.max() < len(bin_labels)):
             raise ValueError("bin code outside bin_labels")
         copy = not _adopt
         settings, signs = settings.astype(np.int8, copy=copy), signs.astype(np.int8, copy=copy)
         # the narrowest type that holds every code: int8 up to 128 labels
-        bins = bins.astype(np.int8 if len(self.bin_labels) <= 128 else np.int16, copy=copy)
-        for field, arr in zip(fields(self), (settings, bins, signs, selected)):
+        bins = bins.astype(np.int8 if len(bin_labels) <= 128 else np.int16, copy=copy)
+        for arr in (settings, bins, signs, selected):
             arr.setflags(write=False)
-            object.__setattr__(self, field.name, arr)
-        object.__setattr__(self, "bin_labels", tuple(self.bin_labels))
+        vars(self).update(settings=settings, bins=bins, signs=signs, selected=selected, bin_labels=bin_labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable event table")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable event table")
 
     @property
     def n_trials(self) -> int:
@@ -301,8 +296,30 @@ class _LabelCodes(dict):
         return code
 
 
-@dataclass(frozen=True)
-class EmpiricalCorrelations:
+def setting_tally(table: EventTable):
+    """Per setting combination, a binary number with the first party's bit
+    highest (the order of :func:`mermin_coefficients`): the trials, the
+    selected trials and their summed sign product, in one pass over ``table``.
+    Refuses no parties, or 2^n settings x 2^n outcomes past
+    ``MAX_CORRELATOR_ENTRIES``, before it counts anything."""
+    n = table.n_parties
+    if n < 1:
+        raise ValueError("need at least one party")
+    if 4**n > MAX_CORRELATOR_ENTRIES:
+        raise ValueError(f"{n} parties: 2^{n} settings x 2^{n} outcomes exceed {MAX_CORRELATOR_ENTRIES} entries")
+    trials, selected = np.zeros((2, 1 << n), np.int64)
+    sums = np.zeros(1 << n)
+    for rows in trial_blocks(table.n_trials):
+        code = np.ravel_multi_index(table.settings[rows].T, (2,) * n)
+        keep = table.selected[rows]
+        chosen = code[keep]
+        trials += np.bincount(code, minlength=1 << n)
+        selected += np.bincount(chosen, minlength=1 << n)
+        sums += np.bincount(chosen, weights=table.signs[rows][keep].prod(axis=1), minlength=1 << n)
+    return trials, selected, sums
+
+
+class EmpiricalCorrelations(NamedTuple):
     """Monte-Carlo estimate of the postselected Mermin quantities."""
 
     terms: tuple[float | None, ...]
@@ -320,21 +337,10 @@ def mermin_estimate(table: EventTable) -> EmpiricalCorrelations:
     A combination with no selected trials yields ``None`` for its term
     (undefined, deliberately distinct from zero).
     """
-    n = table.n_parties
-    check_party_count(n)
-    coeffs = mermin_coefficients(n)
-    combos = np.ravel_multi_index(np.array(list(coeffs)).T, (2,) * n)
-    counts, selected = np.zeros((2, 1 << n), np.int64)
-    sums = np.zeros(1 << n)
-    for rows in trial_blocks(table.n_trials):
-        # a setting string read as a binary number, the first party's bit highest
-        code = np.ravel_multi_index(table.settings[rows].T, (2,) * n)
-        keep = table.selected[rows]
-        chosen = code[keep]
-        counts += np.bincount(code, minlength=1 << n)
-        selected += np.bincount(chosen, minlength=1 << n)
-        sums += np.bincount(chosen, weights=table.signs[rows][keep].prod(axis=1), minlength=1 << n)
-    combo_counts, selected_counts, sums = (a[combos].tolist() for a in (counts, selected, sums))
+    tally = setting_tally(table)
+    coeffs = mermin_coefficients(table.n_parties)
+    combos = np.ravel_multi_index(np.array(list(coeffs)).T, (2,) * table.n_parties)
+    combo_counts, selected_counts, sums = (a[combos].tolist() for a in tally)
     terms = [s / k if k else None for s, k in zip(sums, selected_counts)]
     rates = [k / m if m else None for k, m in zip(selected_counts, combo_counts)]
     rate = None if None in rates else float(sum(rates) / len(rates))

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lhv, states  # each executed only by the functions that use it
-from .events import TIME_BINS, EventTable, check_party_count, trial_blocks
+from .events import TIME_BINS, EventTable, setting_tally
 from .numerics import seeded_rng, trial_count
 
 # A chi-square p-value below this marks selection as setting-dependent.
@@ -48,8 +48,7 @@ def source_event_stream(trials: int, seed: int = 0) -> EventTable:
     return EventTable(settings, bins, signs, pair_bins[:, 0] == pair_bins[:, 1], TIME_BINS, _adopt=True)
 
 
-@dataclass(frozen=True)
-class PartyAudit:
+class PartyAudit(NamedTuple):
     party: int
     counts: tuple[tuple[int, int], tuple[int, int]]  # [setting][rejected, selected]
     chi2: float
@@ -57,8 +56,7 @@ class PartyAudit:
     dependent: bool
 
 
-@dataclass(frozen=True)
-class LocalityAuditReport:
+class LocalityAuditReport(NamedTuple):
     """Outcome of the selection/setting independence tests.
 
     ``per_party`` and the joint test are frequency based (chi-square on the
@@ -144,19 +142,13 @@ def locality_audit(
     With ``ensemble`` given, the counterfactual dependence of the generating
     model is evaluated exactly as well.
     """
+    trials, selected, _ = setting_tally(events)
     n = events.n_parties
-    check_party_count(n)
-    # joint[code, s]: the trials with that setting combination and selection s
-    joint = np.zeros((2**n, 2), np.int64)
-    for rows in trial_blocks(events.n_trials):
-        # party p's setting is bit p of the combination code
-        combo_code = np.ravel_multi_index(events.settings[rows].T[::-1], (2,) * n)
-        joint += np.bincount(combo_code * 2 + events.selected[rows], minlength=2 ** (n + 1)).reshape(-1, 2)
-    # axis n - 1 - p of the cube holds party p's setting
-    cube = joint.reshape((2,) * n + (2,))
+    # cube[s_0, ..., s_{n-1}, s]: the trials with party p at setting s_p and selection s
+    cube = np.stack([trials - selected, selected], axis=-1).reshape((2,) * n + (2,))
     per_party = []
     for p in range(n):
-        counts = cube.sum(axis=tuple(a for a in range(n) if a != n - 1 - p))
+        counts = cube.sum(axis=tuple(a for a in range(n) if a != p))
         chi2, p_value = _chi2(counts)
         per_party.append(
             PartyAudit(
@@ -167,7 +159,8 @@ def locality_audit(
                 dependent=p_value < _SIGNIFICANCE,
             )
         )
-    joint_chi2, joint_p = _chi2(joint)
+    # the joint rows read party p's setting as bit p: that order fixes the chi-square's low bits
+    joint_chi2, joint_p = _chi2(cube.transpose(*range(n - 1, -1, -1), n).reshape(-1, 2))
     counterfactual = None if ensemble is None else counterfactual_selection_dependence(ensemble)
     return LocalityAuditReport(
         per_party=tuple(per_party),

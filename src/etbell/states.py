@@ -372,7 +372,8 @@ def postselect_coincident(state: MultiPartyState):
     equal, and renormalize.
 
     Returns ``(state, kept_weight)``, the weight being the squared norm of
-    the kept amplitudes. Idempotent. Raises if nothing survives.
+    the kept amplitudes. Raises if nothing survives. A second pass keeps the
+    support, and its amplitudes agree within rounding.
     """
     amps = dict(state.support)  # the all-equal tuples are (i, ..., i) for i < min(dims)
     diagonal = [amps.get((i,) * state.n_parties, 0j) for i in range(min(state.dims))]

@@ -347,6 +347,15 @@ def test_statistics_refuse_more_parties_than_the_correlators_take(monkeypatch):
             assert time.perf_counter() - start < 1.0
 
 
+def test_statistics_refuse_a_table_of_no_parties():
+    # a (trials, 0) table is a valid one, but it has no setting combination
+    # to test, so no audit may pass it as setting-independent
+    table = EventTable(np.zeros((4, 0)), np.zeros((4, 0)), np.ones((4, 0)), np.ones(4, bool))
+    for statistic in (mermin_estimate, locality_audit):
+        with pytest.raises(ValueError, match="^need at least one party$"):
+            statistic(table)
+
+
 @pytest.mark.parametrize(
     "settings, bins, signs",
     [

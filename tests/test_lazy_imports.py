@@ -386,3 +386,30 @@ def test_numpy_free_command_loads_neither_numpy_nor_dataclasses(bare_loads_inspe
         *argv,
     )
     assert got == [0, [False, False, bare_loads_inspect]]
+
+
+# The numpy commands that stream, audit or filter events or states: numpy
+# loads ``inspect`` but not ``dataclasses``, and their records are named
+# tuples or plain classes too.
+EVENT_COMMANDS = {
+    "lhv stream": ["lhv", "stream", "--trials", "1000", "--out", "lhv.csv"],
+    "source stream": ["source", "stream", "--trials", "1000", "--out", "source.csv"],
+    "source audit quantum": ["source", "audit", "--model", "quantum", "--trials", "1000"],
+    "source audit table1": ["source", "audit", "--model", "table1", "--trials", "1000"],
+    "source filter": ["source", "filter"],
+    "source state": ["source", "state"],
+}
+
+
+@pytest.mark.parametrize("argv", EVENT_COMMANDS.values(), ids=EVENT_COMMANDS)
+def test_event_command_loads_no_dataclasses(tmp_path, argv):
+    got = _run(
+        "import json, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('etbell.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(json.dumps([exc.code, 'dataclasses' in sys.modules]))",
+        *argv,
+        cwd=tmp_path,
+    )
+    assert got == [0, False]

@@ -22,7 +22,13 @@ from etbell.source import (
     locality_audit,
     source_event_stream,
 )
-from etbell.states import MultiPartyState, ghz_state, postselect_coincident, sample_measurement_events
+from etbell.states import (
+    MultiPartyState,
+    ghz_state,
+    postselect_coincident,
+    qunit_state,
+    sample_measurement_events,
+)
 
 from conftest import dense_tensor, states_close, traced_peak
 
@@ -59,10 +65,12 @@ def test_coincidence_filter_keeps_half():
 
 
 def test_coincidence_filter_idempotent():
-    once, keep1 = postselect_coincident(four_photon_state())
-    twice, keep2 = postselect_coincident(once)
-    assert abs(keep2 - 1.0) < 1e-12
-    assert states_close(twice, once, tol=1e-15)
+    # a second pass keeps the support; its amplitudes agree within rounding
+    for state in (four_photon_state(), ghz_state(8), qunit_state(5), qunit_state(7)):
+        once, keep1 = postselect_coincident(state)
+        twice, keep2 = postselect_coincident(once)
+        assert abs(keep2 - 1.0) < 1e-12
+        assert states_close(twice, once, tol=1e-15)
 
 
 def test_coincidence_filter_empty():
